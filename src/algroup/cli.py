@@ -153,12 +153,13 @@ def main(argv=None) -> int:
     for check in checks:
         if check == "group":
             sub = decide.is_group(problem, budget=budget, jobs=args.jobs,
-                                  fast_path=args.fast_path)
+                                  fast_path=args.fast_path, _cache=cache)
             report.checks.update(sub.checks)
             report.group = sub.group
             report.notes.extend(n for n in sub.notes if n not in report.notes)
         elif check == "group-alt":
-            sub = decide.is_group_alt(problem, budget=budget, jobs=args.jobs)
+            sub = decide.is_group_alt(problem, budget=budget, jobs=args.jobs,
+                                      _cache=cache)
             report.checks.update(sub.checks)
             report.group_alt = sub.group_alt
             report.mode = "alt" if checks == ["group-alt"] else report.mode

@@ -6,11 +6,13 @@ every generator; closure under inversion (each generator, pushed through
 the formal inverse and padded with a determinant factor, lies in the
 radical of the ideal); and closure under multiplication (each generator
 at a product of two generic matrices lies in the radical of the doubled
-ideal with both invertibility witnesses).  The alternative route fuses
-the last two into a single closure-under-division check.  All verdicts
-are exact and hold over the algebraic closure of the coefficient field;
-computing over the base field is sound because triviality of an ideal
-does not change under field extension.
+ideal with both invertibility witnesses).  The doubled ideal's basis is
+one block's basis joined with its copy in the other block, since the two
+blocks share no variable.  The alternative route fuses the last two into
+a single closure-under-division check.  All verdicts are exact and hold
+over the algebraic closure of the coefficient field; computing over the
+base field is sound because triviality of an ideal does not change under
+field extension.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field as dataclass_field
 from .fields import PrimeField
 from .groebner import (Budget, BudgetExhausted, GBStats, GroebnerBasis,
                        buchberger, contains_one, radical_membership)
-from .matrices import (build_f0, build_hat_ideal, det_poly,
+from .matrices import (build_hat_ideal, det_poly,
                        eval_at_formal_inverse, make_k, subst_product,
                        subst_x_times_inverse_y, to_y_block)
 from .parsing import ProblemSpec
@@ -353,15 +355,35 @@ def check_inversion_alt(problem: ProblemSpec, *, budget: Budget | None = None,
 
 def _product_base(problem: ProblemSpec, hats: bool, budget: Budget,
                   cache: dict, stats: GBStats):
+    """Reduced basis of the doubled ideal J(x) + J(y), where J is the
+    problem ideal, with the witness x0*det(x) - 1 when hats, and J(y) is
+    its copy in the y block.
+
+    The blocks share no variable, so the union of J's reduced basis and
+    its renamed copy is already reduced: every cross pair has coprime
+    leads (Buchberger's first criterion), no lead of one block divides a
+    term of the other, and degrevlex restricted to either block is
+    degrevlex with the same relative ranking.
+    """
     ring = VarRing.matrix_ring(problem.n, problem.field, x0=hats, y=True,
                                y0=hats)
-    gens = [change_ring(f, ring) for f in problem.generators if f]
-    gens.extend(to_y_block(f, ring) for f in problem.generators if f)
     if hats:
-        gens.append(build_f0(ring, "x"))
-        gens.append(build_f0(ring, "y"))
-    gb = _cached_gb(cache, ("gb_xy", hats), gens, ring, budget, stats)
-    return ring, gb
+        block_ring, block_gens = build_hat_ideal(problem)
+        block = _cached_gb(cache, "gb_hat", block_gens, block_ring, budget,
+                           stats)
+    else:
+        block = _cached_gb(cache, "gb_I", [f for f in problem.generators if f],
+                           problem.ring, budget, stats)
+    if block.is_trivial:
+        return ring, GroebnerBasis([ring.one()], DEGREVLEX, GBStats())
+    basis = [change_ring(g, ring) for g in block.basis]
+    basis.extend(to_y_block(g, ring) for g in block.basis)
+    # Ascending leads, the order buchberger returns a reduced basis in:
+    # the block basis already ascends, and degrevlex ranks every y lead
+    # above every x lead of the same degree, so a stable sort by degree
+    # interleaves the two copies.
+    basis.sort(key=Polynomial.total_degree)
+    return ring, GroebnerBasis(basis, DEGREVLEX, GBStats())
 
 
 def check_multiplication(problem: ProblemSpec, *, budget: Budget | None = None,

@@ -10,10 +10,11 @@ verdict.
 
 Internally a monomial is packed into a single integer, 16 bits per
 variable with the total degree in the top field: multiplying monomials
-is integer addition, divisibility is a borrow-free subtraction test, and
-the default degrevlex sort key is two integer operations.  The packing
-bounds the supported intermediate total degree at 10922; the public
-polynomial API keeps plain exponent tuples.
+is integer addition, divisibility is a borrow-free subtraction test, the
+lcm uses the same guard bits to pick the larger exponent of every field
+at once, and the default degrevlex sort key is two integer operations.
+The packing bounds the supported intermediate total degree at 10922; the
+public polynomial API keeps plain exponent tuples.
 """
 
 from __future__ import annotations
@@ -85,6 +86,7 @@ class _Codec:
         for i in range(arity):
             offs |= _FIELD_CAP << (_BITS * i)
         self.low_mask = (1 << self.deg_shift) - 1
+        self._low_guard = self.guard & self.low_mask
         self._offs = offs
         self.kind = order.kind
         if order.ranking is None:
@@ -118,14 +120,20 @@ class _Codec:
         return ((b | self.guard) - a) & self.guard == self.guard
 
     def lcm(self, a: int, b: int) -> int:
-        out = 0
-        deg = 0
-        for i in range(self.arity):
-            shift = _BITS * i
-            e = max((a >> shift) & _FIELD_CAP, (b >> shift) & _FIELD_CAP)
-            out |= e << shift
-            deg += e
-        return out | (deg << self.deg_shift)
+        # Per field, (a_i | 0x8000) - b_i keeps bit 15 exactly when
+        # a_i >= b_i and never borrows from the next field; spreading
+        # that bit over the field selects the larger exponent.
+        low = self.low_mask
+        a &= low
+        b &= low
+        larger = ((((a | self.guard) - b) & self._low_guard)
+                  >> (_BITS - 1)) * _FIELD_CAP
+        out = (a & larger) | (b & ~larger)
+        # The fields sum to the degree, and 2^16 = 1 mod 0xFFFF; the
+        # remainder is exact because an lcm of two monomials of degree at
+        # most MAX_ENGINE_DEGREE has degree at most 2 * MAX_ENGINE_DEGREE,
+        # below 0xFFFF.
+        return out | (out % 0xFFFF) << self.deg_shift
 
     def key(self, packed: int):
         """Integer key: ascending key order equals ascending monomial order."""

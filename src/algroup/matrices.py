@@ -92,11 +92,12 @@ def build_hat_ideal(problem: ProblemSpec) -> tuple[VarRing, list[Polynomial]]:
     return hat, gens
 
 
-def _assert_x_block_only(f: Polynomial) -> None:
+def _assert_x_block_only(f: Polynomial, allow_x0: bool = False) -> None:
     names = f.ring.names
     for m in f.terms:
         for i, e in enumerate(m):
-            if e and not (names[i].startswith("x") and names[i] != "x0"):
+            if e and not (names[i].startswith("x")
+                          and (allow_x0 or names[i] != "x0")):
                 raise ValueError(f"polynomial mentions {names[i]}, "
                                  "expected x-block variables only")
 
@@ -118,11 +119,10 @@ def subst_product(f: Polynomial, target: VarRing) -> Polynomial:
 
 
 def to_y_block(f: Polynomial, target: VarRing) -> Polynomial:
-    """Rename every x_k in f to y_k inside the target ring."""
-    _assert_x_block_only(f)
-    n = f.ring.n
-    images = {f"x{k}": target.var(f"y{k}") for k in range(1, n * n + 1)}
-    return f.substitute(images, target)
+    """Rename every x_k in f to y_k inside the target ring, the witness
+    variable x0 to y0 included."""
+    _assert_x_block_only(f, allow_x0=True)
+    return change_ring(f, target, rename=lambda name: "y" + name[1:])
 
 
 @dataclass(frozen=True)

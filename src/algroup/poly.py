@@ -372,9 +372,10 @@ class Polynomial:
         return f"<poly {render(self)}>"
 
 
-def change_ring(f: Polynomial, target: VarRing) -> Polynomial:
-    """Re-index f into target, matching variables by name."""
-    if target == f.ring:
+def change_ring(f: Polynomial, target: VarRing, rename=None) -> Polynomial:
+    """Re-index f into target, matching variables by name; rename, when
+    given, maps a variable name of f to its name in target."""
+    if target == f.ring and rename is None:
         return f
     if target.field != f.ring.field:
         raise ValueError("target ring has a different coefficient field")
@@ -389,7 +390,8 @@ def change_ring(f: Polynomial, target: VarRing) -> Polynomial:
                 continue
             j = mapping.get(i)
             if j is None:
-                j = target.index(src_names[i])
+                name = src_names[i]
+                j = target.index(rename(name) if rename else name)
                 mapping[i] = j
             exps[j] = e
         out[tuple(exps)] = c

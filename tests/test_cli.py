@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from algroup import DecisionReport
+from algroup import QQ, DecisionReport, VarRing, decide
 from algroup.cli import main
 
 
@@ -148,3 +148,32 @@ def test_jobs_flag(problems_dir, capsys):
                            "--jobs", "2")
     assert code == 0
     assert "group: true" in out
+
+
+def test_group_checks_share_the_run_cache(problems_dir, capsys, monkeypatch):
+    rings = []
+    real = decide.buchberger
+
+    def counting(gens, *args, **kwargs):
+        rings.append(kwargs["ring"])
+        return real(gens, *args, **kwargs)
+
+    monkeypatch.setattr(decide, "buchberger", counting)
+    plain = VarRing.matrix_ring(2, QQ)
+    hat = VarRing.matrix_ring(2, QQ, x0=True)
+    code, out, _ = run_cli(capsys, "decide", str(problems_dir / "sl2.alg"),
+                           "--check", "group", "--check", "group-alt",
+                           "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["group"] is True and data["group_alt"] is True
+    assert set(data["checks"]) == {"identity", "inversion", "multiplication",
+                                   "division"}
+    # The hat ideal's basis serves multiplication and division alike.
+    assert rings == [plain, hat]
+
+    rings.clear()
+    code, out, _ = run_cli(capsys, "decide", str(problems_dir / "sl2.alg"),
+                           "--check", "inversion", "--check", "group")
+    assert code == 0 and "group: true" in out
+    assert rings == [plain, hat]

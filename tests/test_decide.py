@@ -3,11 +3,13 @@ import random
 
 import pytest
 
-from algroup import (Budget, DecisionReport, add_field_equations,
+from algroup import (Budget, DecisionReport, GBStats, VarRing,
+                     add_field_equations, buchberger, build_f0, change_ring,
                      check_identity, check_inversion, check_inversion_alt,
                      check_multiplication, enumerate_variety, is_group,
-                     is_group_alt, is_group_bruteforce, parse_problem,
-                     variety_equals_vstar)
+                     is_group_alt, is_group_bruteforce, load_problem,
+                     parse_problem, to_y_block, variety_equals_vstar)
+from algroup.decide import _product_base
 
 SUITE = ["sl2.alg", "gl2.alg", "torus2.alg", "diag-antidiag.alg",
          "cubic-roots.alg", "fourth-roots.alg", "linear-forms-3x3.alg",
@@ -205,3 +207,49 @@ def test_engine_matches_bruteforce_oracle(seed):
         assert check_multiplication(spec, _cache=cache).verdict == \
             brute.multiplication
         assert is_group(spec, _cache=cache).group == brute.group, spec.generators
+
+
+def _doubled_basis_reference(spec, hats):
+    """Buchberger on the doubled generators, built on the product ring."""
+    ring = VarRing.matrix_ring(spec.n, spec.field, x0=hats, y=True, y0=hats)
+    gens = [change_ring(f, ring) for f in spec.generators if f]
+    gens.extend(to_y_block(f, ring) for f in spec.generators if f)
+    if hats:
+        gens.append(build_f0(ring, "x"))
+        gens.append(build_f0(ring, "y"))
+    return ring, buchberger(gens, ring=ring).basis
+
+
+def _assert_product_base_matches_reference(spec):
+    for hats in (False, True):
+        ring, gb = _product_base(spec, hats, Budget(), {}, GBStats())
+        ref_ring, ref = _doubled_basis_reference(spec, hats)
+        assert ring == ref_ring
+        assert set(gb.basis) == set(ref), (spec.generators, hats)
+        # Same order as well, so the membership tests see the same input.
+        assert gb.basis == ref, (spec.generators, hats)
+
+
+def test_product_base_matches_doubled_buchberger_on_q_fixtures(problems_dir):
+    specs = [load_problem(path) for path in sorted(problems_dir.glob("*.alg"))]
+    specs = [spec for spec in specs if spec.field.characteristic == 0]
+    assert len(specs) >= 8
+    for spec in specs:
+        _assert_product_base_matches_reference(spec)
+
+
+def test_product_base_matches_doubled_buchberger_on_field_equations():
+    from conftest import random_matrix_problem
+    rng = random.Random(303)
+    for _ in range(20):
+        p = rng.choice([2, 3])
+        _assert_product_base_matches_reference(
+            add_field_equations(random_matrix_problem(rng, p), p))
+
+
+def test_product_base_of_a_trivial_block():
+    # det(x) = 0 leaves no invertible point: the hat ideal is (1).
+    spec = parse_problem("n 2\nfield Q\nx1*x4 - x2*x3\n")
+    ring, gb = _product_base(spec, True, Budget(), {}, GBStats())
+    assert gb.basis == [ring.one()]
+    _assert_product_base_matches_reference(spec)

@@ -5,6 +5,7 @@ import pytest
 from algroup import (Budget, BudgetExhausted, DEGREVLEX, LEX, Polynomial,
                      PrimeField, QQ, VarRing, buchberger, contains_one,
                      normal_form, parse_poly, radical_membership, s_polynomial)
+from algroup.groebner import MAX_ENGINE_DEGREE, _codec
 
 
 def ring1():
@@ -266,3 +267,41 @@ def test_cross_check_against_sympy():
         theirs = sympy.groebner([_to_sympy(g, symbols) for g in gens],
                                 *symbols, order="grevlex")
         assert mine == {sympy.expand(e) for e in theirs.exprs}
+
+
+def _random_monomial(rng, arity):
+    """Exponents of total degree at most MAX_ENGINE_DEGREE, often zero or
+    one exponent at the bound."""
+    total = rng.choice([0, 1, rng.randint(0, MAX_ENGINE_DEGREE),
+                        MAX_ENGINE_DEGREE])
+    exps = [0] * arity
+    if rng.random() < 0.3:
+        exps[rng.randrange(arity)] = total
+        return tuple(exps)
+    places = rng.sample(range(arity), rng.randint(1, arity))
+    cuts = sorted(rng.randint(0, total) for _ in range(len(places) - 1))
+    for place, lo, hi in zip(places, [0] + cuts, cuts + [total]):
+        exps[place] = hi - lo
+    return tuple(exps)
+
+
+def test_word_parallel_lcm_is_exact():
+    # Arities 1 to 101; the largest is the doubled ring with both
+    # witnesses at n=7 plus the radical-membership variable t.
+    doubled = VarRing.matrix_ring(7, QQ, x0=True, y=True, y0=True, t=True)
+    assert doubled.arity == 101
+    rings = [VarRing([f"v{i}" for i in range(arity)], QQ)
+             for arity in range(1, 101)] + [doubled]
+    rng = random.Random(11)
+    for ring in rings:
+        codec = _codec(ring, DEGREVLEX)
+        bound = [0] * ring.arity
+        bound[-1] = MAX_ENGINE_DEGREE
+        samples = [tuple(bound), (0,) * ring.arity]
+        samples += [_random_monomial(rng, ring.arity) for _ in range(40)]
+        for a in samples:
+            for b in rng.sample(samples, 8) + [tuple(bound)]:
+                want = tuple(max(x, y) for x, y in zip(a, b))
+                got = codec.lcm(codec.encode(a), codec.encode(b))
+                assert got == codec.encode(want), (ring.arity, a, b)
+                assert codec.degree(got) == sum(want)
