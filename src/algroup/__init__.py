@@ -19,20 +19,20 @@ from .oracle import (BruteForceVerdict, EnumerationBudgetError, VarietySet,
                      multiplication_closed)
 from .parsing import (ParseError, ProblemSpec, load_problem, parse_poly,
                       parse_problem)
-from .poly import (DEGREVLEX, LEX, MonomialOrder, Polynomial, VarRing,
-                   change_ring, compare, render)
+from .poly import (DEGREVLEX, MonomialOrder, Polynomial, VarRing,
+                   change_ring, render)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Budget", "BudgetExhausted", "BruteForceVerdict", "CheckResult",
     "DEGREVLEX", "DecisionReport", "EnumerationBudgetError",
-    "FormalInverseImage", "GBStats", "GroebnerBasis", "LEX", "MonomialOrder",
+    "FormalInverseImage", "GBStats", "GroebnerBasis", "MonomialOrder",
     "ParseError", "Polynomial", "PrimeField", "ProblemSpec", "QQ",
     "RationalField", "VarRing", "VarietySet", "add_field_equations",
     "adjugate", "buchberger", "build_f0", "build_hat_ideal", "change_ring",
     "check_division", "check_identity", "check_inversion",
-    "check_inversion_alt", "check_multiplication", "compare", "contains_one",
+    "check_inversion_alt", "check_multiplication", "contains_one",
     "det_poly", "enumerate_variety", "eval_at_formal_inverse",
     "inversion_closed", "is_group", "is_group_alt", "is_group_bruteforce",
     "is_prime", "load_problem", "make_k", "multiplication_closed",

@@ -132,7 +132,6 @@ def main(argv=None) -> int:
     checks = list(dict.fromkeys(args.check or ["group"]))
     if args.alt and "group" in checks:
         checks = ["group-alt" if c == "group" else c for c in checks]
-    alt_fast_note = args.fast_path and "group-alt" in checks
 
     if args.field_equations is not None:
         try:
@@ -148,46 +147,11 @@ def main(argv=None) -> int:
     if args.jobs < 1:
         return _fail("--jobs must be at least 1")
 
-    report = decide.new_report(problem, "standard", args.fast_path)
-    cache: dict = {}
-    for check in checks:
-        if check == "group":
-            sub = decide.is_group(problem, budget=budget, jobs=args.jobs,
-                                  fast_path=args.fast_path, _cache=cache)
-            report.checks.update(sub.checks)
-            report.group = sub.group
-            report.notes.extend(n for n in sub.notes if n not in report.notes)
-        elif check == "group-alt":
-            sub = decide.is_group_alt(problem, budget=budget, jobs=args.jobs,
-                                      _cache=cache)
-            report.checks.update(sub.checks)
-            report.group_alt = sub.group_alt
-            report.mode = "alt" if checks == ["group-alt"] else report.mode
-            report.notes.extend(n for n in sub.notes if n not in report.notes)
-        elif check == "identity":
-            report.checks["identity"] = decide.check_identity(problem)
-        elif check == "inversion":
-            report.checks["inversion"] = decide.check_inversion(
-                problem, budget=budget, jobs=args.jobs,
-                fast_path=args.fast_path, _cache=cache)
-        elif check == "multiplication":
-            report.checks["multiplication"] = decide.check_multiplication(
-                problem, budget=budget, jobs=args.jobs,
-                fast_path=args.fast_path, _cache=cache)
-        elif check == "vstar-eq":
-            report.checks["variety_equals_vstar"] = decide.variety_equals_vstar(
-                problem, budget=budget, _cache=cache)
-    report.field_equations_q = args.field_equations
-    if alt_fast_note:
-        report.notes.append("fast path applies to the standard checks only")
-
-    exit_code = 0
-    undecided = [name for name, res in report.checks.items()
-                 if res.verdict is None]
-    if ("group" in checks and report.group is None) or \
-            ("group-alt" in checks and report.group_alt is None) or undecided:
-        exit_code = 2
-
+    report = decide._run_checks(problem, checks, budget=budget,
+                                jobs=args.jobs, fast_path=args.fast_path,
+                                cache={})
+    exit_code = 2 if any(res.verdict is None
+                         for res in report.checks.values()) else 0
     show_group = "group" in checks
     show_group_alt = "group-alt" in checks
 

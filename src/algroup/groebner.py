@@ -12,7 +12,7 @@ Internally a monomial is packed into a single integer, 16 bits per
 variable with the total degree in the top field: multiplying monomials
 is integer addition, divisibility is a borrow-free subtraction test, the
 lcm uses the same guard bits to pick the larger exponent of every field
-at once, and the default degrevlex sort key is two integer operations.
+at once, and the degrevlex sort key is two integer operations.
 The packing bounds the supported intermediate total degree at 10922; the
 public polynomial API keeps plain exponent tuples.
 """
@@ -72,10 +72,10 @@ class GroebnerBasis:
 
 
 class _Codec:
-    """Packs exponent tuples of one ring into integers, and builds the
-    integer sort keys of the active monomial order."""
+    """Packs exponent tuples of one ring into integers, and builds their
+    integer degrevlex sort keys."""
 
-    def __init__(self, ring: VarRing, order: MonomialOrder):
+    def __init__(self, ring: VarRing):
         arity = ring.arity
         self.arity = arity
         self.deg_shift = _BITS * arity
@@ -88,16 +88,6 @@ class _Codec:
         self.low_mask = (1 << self.deg_shift) - 1
         self._low_guard = self.guard & self.low_mask
         self._offs = offs
-        self.kind = order.kind
-        if order.ranking is None:
-            perm = tuple(range(arity))
-        else:
-            perm = tuple(ring.index(name) for name in order.ranking)
-            if sorted(perm) != list(range(arity)):
-                raise ValueError(
-                    "order ranking must be a permutation of the ring variables")
-        self.perm = perm
-        self.natural = perm == tuple(range(arity))
 
     # Variable i of the ring sits at bits [16*i, 16*i + 16); the total
     # degree occupies the field above all variables.
@@ -136,34 +126,21 @@ class _Codec:
         return out | (out % 0xFFFF) << self.deg_shift
 
     def key(self, packed: int):
-        """Integer key: ascending key order equals ascending monomial order."""
-        if self.kind == "degrevlex" and self.natural:
-            # Complementing every field reverses the tie-break exactly as
-            # degrevlex requires when variable 0 is the most significant.
-            return (packed >> self.deg_shift << self.deg_shift) \
-                + self._offs - (packed & self.low_mask)
-        arity = self.arity
-        if self.kind == "degrevlex":
-            key = packed >> self.deg_shift
-            for i in reversed(range(arity)):
-                key = (key << _BITS) | (_FIELD_CAP -
-                                        ((packed >> (_BITS * self.perm[i])) & _FIELD_CAP))
-            return key
-        key = 0
-        for i in range(arity):
-            key = (key << _BITS) | ((packed >> (_BITS * self.perm[i])) & _FIELD_CAP)
-        return key
+        """Integer key: ascending key order equals ascending degrevlex."""
+        # Complementing every field reverses the tie-break exactly as
+        # degrevlex requires when variable 0 is the most significant.
+        return (packed >> self.deg_shift << self.deg_shift) \
+            + self._offs - (packed & self.low_mask)
 
 
 _CODEC_CACHE: dict = {}
 
 
-def _codec(ring: VarRing, order: MonomialOrder) -> _Codec:
-    key = (ring, order)
-    codec = _CODEC_CACHE.get(key)
+def _codec(ring: VarRing) -> _Codec:
+    codec = _CODEC_CACHE.get(ring)
     if codec is None:
-        codec = _Codec(ring, order)
-        _CODEC_CACHE[key] = codec
+        codec = _Codec(ring)
+        _CODEC_CACHE[ring] = codec
     return codec
 
 
@@ -272,7 +249,7 @@ def normal_form(f: Polynomial, G, order: MonomialOrder | None = None,
     either way.
     """
     ring = f.ring
-    codec = _codec(ring, order or DEGREVLEX)
+    codec = _codec(ring)
     cap = _check_cap(degree_cap) if degree_cap is not None else MAX_ENGINE_DEGREE
     reducers = []
     for g in G:
@@ -421,7 +398,7 @@ def buchberger(gens, order: MonomialOrder | None = None,
         return finish([ring.one()])
 
     field = ring.field
-    codec = _codec(ring, order)
+    codec = _codec(ring)
     degree_cap = _check_cap(budget.degree_cap)
     for g in polys:
         if g.total_degree() > degree_cap:

@@ -38,6 +38,8 @@ class ProblemSpec:
 
     Generators live in the ring of the n*n matrix-entry variables
     x1..x_{n*n}; an empty generator list means the zero ideal.
+    field_equations_q is q when the generators include x_k^q - x_k for
+    every entry (see `decide.add_field_equations`).
     """
 
     n: int
@@ -45,6 +47,7 @@ class ProblemSpec:
     generators: list[Polynomial]
     ring: VarRing
     source: str | None = None
+    field_equations_q: int | None = None
 
     @classmethod
     def build(cls, n: int, field: Field, generators=(), source=None) -> "ProblemSpec":

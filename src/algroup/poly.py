@@ -3,8 +3,8 @@
 A monomial is a tuple of exponents, one per ring variable, and a
 polynomial is a map from monomials to nonzero coefficients.  Ring
 variables are stored most-significant-first, so the ring's own variable
-order doubles as the default ranking for the two supported monomial
-orders (degrevlex and lex).
+order doubles as the ranking of the one supported monomial order,
+degrevlex.
 """
 
 from __future__ import annotations
@@ -22,60 +22,28 @@ DEGREE_LIMIT = 2**31
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    """A total multiplicative monomial order.
-
-    kind is "degrevlex" or "lex".  ranking, when given, lists every ring
-    variable from highest to lowest; None means the ring's own order.
-    """
+    """A total multiplicative monomial order.  Degrevlex, ranking the
+    variables in the ring's own order, is the only supported kind."""
 
     kind: str
-    ranking: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        if self.kind not in ("degrevlex", "lex"):
+        if self.kind != "degrevlex":
             raise ValueError(f"unknown monomial order {self.kind!r}")
 
 
 DEGREVLEX = MonomialOrder("degrevlex")
-LEX = MonomialOrder("lex")
 
 
-def _permutation(order: MonomialOrder, ring: "VarRing") -> tuple[int, ...] | None:
-    if order.ranking is None:
-        return None
-    if sorted(order.ranking) != sorted(ring.names):
-        raise ValueError("order ranking must be a permutation of the ring variables")
-    return tuple(ring.index(name) for name in order.ranking)
-
-
-def sort_key_func(order: MonomialOrder, ring: "VarRing"):
-    """Key under which ascending sort equals ascending monomial order."""
-    perm = _permutation(order, ring)
-    if order.kind == "degrevlex":
-        if perm is None:
-            return lambda m: (sum(m), tuple(-e for e in reversed(m)))
-        rev = tuple(reversed(perm))
-        return lambda m: (sum(m), tuple(-m[i] for i in rev))
-    if perm is None:
-        return lambda m: m
-    return lambda m: tuple(m[i] for i in perm)
-
-
-def compare(m1: Monomial, m2: Monomial, order: MonomialOrder, ring: "VarRing") -> int:
-    """-1, 0, or 1 as m1 is below, equal to, or above m2."""
-    key = ring.sort_key(order)
-    k1, k2 = key(m1), key(m2)
-    if k1 < k2:
-        return -1
-    if k1 > k2:
-        return 1
-    return 0
+def _degrevlex_key(m: Monomial):
+    """Key under which ascending sort equals ascending degrevlex order."""
+    return (sum(m), tuple(-e for e in reversed(m)))
 
 
 class VarRing:
     """Named variables over a coefficient field, most significant first."""
 
-    __slots__ = ("names", "field", "n", "_index", "_key_cache")
+    __slots__ = ("names", "field", "n", "_index")
 
     def __init__(self, names, field: Field, n: int | None = None):
         names = tuple(names)
@@ -85,7 +53,6 @@ class VarRing:
         self.field = field
         self.n = n
         self._index = {name: i for i, name in enumerate(names)}
-        self._key_cache = {}
 
     @classmethod
     def matrix_ring(cls, n: int, field: Field, *, x0: bool = False,
@@ -131,13 +98,8 @@ class VarRing:
             raise ValueError(f"ring has no variable {name}") from None
 
     def sort_key(self, order: MonomialOrder | None = None):
-        order = order or DEGREVLEX
-        try:
-            return self._key_cache[order]
-        except KeyError:
-            f = sort_key_func(order, self)
-            self._key_cache[order] = f
-            return f
+        """Sort key of the monomial order, which is always degrevlex."""
+        return _degrevlex_key
 
     def var(self, name: str) -> "Polynomial":
         exps = [0] * self.arity
@@ -168,14 +130,6 @@ class VarRing:
 
     def __repr__(self) -> str:
         return f"VarRing({', '.join(self.names)}; {self.field!r})"
-
-    # The key caches hold closures, which do not pickle; rebuild instead.
-    def __getstate__(self):
-        return (self.names, self.field, self.n)
-
-    def __setstate__(self, state):
-        names, field, n = state
-        self.__init__(names, field, n=n)
 
 
 class Polynomial:

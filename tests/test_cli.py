@@ -1,10 +1,13 @@
 import json
+import multiprocessing
+import os
 import subprocess
 import sys
 
 import pytest
 
-from algroup import QQ, DecisionReport, VarRing, decide
+from algroup import (QQ, DecisionReport, VarRing, decide, is_group,
+                     is_group_alt, load_problem)
 from algroup.cli import main
 
 
@@ -177,3 +180,59 @@ def test_group_checks_share_the_run_cache(problems_dir, capsys, monkeypatch):
                            "--check", "inversion", "--check", "group")
     assert code == 0 and "group: true" in out
     assert rings == [plain, hat]
+
+
+def _without_seconds(data):
+    if isinstance(data, dict):
+        return {k: _without_seconds(v) for k, v in data.items()
+                if k != "seconds"}
+    return data
+
+
+def test_cli_group_reports_match_the_library(problems_dir, capsys):
+    fields = ("checks", "group", "group_alt", "mode", "notes")
+    for path in sorted(problems_dir.glob("*.alg")):
+        spec = load_problem(path)
+        for check, library in (("group", is_group),
+                               ("group-alt", is_group_alt)):
+            code, out, _ = run_cli(capsys, "decide", str(path), "--check",
+                                   check, "--format", "json")
+            assert code == 0, (path.name, check)
+            cli_report = _without_seconds(json.loads(out))
+            lib_report = _without_seconds(library(spec).to_dict())
+            # Key order counts: it is the order the checks ran in.
+            assert list(cli_report["checks"]) == list(lib_report["checks"])
+            for name in fields:
+                assert cli_report[name] == lib_report[name], \
+                    (path.name, check, name)
+
+
+def _raise_in_worker(*args, **kwargs):
+    raise RuntimeError("boom")
+
+
+def _exit_in_worker(*args, **kwargs):
+    os._exit(1)
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="workers see the patched module only when forked")
+@pytest.mark.parametrize("crash, reason", [
+    (_raise_in_worker, "RuntimeError: boom"),
+    (_exit_in_worker, "BrokenProcessPool"),
+])
+def test_crashed_worker_is_undecided(problems_dir, capsys, monkeypatch,
+                                     crash, reason):
+    # The patched test runs only in the worker processes: three
+    # generators make three parallel membership tests.
+    monkeypatch.setattr(decide, "radical_membership", crash)
+    code, out, _ = run_cli(capsys, "decide",
+                           str(problems_dir / "diag-antidiag.alg"),
+                           "--jobs", "2", "--format", "json")
+    assert code == 2
+    data = json.loads(out)
+    assert data["group"] is None
+    inversion = data["checks"]["inversion"]
+    assert inversion["verdict"] is None
+    assert reason in inversion["undecided_reason"]
+    assert inversion["witness_index"] in (1, 2, 3)

@@ -1,14 +1,16 @@
+import concurrent.futures
 import json
 import random
 
 import pytest
 
-from algroup import (Budget, DecisionReport, GBStats, VarRing,
+from algroup import (Budget, DecisionReport, GBStats, Polynomial, VarRing,
                      add_field_equations, buchberger, build_f0, change_ring,
-                     check_identity, check_inversion, check_inversion_alt,
-                     check_multiplication, enumerate_variety, is_group,
-                     is_group_alt, is_group_bruteforce, load_problem,
-                     parse_problem, to_y_block, variety_equals_vstar)
+                     check_division, check_identity, check_inversion,
+                     check_inversion_alt, check_multiplication, decide,
+                     enumerate_variety, is_group, is_group_alt,
+                     is_group_bruteforce, load_problem, parse_problem,
+                     to_y_block, variety_equals_vstar)
 from algroup.decide import _product_base
 
 SUITE = ["sl2.alg", "gl2.alg", "torus2.alg", "diag-antidiag.alg",
@@ -147,6 +149,16 @@ def test_field_equation_restriction():
     assert is_group_alt(add_field_equations(spec, 25)).group_alt is False
 
 
+def test_library_report_records_field_equations():
+    spec = parse_problem("n 1\nfield F 5\n(x1-1)*(x1^2-2)\n")
+    assert spec.field_equations_q is None
+    assert is_group(spec).field_equations_q is None
+    restricted = add_field_equations(spec, 5)
+    assert restricted.field_equations_q == 5
+    assert is_group(restricted).field_equations_q == 5
+    assert is_group_alt(restricted).field_equations_q == 5
+
+
 def test_field_equations_multiplicative_group():
     spec = parse_problem("n 1\nfield F 3\n")
     restricted = add_field_equations(spec, 3)
@@ -190,6 +202,50 @@ def test_parallel_generator_checks_match_sequential(problem):
     assert seq.verdict is True and par.verdict is True
     spec = problem("linear-forms-3x3-noninv.alg")
     assert check_inversion(spec, jobs=2).verdict is False
+
+
+def test_only_the_reported_witness_is_rendered(problem, monkeypatch):
+    rendered = []
+    real = Polynomial.__str__
+
+    def counting(self):
+        rendered.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Polynomial, "__str__", counting)
+    runs = [
+        (check_inversion, "sl2.alg", {}, True),
+        (check_multiplication, "diag-antidiag.alg", {}, True),
+        (check_division, "sl2.alg", {}, True),
+        (check_inversion, "linear-forms-3x3-noninv.alg", {}, False),
+        (check_inversion, "linear-forms-3x3-noninv.alg", {"jobs": 2}, False),
+        (check_inversion_alt, "linear-forms-3x3-noninv.alg", {}, False),
+        (check_multiplication, "fourth-roots.alg", {}, False),
+        (check_division, "fourth-roots.alg", {}, False),
+    ]
+    for check, name, kwargs, verdict in runs:
+        rendered.clear()
+        res = check(problem(name), **kwargs)
+        assert res.verdict is verdict, (check.__name__, name)
+        if verdict:
+            assert rendered == [] and res.witness is None
+        else:
+            assert len(rendered) == 1, (check.__name__, name)
+            assert res.witness == real(rendered[0])
+
+
+def test_parallel_workers_never_outnumber_the_tests(problem, monkeypatch):
+    sizes = []
+
+    class Recording(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=2)
+
+    monkeypatch.setattr(decide, "ProcessPoolExecutor", Recording)
+    spec = problem("diag-antidiag.alg")  # three generators
+    assert check_inversion(spec, jobs=50).verdict is True
+    assert sizes == [3]
 
 
 @pytest.mark.parametrize("seed", [101, 202])

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from algroup import (Budget, BudgetExhausted, DEGREVLEX, LEX, Polynomial,
+from algroup import (Budget, BudgetExhausted, DEGREVLEX, Polynomial,
                      PrimeField, QQ, VarRing, buchberger, contains_one,
                      normal_form, parse_poly, radical_membership, s_polynomial)
 from algroup.groebner import MAX_ENGINE_DEGREE, _codec
@@ -199,19 +199,6 @@ def test_ideal_membership_implies_radical_membership():
             assert radical_membership(f, gens)
 
 
-def test_contains_one_order_invariance():
-    r = ring2()
-    fixtures = [
-        [parse_poly("x1*x4 - x2*x3 - 1", r), parse_poly("x1*x4 - x2*x3", r)],
-        [parse_poly("x1*x4 - x2*x3", r)],
-        [parse_poly("x1^2 - 1", r), parse_poly("x1 - 1", r)],
-        [parse_poly("x1 - 1", r), parse_poly("x1", r)],
-        [parse_poly("x2^2 + 1", r), parse_poly("x3", r)],
-    ]
-    for gens in fixtures:
-        assert contains_one(gens, DEGREVLEX) == contains_one(gens, LEX)
-
-
 def test_pair_budget_exhaustion():
     r = ring2()
     gens = [parse_poly("x1^2 + x2^2 - 1", r), parse_poly("x1*x2 - 1", r),
@@ -224,12 +211,12 @@ def test_degree_budget_exhaustion():
     r = ring1()
     with pytest.raises(BudgetExhausted, match="degree"):
         buchberger([parse_poly("x1^9 + 1", r)], budget=Budget(degree_cap=5))
-    # Degree growth during elimination under lex is also caught: the
-    # S-polynomial of (u - v^3, u*v - 1) is 1 - v^4, past a cap of 3.
+    # Degree growth during elimination is also caught: the S-polynomial
+    # of (u*v - 1, u^3 + v^3 - 1) is v^4 + u^2 - v, past a cap of 3.
     r2v = VarRing(("u", "v"), QQ)
-    gens = [parse_poly("u - v^3", r2v), parse_poly("u*v - 1", r2v)]
-    with pytest.raises(BudgetExhausted, match="degree"):
-        buchberger(gens, LEX, budget=Budget(degree_cap=3))
+    gens = [parse_poly("u*v - 1", r2v), parse_poly("u^3 + v^3 - 1", r2v)]
+    with pytest.raises(BudgetExhausted, match="monomial degree 4"):
+        buchberger(gens, budget=Budget(degree_cap=3))
 
 
 def test_stats_are_reported():
@@ -294,7 +281,7 @@ def test_word_parallel_lcm_is_exact():
              for arity in range(1, 101)] + [doubled]
     rng = random.Random(11)
     for ring in rings:
-        codec = _codec(ring, DEGREVLEX)
+        codec = _codec(ring)
         bound = [0] * ring.arity
         bound[-1] = MAX_ENGINE_DEGREE
         samples = [tuple(bound), (0,) * ring.arity]
