@@ -5,7 +5,7 @@ over Q or a prime field."""
 from .decide import (CheckResult, DecisionReport, add_field_equations,
                      check_division, check_identity, check_inversion,
                      check_inversion_alt, check_multiplication, is_group,
-                     is_group_alt, variety_equals_vstar)
+                     is_group_alt, run_checks, variety_equals_vstar)
 from .fields import PrimeField, QQ, RationalField, is_prime
 from .groebner import (Budget, BudgetExhausted, GBStats, GroebnerBasis,
                        buchberger, contains_one, normal_form,
@@ -19,16 +19,14 @@ from .oracle import (BruteForceVerdict, EnumerationBudgetError, VarietySet,
                      multiplication_closed)
 from .parsing import (ParseError, ProblemSpec, load_problem, parse_poly,
                       parse_problem)
-from .poly import (DEGREVLEX, MonomialOrder, Polynomial, VarRing,
-                   change_ring, render)
+from .poly import Polynomial, VarRing, change_ring, render
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Budget", "BudgetExhausted", "BruteForceVerdict", "CheckResult",
-    "DEGREVLEX", "DecisionReport", "EnumerationBudgetError",
-    "FormalInverseImage", "GBStats", "GroebnerBasis", "MonomialOrder",
-    "ParseError", "Polynomial", "PrimeField", "ProblemSpec", "QQ",
+    "DecisionReport", "EnumerationBudgetError", "FormalInverseImage",
+    "GBStats", "GroebnerBasis", "ParseError", "Polynomial", "PrimeField", "ProblemSpec", "QQ",
     "RationalField", "VarRing", "VarietySet", "add_field_equations",
     "adjugate", "buchberger", "build_f0", "build_hat_ideal", "change_ring",
     "check_division", "check_identity", "check_inversion",
@@ -37,6 +35,6 @@ __all__ = [
     "inversion_closed", "is_group", "is_group_alt", "is_group_bruteforce",
     "is_prime", "load_problem", "make_k", "multiplication_closed",
     "normal_form", "parse_poly", "parse_problem", "radical_membership",
-    "render", "s_polynomial", "subst_product", "subst_x_times_inverse_y",
+    "render", "run_checks", "s_polynomial", "subst_product", "subst_x_times_inverse_y",
     "to_y_block", "variety_equals_vstar",
 ]

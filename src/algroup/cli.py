@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import decide, oracle
-from .groebner import Budget
+from .groebner import MAX_ENGINE_DEGREE, Budget
 from .parsing import ParseError, load_problem
 
 CHECK_CHOICES = ("identity", "inversion", "multiplication", "group",
@@ -146,10 +146,13 @@ def main(argv=None) -> int:
                      "restriction to a proper extension field")
     if args.jobs < 1:
         return _fail("--jobs must be at least 1")
+    if args.pair_cap < 0:
+        return _fail("--pair-cap must not be negative")
+    if not 0 <= args.degree_cap <= MAX_ENGINE_DEGREE:
+        return _fail(f"--degree-cap must be between 0 and {MAX_ENGINE_DEGREE}")
 
-    report = decide._run_checks(problem, checks, budget=budget,
-                                jobs=args.jobs, fast_path=args.fast_path,
-                                cache={})
+    report = decide.run_checks(problem, checks, budget=budget,
+                               jobs=args.jobs, fast_path=args.fast_path)
     exit_code = 2 if any(res.verdict is None
                          for res in report.checks.values()) else 0
     show_group = "group" in checks

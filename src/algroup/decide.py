@@ -24,15 +24,19 @@ in the base ideal.  `_CLOSURE_CHECKS` holds one row per check:
 On the fast path, taken only when V(I) = V*(I), the first three use I in
 place of the hat ideal and the numerator in place of the padded image.
 The doubled ideal's basis is one block's basis joined with its copy in
-the other block, since the two blocks share no variable.  One runner,
-`_closure_check`, executes a row; `_run_checks` runs a list of
-command-line check names into one report, for the library and the CLI
-alike.  A run's cache holds one Groebner computation per ideal and one
-result per check.
+the other block, since the two blocks share no variable.
+
+`run_checks` is the one entry point, for the library and the CLI alike:
+it runs a list of check names against one `_Run` into one report.  A
+`_Run` holds the problem, its budget and options, and the one Groebner
+computation of each base ideal; the report's checks are the only memo
+of results.  The single-check functions and `is_group`/`is_group_alt`
+are one-line calls to `run_checks`.
 """
 
 from __future__ import annotations
 
+import heapq
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field as dataclass_field, replace
@@ -45,7 +49,7 @@ from .matrices import (build_hat_ideal, det_poly,
                        eval_at_formal_inverse, make_k, subst_product,
                        subst_x_times_inverse_y, to_y_block)
 from .parsing import ProblemSpec
-from .poly import DEGREVLEX, Polynomial, VarRing, change_ring
+from .poly import Polynomial, VarRing, change_ring
 
 @dataclass
 class CheckResult:
@@ -144,6 +148,20 @@ def identity_point(problem: ProblemSpec) -> list:
             for k in range(1, n * n + 1)]
 
 
+_WITNESS_TERMS = 64
+
+
+def _render_witness(f: Polynomial) -> str:
+    """Canonical text of f; an image of more terms than _WITNESS_TERMS
+    renders as its leading terms and its term count."""
+    if len(f.terms) <= _WITNESS_TERMS:
+        return str(f)
+    head = heapq.nlargest(_WITNESS_TERMS, f.terms, key=f.ring.sort_key())
+    text = str(Polynomial(f.ring, {m: f.terms[m] for m in head},
+                          _normalized=True))
+    return f"{text} + ... ({len(f.terms)} terms)"
+
+
 def check_identity(problem: ProblemSpec) -> CheckResult:
     """Every generator must vanish at the identity matrix."""
     start = time.perf_counter()
@@ -154,16 +172,17 @@ def check_identity(problem: ProblemSpec) -> CheckResult:
         if f.evaluate(point):
             note = "empty variety" if f.is_constant else None
             return CheckResult(False, time.perf_counter() - start,
-                               witness_index=idx, witness=str(f), note=note)
+                               witness_index=idx, witness=_render_witness(f),
+                               note=note)
     return CheckResult(True, time.perf_counter() - start)
 
 
 def _membership_worker(payload):
     f, base, budget = payload
-    gb = GroebnerBasis(base, DEGREVLEX, GBStats())
+    gb = GroebnerBasis(base, GBStats())
     stats = GBStats()
     try:
-        ok = radical_membership(f, base, DEGREVLEX, budget, base_gb=gb, stats=stats)
+        ok = radical_membership(f, base, budget, base_gb=gb, stats=stats)
         return ("ok", ok, stats)
     except BudgetExhausted as exc:
         return ("undecided", str(exc), stats)
@@ -181,7 +200,7 @@ def _run_membership_tests(items, base_gb: GroebnerBasis, budget: Budget,
     if jobs <= 1 or len(items) <= 1:
         for idx, f in items:
             try:
-                ok = radical_membership(f, base_gb.basis, DEGREVLEX, budget,
+                ok = radical_membership(f, base_gb.basis, budget,
                                         base_gb=base_gb, stats=stats)
             except BudgetExhausted as exc:
                 return None, idx, f, str(exc)
@@ -225,63 +244,6 @@ def _run_membership_tests(items, base_gb: GroebnerBasis, budget: Budget,
             idx, f = items[pos]
             return None, idx, f, value
     return True, None, None, None
-
-
-def _ideal(problem: ProblemSpec, name: str, budget: Budget, cache: dict | None,
-           stats: GBStats):
-    """The run's one Groebner computation for each ideal of the problem,
-    kept in `cache` under the ideal's name:
-
-    - "I": (ring, reduced basis) of the problem ideal;
-    - "hat": (ring, reduced basis) of I + (x0*det(x) - 1), whose zero set
-      is V*(I);
-    - "I+det": whether 1 lies in I + (det(x)), that is, V(I) = V*(I).
-
-    A computation's pairs count in `stats` only when it runs here.
-    """
-    if cache is not None and name in cache:
-        return cache[name]
-    if name == "I+det":
-        gens = list(problem.generators) + [det_poly(problem.ring, "x")]
-        value = contains_one(gens, DEGREVLEX, budget, ring=problem.ring,
-                             stats=stats)
-    else:
-        if name == "hat":
-            ring, gens = build_hat_ideal(problem)
-        else:
-            ring, gens = problem.ring, [f for f in problem.generators if f]
-        value = ring, buchberger(gens, DEGREVLEX, budget, ring=ring,
-                                 stats=stats)
-    if cache is not None:
-        cache[name] = value
-    return value
-
-
-def _product_base(problem: ProblemSpec, hats: bool, budget: Budget,
-                  cache: dict, stats: GBStats):
-    """Reduced basis of the doubled ideal J(x) + J(y), where J is the
-    problem ideal, with the witness x0*det(x) - 1 when hats, and J(y) is
-    its copy in the y block.
-
-    The blocks share no variable, so the union of J's reduced basis and
-    its renamed copy is already reduced: every cross pair has coprime
-    leads (Buchberger's first criterion), no lead of one block divides a
-    term of the other, and degrevlex restricted to either block is
-    degrevlex with the same relative ranking.
-    """
-    ring = VarRing.matrix_ring(problem.n, problem.field, x0=hats, y=True,
-                               y0=hats)
-    _, block = _ideal(problem, "hat" if hats else "I", budget, cache, stats)
-    if block.is_trivial:
-        return ring, GroebnerBasis([ring.one()], DEGREVLEX, GBStats())
-    basis = [change_ring(g, ring) for g in block.basis]
-    basis.extend(to_y_block(g, ring) for g in block.basis)
-    # Ascending leads, the order buchberger returns a reduced basis in:
-    # the block basis already ascends, and degrevlex ranks every y lead
-    # above every x lead of the same degree, so a stable sort by degree
-    # interleaves the two copies.
-    basis.sort(key=Polynomial.total_degree)
-    return ring, GroebnerBasis(basis, DEGREVLEX, GBStats())
 
 
 @dataclass(frozen=True)
@@ -337,98 +299,115 @@ def _result(verdict, start: float, stats: GBStats, **fields) -> CheckResult:
                        gb_zero_reductions=stats.reductions_to_zero, **fields)
 
 
-def _closure_check(name: str, problem: ProblemSpec, budget: Budget | None,
-                   jobs: int, fast_path: bool, cache: dict | None) -> CheckResult:
-    """Run the closure check `name` of `_CLOSURE_CHECKS`; the result is
-    kept in `cache`.  Only the reported generator's image is rendered."""
-    check = _CLOSURE_CHECKS[name]
-    fast_path = fast_path and check.fast_image is not None
-    key = (name, fast_path)
-    if cache is not None and key in cache:
-        return cache[key]
-    start = time.perf_counter()
-    gens = [(idx, f) for idx, f in enumerate(problem.generators, start=1) if f]
-    if not gens:
-        return CheckResult(True, time.perf_counter() - start)
-    budget = budget or Budget()
-    stats = GBStats()
-    note = None
-    try:
-        use_fast = False
-        if fast_path:
-            use_fast = _ideal(problem, "I+det", budget, cache, stats)
-            note = check.fast_note if use_fast \
-                else "fast path requested but V(I) != V*(I)"
-        ideal = "I" if use_fast else check.ideal
-        if check.doubled:
-            ring, base = _product_base(problem, ideal == "hat", budget, cache,
-                                       stats)
-        else:
-            ring, base = _ideal(problem, ideal, budget, cache, stats)
-        image = check.fast_image if use_fast else check.image
-        items = [(idx, image(f, ring)) for idx, f in gens]
-        verdict, index, witness, reason = _run_membership_tests(
-            items, base, budget, jobs, stats)
-        result = _result(verdict, start, stats, witness_index=index,
-                         witness=None if witness is None else str(witness),
-                         undecided_reason=reason, note=note)
-    except BudgetExhausted as exc:
-        result = _result(None, start, stats, undecided_reason=str(exc),
-                         note=note)
-    if cache is not None:
-        cache[key] = result
-    return result
+@dataclass
+class _Run:
+    """One decision run: the problem, its budget and options, and
+    `bases`, the run's one Groebner computation for each ideal of the
+    problem, under the ideal's name:
 
+    - "I": (ring, reduced basis) of the problem ideal;
+    - "hat": (ring, reduced basis) of I + (x0*det(x) - 1), whose zero set
+      is V*(I);
+    - "I+det": whether 1 lies in I + (det(x)), that is, V(I) = V*(I).
 
-def variety_equals_vstar(problem: ProblemSpec, *, budget: Budget | None = None,
-                         _cache: dict | None = None) -> CheckResult:
-    """Whether the variety has no singular points, i.e. equals its
-    invertible part: 1 lies in the ideal extended by det."""
-    start = time.perf_counter()
-    stats = GBStats()
-    try:
-        value = _ideal(problem, "I+det", budget or Budget(), _cache, stats)
-    except BudgetExhausted as exc:
-        return _result(None, start, stats, undecided_reason=str(exc))
-    return _result(value, start, stats)
+    A computation's pairs count in the check that runs it.
+    """
 
+    problem: ProblemSpec
+    budget: Budget
+    jobs: int
+    fast_path: bool
+    bases: dict = dataclass_field(default_factory=dict)
 
-def check_inversion(problem: ProblemSpec, *, budget: Budget | None = None,
-                    jobs: int = 1, fast_path: bool = False,
-                    _cache: dict | None = None) -> CheckResult:
-    """Closure under inversion: for each generator f, the determinant
-    padding k of f at the formal inverse must lie in the radical of the
-    problem ideal."""
-    return _closure_check("inversion", problem, budget, jobs, fast_path,
-                          _cache)
+    def ideal(self, name: str, stats: GBStats):
+        if name not in self.bases:
+            problem = self.problem
+            if name == "I+det":
+                gens = list(problem.generators) + [det_poly(problem.ring, "x")]
+                value = contains_one(gens, self.budget, ring=problem.ring,
+                                     stats=stats)
+            else:
+                if name == "hat":
+                    ring, gens = build_hat_ideal(problem)
+                else:
+                    ring, gens = problem.ring, [f for f in problem.generators
+                                                if f]
+                value = ring, buchberger(gens, self.budget, ring=ring,
+                                         stats=stats)
+            self.bases[name] = value
+        return self.bases[name]
 
+    def product_base(self, hats: bool, stats: GBStats):
+        """Reduced basis of the doubled ideal J(x) + J(y), where J is the
+        problem ideal, with the witness x0*det(x) - 1 when hats, and J(y)
+        is its copy in the y block.
 
-def check_inversion_alt(problem: ProblemSpec, *, budget: Budget | None = None,
-                        jobs: int = 1, fast_path: bool = False,
-                        _cache: dict | None = None) -> CheckResult:
-    """Closure under inversion, alternative form: the formal-inverse
-    numerators must lie in the radical of the witness-extended ideal."""
-    return _closure_check("inversion_alt", problem, budget, jobs, fast_path,
-                          _cache)
+        The blocks share no variable, so the union of J's reduced basis
+        and its renamed copy is already reduced: every cross pair has
+        coprime leads (Buchberger's first criterion), no lead of one
+        block divides a term of the other, and degrevlex restricted to
+        either block is degrevlex with the same relative ranking.
+        """
+        problem = self.problem
+        ring = VarRing.matrix_ring(problem.n, problem.field, x0=hats, y=True,
+                                   y0=hats)
+        _, block = self.ideal("hat" if hats else "I", stats)
+        if block.is_trivial:
+            return ring, GroebnerBasis([ring.one()], GBStats())
+        basis = [change_ring(g, ring) for g in block.basis]
+        basis.extend(to_y_block(g, ring) for g in block.basis)
+        # Ascending leads, the order buchberger returns a reduced basis
+        # in: the block basis already ascends, and degrevlex ranks every y
+        # lead above every x lead of the same degree, so a stable sort by
+        # degree interleaves the two copies.
+        basis.sort(key=Polynomial.total_degree)
+        return ring, GroebnerBasis(basis, GBStats())
 
+    def check(self, name: str) -> CheckResult:
+        """Run one check by report name."""
+        if name == "identity":
+            return check_identity(self.problem)
+        if name == "variety_equals_vstar":
+            start, stats = time.perf_counter(), GBStats()
+            try:
+                return _result(self.ideal("I+det", stats), start, stats)
+            except BudgetExhausted as exc:
+                return _result(None, start, stats, undecided_reason=str(exc))
+        return self.closure_check(name)
 
-def check_multiplication(problem: ProblemSpec, *, budget: Budget | None = None,
-                         jobs: int = 1, fast_path: bool = False,
-                         _cache: dict | None = None) -> CheckResult:
-    """Closure under multiplication: each generator, rewritten at the
-    product of the two generic matrices, must lie in the radical of the
-    doubled ideal with both invertibility witnesses."""
-    return _closure_check("multiplication", problem, budget, jobs, fast_path,
-                          _cache)
-
-
-def check_division(problem: ProblemSpec, *, budget: Budget | None = None,
-                   jobs: int = 1, _cache: dict | None = None) -> CheckResult:
-    """Closure under right division: each generator at x times the formal
-    inverse of y must lie in the radical of the doubled witness ideal.
-    Together with the identity check this already decides the group
-    property."""
-    return _closure_check("division", problem, budget, jobs, False, _cache)
+    def closure_check(self, name: str) -> CheckResult:
+        """Run the closure check `name` of `_CLOSURE_CHECKS`.  Only the
+        reported generator's image is rendered."""
+        check = _CLOSURE_CHECKS[name]
+        start = time.perf_counter()
+        gens = [(idx, f) for idx, f in enumerate(self.problem.generators,
+                                                 start=1) if f]
+        if not gens:
+            return CheckResult(True, time.perf_counter() - start)
+        stats = GBStats()
+        note = None
+        try:
+            use_fast = False
+            if self.fast_path and check.fast_image is not None:
+                use_fast = self.ideal("I+det", stats)
+                note = check.fast_note if use_fast \
+                    else "fast path requested but V(I) != V*(I)"
+            ideal = "I" if use_fast else check.ideal
+            if check.doubled:
+                ring, base = self.product_base(ideal == "hat", stats)
+            else:
+                ring, base = self.ideal(ideal, stats)
+            image = check.fast_image if use_fast else check.image
+            items = [(idx, image(f, ring)) for idx, f in gens]
+            verdict, index, witness, reason = _run_membership_tests(
+                items, base, self.budget, self.jobs, stats)
+        except BudgetExhausted as exc:
+            return _result(None, start, stats, undecided_reason=str(exc),
+                           note=note)
+        return _result(verdict, start, stats, witness_index=index,
+                       witness=None if witness is None
+                       else _render_witness(witness),
+                       undecided_reason=reason, note=note)
 
 
 # Group checks by command-line name: the report field of the verdict and
@@ -442,36 +421,35 @@ _GROUP_CHECKS = {
 _REPORT_NAMES = {"vstar-eq": "variety_equals_vstar"}
 
 
-def _run_checks(problem: ProblemSpec, checks, *, budget: Budget | None,
-                jobs: int, fast_path: bool, cache: dict) -> DecisionReport:
-    """Run command-line checks, in order, into one report.
+def run_checks(problem: ProblemSpec, checks, *, budget: Budget | None = None,
+               jobs: int = 1, fast_path: bool = False) -> DecisionReport:
+    """Run checks, in order, into one report.
 
-    Each report check runs once.  The report is in "alt" mode exactly
-    when `group-alt` is the only check; the fast path applies to the
-    standard closure checks only.
+    A check is a command-line name (`identity`, `inversion`,
+    `multiplication`, `group`, `group-alt`, `vstar-eq`) or the report
+    name of a single check (`inversion_alt`, `division`,
+    `variety_equals_vstar`).  Each report check runs once, and each base
+    ideal's basis is computed once for all of them.  The report is in
+    "alt" mode exactly when `group-alt` is the only check; the fast path
+    applies to the standard closure checks only.
     """
-    report = new_report(problem, "alt" if list(checks) == ["group-alt"]
+    checks = list(checks)
+    run = _Run(problem, budget or Budget(), jobs, fast_path)
+    report = new_report(problem, "alt" if checks == ["group-alt"]
                         else "standard", fast_path)
 
-    def run(name: str) -> CheckResult:
+    def result(name: str) -> CheckResult:
         if name not in report.checks:
-            if name == "identity":
-                report.checks[name] = check_identity(problem)
-            elif name == "variety_equals_vstar":
-                report.checks[name] = variety_equals_vstar(
-                    problem, budget=budget, _cache=cache)
-            else:
-                report.checks[name] = _closure_check(name, problem, budget,
-                                                     jobs, fast_path, cache)
+            report.checks[name] = run.check(name)
         return report.checks[name]
 
     for check in checks:
         if check not in _GROUP_CHECKS:
-            run(_REPORT_NAMES.get(check, check))
+            result(_REPORT_NAMES.get(check, check))
             continue
         verdict_field, steps = _GROUP_CHECKS[check]
         for name in steps:
-            verdict = run(name).verdict
+            verdict = result(name).verdict
             if verdict is not True:
                 break
         setattr(report, verdict_field, verdict)
@@ -483,23 +461,64 @@ def _run_checks(problem: ProblemSpec, checks, *, budget: Budget | None,
     return report
 
 
+def variety_equals_vstar(problem: ProblemSpec, *,
+                         budget: Budget | None = None) -> CheckResult:
+    """Whether the variety has no singular points, i.e. equals its
+    invertible part: 1 lies in the ideal extended by det."""
+    return run_checks(problem, ["vstar-eq"],
+                      budget=budget).checks["variety_equals_vstar"]
+
+
+def check_inversion(problem: ProblemSpec, *, budget: Budget | None = None,
+                    jobs: int = 1, fast_path: bool = False) -> CheckResult:
+    """Closure under inversion: for each generator f, the determinant
+    padding k of f at the formal inverse must lie in the radical of the
+    problem ideal."""
+    return run_checks(problem, ["inversion"], budget=budget, jobs=jobs,
+                      fast_path=fast_path).checks["inversion"]
+
+
+def check_inversion_alt(problem: ProblemSpec, *, budget: Budget | None = None,
+                        jobs: int = 1, fast_path: bool = False) -> CheckResult:
+    """Closure under inversion, alternative form: the formal-inverse
+    numerators must lie in the radical of the witness-extended ideal."""
+    return run_checks(problem, ["inversion_alt"], budget=budget, jobs=jobs,
+                      fast_path=fast_path).checks["inversion_alt"]
+
+
+def check_multiplication(problem: ProblemSpec, *, budget: Budget | None = None,
+                         jobs: int = 1, fast_path: bool = False) -> CheckResult:
+    """Closure under multiplication: each generator, rewritten at the
+    product of the two generic matrices, must lie in the radical of the
+    doubled ideal with both invertibility witnesses."""
+    return run_checks(problem, ["multiplication"], budget=budget, jobs=jobs,
+                      fast_path=fast_path).checks["multiplication"]
+
+
+def check_division(problem: ProblemSpec, *, budget: Budget | None = None,
+                   jobs: int = 1) -> CheckResult:
+    """Closure under right division: each generator at x times the formal
+    inverse of y must lie in the radical of the doubled witness ideal.
+    Together with the identity check this already decides the group
+    property."""
+    return run_checks(problem, ["division"], budget=budget,
+                      jobs=jobs).checks["division"]
+
+
 def is_group(problem: ProblemSpec, *, budget: Budget | None = None,
-             jobs: int = 1, fast_path: bool = False,
-             _cache: dict | None = None) -> DecisionReport:
+             jobs: int = 1, fast_path: bool = False) -> DecisionReport:
     """Identity, then inversion, then multiplication, short-circuiting at
     the first check that is not decidedly true.  An empty generator list
     yields true: the invertible part is then the whole general linear
     group."""
-    return _run_checks(problem, ["group"], budget=budget, jobs=jobs,
-                       fast_path=fast_path,
-                       cache={} if _cache is None else _cache)
+    return run_checks(problem, ["group"], budget=budget, jobs=jobs,
+                      fast_path=fast_path)
 
 
 def is_group_alt(problem: ProblemSpec, *, budget: Budget | None = None,
-                 jobs: int = 1, _cache: dict | None = None) -> DecisionReport:
+                 jobs: int = 1) -> DecisionReport:
     """Identity, then the fused closure-under-division check."""
-    return _run_checks(problem, ["group-alt"], budget=budget, jobs=jobs,
-                       fast_path=False, cache={} if _cache is None else _cache)
+    return run_checks(problem, ["group-alt"], budget=budget, jobs=jobs)
 
 
 def add_field_equations(problem: ProblemSpec, q: int) -> ProblemSpec:

@@ -23,7 +23,7 @@ import heapq
 from dataclasses import dataclass
 
 from .fields import PrimeField
-from .poly import DEGREVLEX, MonomialOrder, Polynomial, VarRing, change_ring
+from .poly import Polynomial, VarRing, change_ring
 
 _BITS = 16
 _FIELD_CAP = 0x7FFF
@@ -60,11 +60,7 @@ class GBStats:
 @dataclass
 class GroebnerBasis:
     basis: list[Polynomial]
-    order: MonomialOrder
     stats: GBStats
-
-    def normal_form(self, f: Polynomial) -> Polynomial:
-        return normal_form(f, self.basis, self.order)
 
     @property
     def is_trivial(self) -> bool:
@@ -171,6 +167,16 @@ def _prepare_monic(terms: dict, codec: _Codec, field):
     return lm, field.one(), tail
 
 
+def _decode_basis(G, ring: VarRing, codec: _Codec) -> list[Polynomial]:
+    decode = codec.decode
+    out = []
+    for lm, lc, tail in G:
+        terms = {decode(m): c for m, c in tail}
+        terms[decode(lm)] = lc
+        out.append(Polynomial(ring, terms, _normalized=True))
+    return out
+
+
 def _reduce_terms(terms: dict, reducers, codec: _Codec, field,
                   degree_cap: int) -> dict:
     """Fully reduce a packed term dict; returns the packed remainder."""
@@ -239,8 +245,7 @@ def _reduce_terms(terms: dict, reducers, codec: _Codec, field,
     return rem
 
 
-def normal_form(f: Polynomial, G, order: MonomialOrder | None = None,
-                degree_cap: int | None = None) -> Polynomial:
+def normal_form(f: Polynomial, G, degree_cap: int | None = None) -> Polynomial:
     """Remainder of f under multivariate division by G.
 
     No term of the result is divisible by any lead monomial of G, and
@@ -250,6 +255,7 @@ def normal_form(f: Polynomial, G, order: MonomialOrder | None = None,
     """
     ring = f.ring
     codec = _codec(ring)
+    field = ring.field
     cap = _check_cap(degree_cap) if degree_cap is not None else MAX_ENGINE_DEGREE
     reducers = []
     for g in G:
@@ -257,35 +263,22 @@ def normal_form(f: Polynomial, G, order: MonomialOrder | None = None,
             continue
         if g.ring != ring:
             raise ValueError("divisor lives in a different ring")
-        terms = _encode_terms(g, codec)
-        lm = max(terms, key=codec.key)
-        reducers.append((lm, terms[lm], [(m, c) for m, c in terms.items()
-                                         if m != lm]))
+        reducers.append(_prepare_monic(_encode_terms(g, codec), codec, field))
     if not reducers or not f:
         return f
-    field = ring.field
-    monic = []
-    for lm, lc, tail in reducers:
-        if lc == field.one():
-            monic.append((lm, lc, tail))
-        else:
-            inv = field.inv(lc)
-            monic.append((lm, field.one(),
-                          [(m, field.mul(inv, c)) for m, c in tail]))
-    rem = _reduce_terms(_encode_terms(f, codec), monic, codec, field, cap)
+    rem = _reduce_terms(_encode_terms(f, codec), reducers, codec, field, cap)
     out = {codec.decode(m): c for m, c in rem.items()}
     return Polynomial(ring, out, _normalized=True)
 
 
-def s_polynomial(f: Polynomial, g: Polynomial,
-                 order: MonomialOrder | None = None) -> Polynomial:
+def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     """The cancellation combination of the two lead terms."""
     if f.ring != g.ring:
         raise ValueError("polynomials from different rings")
     if not f or not g:
         raise ValueError("S-polynomial of the zero polynomial")
     ring = f.ring
-    keyf = ring.sort_key(order)
+    keyf = ring.sort_key()
     field = ring.field
     lmf = max(f.terms, key=keyf)
     lmg = max(g.terms, key=keyf)
@@ -354,17 +347,11 @@ def _interreduce(G, ring, codec: _Codec, field, degree_cap) -> list[Polynomial]:
             if reduced != dict(tail):
                 minimal[idx] = (lm, lc, sorted(reduced.items()))
                 changed = True
-    out = []
-    decode = codec.decode
-    for lm, lc, tail in minimal:
-        terms = {decode(m): c for m, c in tail}
-        terms[decode(lm)] = lc
-        out.append(Polynomial(ring, terms, _normalized=True))
-    return out
+    return _decode_basis(minimal, ring, codec)
 
 
-def buchberger(gens, order: MonomialOrder | None = None,
-               budget: Budget | None = None, *, ring: VarRing | None = None,
+def buchberger(gens, budget: Budget | None = None, *,
+               ring: VarRing | None = None,
                assume_gb_prefix: int = 0, stats: GBStats | None = None,
                reduce_basis: bool = True) -> GroebnerBasis:
     """Reduced monic Groebner basis of the ideal generated by gens.
@@ -375,14 +362,13 @@ def buchberger(gens, order: MonomialOrder | None = None,
     interreduction; the result still generates the ideal and has the
     Groebner property, but is not the canonical reduced basis.
     """
-    order = order or DEGREVLEX
     budget = budget or DEFAULT_BUDGET
     local = GBStats()
 
     def finish(basis: list[Polynomial]) -> GroebnerBasis:
         if stats is not None:
             stats.merge(local)
-        return GroebnerBasis(basis, order, local)
+        return GroebnerBasis(basis, local)
 
     polys = [g for g in gens if g]
     if ring is None:
@@ -482,13 +468,7 @@ def buchberger(gens, order: MonomialOrder | None = None,
             add_element(prep, make_pairs=True)
 
         if not reduce_basis:
-            decode = codec.decode
-            out = []
-            for lm, lc, tail in G:
-                terms = {decode(m): c for m, c in tail}
-                terms[decode(lm)] = lc
-                out.append(Polynomial(ring, terms, _normalized=True))
-            return finish(out)
+            return finish(_decode_basis(G, ring, codec))
         return finish(_interreduce(G, ring, codec, field, degree_cap))
     except BudgetExhausted:
         if stats is not None:
@@ -496,8 +476,8 @@ def buchberger(gens, order: MonomialOrder | None = None,
         raise
 
 
-def contains_one(gens, order: MonomialOrder | None = None,
-                 budget: Budget | None = None, *, ring: VarRing | None = None,
+def contains_one(gens, budget: Budget | None = None, *,
+                 ring: VarRing | None = None,
                  assume_gb_prefix: int = 0, stats: GBStats | None = None) -> bool:
     """Whether the ideal generated by gens is the whole ring."""
     polys = [g for g in gens if g]
@@ -505,14 +485,13 @@ def contains_one(gens, order: MonomialOrder | None = None,
         return False
     if any(g.is_constant for g in polys):
         return True
-    gb = buchberger(polys, order, budget, ring=ring,
+    gb = buchberger(polys, budget, ring=ring,
                     assume_gb_prefix=assume_gb_prefix, stats=stats,
                     reduce_basis=False)
     return gb.is_trivial
 
 
-def radical_membership(f: Polynomial, gens, order: MonomialOrder | None = None,
-                       budget: Budget | None = None, *,
+def radical_membership(f: Polynomial, gens, budget: Budget | None = None, *,
                        base_gb: GroebnerBasis | None = None,
                        stats: GBStats | None = None) -> bool:
     """Whether f lies in the radical of the ideal generated by gens.
@@ -530,12 +509,12 @@ def radical_membership(f: Polynomial, gens, order: MonomialOrder | None = None,
     for g in base:
         if g.ring != ring:
             raise ValueError("generators live in a different ring")
-    reduced = normal_form(f, base, order, degree_cap=budget.degree_cap)
+    reduced = normal_form(f, base, degree_cap=budget.degree_cap)
     if not reduced:
         return True
     ring_t = ring.extend_front("t")
     lifted = [change_ring(g, ring_t) for g in base]
     helper = ring_t.var("t") * change_ring(reduced, ring_t) - ring_t.one()
-    return contains_one(lifted + [helper], order, budget, ring=ring_t,
+    return contains_one(lifted + [helper], budget, ring=ring_t,
                         assume_gb_prefix=len(lifted) if base_gb is not None else 0,
                         stats=stats)

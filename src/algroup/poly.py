@@ -9,7 +9,6 @@ degrevlex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add as _iadd
 
 from .fields import Field
@@ -18,21 +17,6 @@ Monomial = tuple  # tuple[int, ...], one exponent per ring variable
 
 # Total degrees past this bound abort rather than wrap or crawl.
 DEGREE_LIMIT = 2**31
-
-
-@dataclass(frozen=True)
-class MonomialOrder:
-    """A total multiplicative monomial order.  Degrevlex, ranking the
-    variables in the ring's own order, is the only supported kind."""
-
-    kind: str
-
-    def __post_init__(self):
-        if self.kind != "degrevlex":
-            raise ValueError(f"unknown monomial order {self.kind!r}")
-
-
-DEGREVLEX = MonomialOrder("degrevlex")
 
 
 def _degrevlex_key(m: Monomial):
@@ -97,8 +81,8 @@ class VarRing:
         except KeyError:
             raise ValueError(f"ring has no variable {name}") from None
 
-    def sort_key(self, order: MonomialOrder | None = None):
-        """Sort key of the monomial order, which is always degrevlex."""
+    def sort_key(self):
+        """Sort key of the monomial order, degrevlex."""
         return _degrevlex_key
 
     def var(self, name: str) -> "Polynomial":
@@ -253,11 +237,11 @@ class Polynomial:
             return True
         return len(self.terms) == 1 and not any(next(iter(self.terms)))
 
-    def leading(self, order: MonomialOrder | None = None):
+    def leading(self):
         """(monomial, coefficient) of the leading term; None if zero."""
         if not self.terms:
             return None
-        m = max(self.terms, key=self.ring.sort_key(order))
+        m = max(self.terms, key=self.ring.sort_key())
         return m, self.terms[m]
 
     def evaluate(self, point):
@@ -352,13 +336,13 @@ def change_ring(f: Polynomial, target: VarRing, rename=None) -> Polynomial:
     return Polynomial(target, out, _normalized=True)
 
 
-def render(f: Polynomial, order: MonomialOrder | None = None) -> str:
+def render(f: Polynomial) -> str:
     """Canonical text form: descending terms, explicit '*', '^' powers."""
     if not f.terms:
         return "0"
     ring = f.ring
     names = ring.names
-    key = ring.sort_key(order)
+    key = ring.sort_key()
     parts: list[str] = []
     for m in sorted(f.terms, key=key, reverse=True):
         c = f.terms[m]

@@ -14,11 +14,10 @@ from test_matrices import (_random_x_poly, flatten, frac_det, frac_inverse,
                            random_invertible)
 
 from algroup import (Budget, QQ, VarRing, add_field_equations, adjugate,
-                     buchberger, check_identity, check_inversion,
-                     check_inversion_alt, check_multiplication, det_poly,
+                     buchberger, check_multiplication, det_poly,
                      enumerate_variety, eval_at_formal_inverse, is_group,
-                     is_group_alt, is_group_bruteforce, multiplication_closed,
-                     normal_form, parse_poly, s_polynomial,
+                     is_group_bruteforce, multiplication_closed, normal_form,
+                     parse_poly, run_checks, s_polynomial,
                      variety_equals_vstar)
 
 
@@ -140,24 +139,23 @@ def test_criterion_9_equivalence_battery(problem):
     pairs = 0
     for name in EQUIV_FIXTURES:
         spec = problem(name)
-        cache = {}
-        standard = is_group(spec, _cache=cache)
-        alt = is_group_alt(spec, _cache=cache)
-        if standard.group is not None and alt.group_alt is not None:
-            assert standard.group == alt.group_alt, name
+        rep = run_checks(spec, ["group", "group-alt", "inversion",
+                                "inversion_alt"])
+        if rep.group is not None and rep.group_alt is not None:
+            assert rep.group == rep.group_alt, name
             pairs += 1
-        inv = check_inversion(spec, _cache=cache)
-        inv_alt = check_inversion_alt(spec, _cache=cache)
+        inv = rep.checks["inversion"]
+        inv_alt = rep.checks["inversion_alt"]
         if inv.verdict is not None and inv_alt.verdict is not None:
             assert inv.verdict == inv_alt.verdict, name
     f5 = problem("cubic-roots-f5.alg")
     for q in (5, 25):
         spec = add_field_equations(f5, q)
-        cache = {}
-        assert is_group(spec, _cache=cache).group == \
-            is_group_alt(spec, _cache=cache).group_alt, q
-        assert check_inversion(spec, _cache=cache).verdict == \
-            check_inversion_alt(spec, _cache=cache).verdict, q
+        rep = run_checks(spec, ["group", "group-alt", "inversion",
+                                "inversion_alt"])
+        assert rep.group == rep.group_alt, q
+        assert rep.checks["inversion"].verdict == \
+            rep.checks["inversion_alt"].verdict, q
         pairs += 1
     assert pairs >= 8
     report(9, f"both algorithm variants agree on {pairs} decided fixtures")
@@ -170,14 +168,15 @@ def test_criterion_10_randomized_oracle_fuzzing():
         for trial in range(200):
             p = rng.choice([2, 3])
             spec = add_field_equations(random_matrix_problem(rng, p), p)
-            cache = {}
             vs = enumerate_variety(spec)
             brute = is_group_bruteforce(vs)
+            rep = run_checks(spec, ["identity", "inversion",
+                                    "multiplication", "group"])
             engine = {
-                "identity": check_identity(spec).verdict,
-                "inversion": check_inversion(spec, _cache=cache).verdict,
-                "multiplication": check_multiplication(spec, _cache=cache).verdict,
-                "group": is_group(spec, _cache=cache).group,
+                "identity": rep.checks["identity"].verdict,
+                "inversion": rep.checks["inversion"].verdict,
+                "multiplication": rep.checks["multiplication"].verdict,
+                "group": rep.group,
             }
             truth = {"identity": brute.identity, "inversion": brute.inversion,
                      "multiplication": brute.multiplication,

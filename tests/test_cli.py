@@ -121,6 +121,12 @@ def test_usage_errors(problems_dir, capsys, tmp_path):
                            "--jobs", "0")
     assert code == 1
 
+    for flag, value in (("--pair-cap", "-5"), ("--degree-cap", "-1"),
+                        ("--degree-cap", "20000")):
+        code, out, err = run_cli(capsys, "decide",
+                                 str(problems_dir / "sl2.alg"), flag, value)
+        assert code == 1 and flag in err and out == "", (flag, value)
+
 
 def test_oracle_mismatch_aborts(tmp_path, capsys):
     # Over the closure of F_2 the variety of x1^2+x1+1 is the two cube

@@ -4,14 +4,15 @@ import random
 
 import pytest
 
-from algroup import (Budget, DecisionReport, GBStats, Polynomial, VarRing,
-                     add_field_equations, buchberger, build_f0, change_ring,
-                     check_division, check_identity, check_inversion,
-                     check_inversion_alt, check_multiplication, decide,
-                     enumerate_variety, is_group, is_group_alt,
-                     is_group_bruteforce, load_problem, parse_problem,
-                     to_y_block, variety_equals_vstar)
-from algroup.decide import _product_base
+from algroup import (QQ, Budget, DecisionReport, GBStats, Polynomial,
+                     VarRing, add_field_equations, buchberger, build_f0,
+                     change_ring, check_division, check_identity,
+                     check_inversion, check_inversion_alt,
+                     check_multiplication, decide, enumerate_variety,
+                     is_group, is_group_alt, is_group_bruteforce,
+                     load_problem, parse_problem, run_checks, to_y_block,
+                     variety_equals_vstar)
+from algroup.decide import _Run
 
 SUITE = ["sl2.alg", "gl2.alg", "torus2.alg", "diag-antidiag.alg",
          "cubic-roots.alg", "fourth-roots.alg", "linear-forms-3x3.alg",
@@ -255,14 +256,14 @@ def test_engine_matches_bruteforce_oracle(seed):
     for _ in range(20):
         p = rng.choice([2, 3])
         spec = add_field_equations(random_matrix_problem(rng, p), p)
-        cache = {}
         vs = enumerate_variety(spec)
         brute = is_group_bruteforce(vs)
-        assert check_identity(spec).verdict == brute.identity
-        assert check_inversion(spec, _cache=cache).verdict == brute.inversion
-        assert check_multiplication(spec, _cache=cache).verdict == \
-            brute.multiplication
-        assert is_group(spec, _cache=cache).group == brute.group, spec.generators
+        report = run_checks(spec, ["identity", "inversion", "multiplication",
+                                "group"])
+        assert report.checks["identity"].verdict == brute.identity
+        assert report.checks["inversion"].verdict == brute.inversion
+        assert report.checks["multiplication"].verdict == brute.multiplication
+        assert report.group == brute.group, spec.generators
 
 
 def _doubled_basis_reference(spec, hats):
@@ -278,7 +279,8 @@ def _doubled_basis_reference(spec, hats):
 
 def _assert_product_base_matches_reference(spec):
     for hats in (False, True):
-        ring, gb = _product_base(spec, hats, Budget(), {}, GBStats())
+        ring, gb = _Run(spec, Budget(), 1, False).product_base(hats,
+                                                              GBStats())
         ref_ring, ref = _doubled_basis_reference(spec, hats)
         assert ring == ref_ring
         assert set(gb.basis) == set(ref), (spec.generators, hats)
@@ -306,6 +308,44 @@ def test_product_base_matches_doubled_buchberger_on_field_equations():
 def test_product_base_of_a_trivial_block():
     # det(x) = 0 leaves no invertible point: the hat ideal is (1).
     spec = parse_problem("n 2\nfield Q\nx1*x4 - x2*x3\n")
-    ring, gb = _product_base(spec, True, Budget(), {}, GBStats())
+    ring, gb = _Run(spec, Budget(), 1, False).product_base(True, GBStats())
     assert gb.basis == [ring.one()]
     _assert_product_base_matches_reference(spec)
+
+
+def test_long_witnesses_are_cut_to_their_leading_terms():
+    # Every generator is 1 at the identity, so it is its own witness.
+    ring = VarRing.matrix_ring(2, QQ)
+    x2 = ring.var("x2")
+    whole = sum((x2**k for k in range(1, 64)), ring.one())  # 64 terms
+    res = check_identity(parse_problem(f"n 2\nfield Q\n{whole}\n"))
+    assert res.witness == str(whole)
+
+    longer = whole + x2**64  # 65 terms
+    res = check_identity(parse_problem(f"n 2\nfield Q\n{longer}\n"))
+    head = " + ".join(f"x2^{k}" for k in range(64, 1, -1))
+    assert res.witness == f"{head} + x2 + ... (65 terms)"
+
+
+@pytest.mark.parametrize("name", ["sl2.alg", "torus2.alg"])
+def test_one_run_computes_each_base_ideal_once(problem, monkeypatch, name):
+    # sl2 takes the fast path (V = V*); torus2 falls back from it.
+    calls = []
+    for engine in ("buchberger", "contains_one"):
+        real = getattr(decide, engine)
+
+        def counting(gens, *args, real=real, engine=engine, **kwargs):
+            calls.append((engine, kwargs["ring"]))
+            return real(gens, *args, **kwargs)
+
+        monkeypatch.setattr(decide, engine, counting)
+    report = run_checks(problem(name), ["group", "group-alt", "inversion_alt",
+                                        "vstar-eq"], fast_path=True)
+    assert report.group is True and report.group_alt is True
+    assert set(report.checks) == {"identity", "inversion", "multiplication",
+                                  "division", "inversion_alt",
+                                  "variety_equals_vstar"}
+    plain = VarRing.matrix_ring(2, QQ)
+    hat = VarRing.matrix_ring(2, QQ, x0=True)
+    assert calls == [("contains_one", plain), ("buchberger", plain),
+                     ("buchberger", hat)]
