@@ -128,7 +128,6 @@ def main(argv=None) -> int:
     except ParseError as exc:
         return _fail(f"{args.path}: {exc}")
 
-    budget = Budget(pair_cap=args.pair_cap, degree_cap=args.degree_cap)
     checks = list(dict.fromkeys(args.check or ["group"]))
     if args.alt and "group" in checks:
         checks = ["group-alt" if c == "group" else c for c in checks]
@@ -151,6 +150,7 @@ def main(argv=None) -> int:
     if not 0 <= args.degree_cap <= MAX_ENGINE_DEGREE:
         return _fail(f"--degree-cap must be between 0 and {MAX_ENGINE_DEGREE}")
 
+    budget = Budget(pair_cap=args.pair_cap, degree_cap=args.degree_cap)
     report = decide.run_checks(problem, checks, budget=budget,
                                jobs=args.jobs, fast_path=args.fast_path)
     exit_code = 2 if any(res.verdict is None

@@ -26,6 +26,27 @@ place of the hat ideal and the numerator in place of the padded image.
 The doubled ideal's basis is one block's basis joined with its copy in
 the other block, since the two blocks share no variable.
 
+Under field equations (`add_field_equations`, which records q on the
+problem) every membership test is one normal form.  A base ideal that
+contains a squarefree univariate polynomial in each of its variables,
+over a perfect field, is radical (Seidenberg's lemma; Kreuzer-Robbiano,
+Computational Commutative Algebra 1, section 3.7), and in a radical
+ideal radical membership is plain membership: a nonzero normal form
+modulo the reduced basis already decides false, and the `t*f - 1` run
+is never needed.  Every base ideal qualifies:
+
+- `x^q - x` has derivative -1, so it is squarefree, and F_p is perfect;
+- the hat ideal contains `x0^q - x0`: the coefficients lie in F_p and q
+  is a power of p, so det^q = det modulo the field equations; x0*det = 1
+  in the hat ideal; hence x0^q - x0 = x0*(x0^q*det - x0*det) = 0;
+- each block of a doubled ideal is a copy of a one-block ideal, in its
+  own variables.
+
+The runner does not infer the property: it takes this route only when
+the problem records q and every `x_k^q - x_k` is among its generators,
+checked once per run; otherwise it takes the general route.  Normal
+forms take milliseconds, so this route runs its tests sequentially.
+
 `run_checks` is the one entry point, for the library and the CLI alike:
 it runs a list of check names against one `_Run` into one report.  A
 `_Run` holds the problem, its budget and options, and the one Groebner
@@ -44,7 +65,8 @@ from typing import Callable
 
 from .fields import PrimeField
 from .groebner import (Budget, BudgetExhausted, GBStats, GroebnerBasis,
-                       buchberger, contains_one, radical_membership)
+                       buchberger, contains_one, normal_form,
+                       radical_membership)
 from .matrices import (build_hat_ideal, det_poly,
                        eval_at_formal_inverse, make_k, subst_product,
                        subst_x_times_inverse_y, to_y_block)
@@ -189,19 +211,24 @@ def _membership_worker(payload):
 
 
 def _run_membership_tests(items, base_gb: GroebnerBasis, budget: Budget,
-                          jobs: int, stats: GBStats):
+                          jobs: int, stats: GBStats, radical: bool):
     """Radical-membership tests for a batch of (index, image) pairs.
 
     Returns (verdict, witness_index, witness_image, undecided_reason);
-    tests short-circuit on the first failure.  In parallel runs a
-    failure anywhere wins over an undecided test, and a worker that
-    raises makes its test undecided.
+    tests short-circuit on the first failure.  When the base ideal is
+    radical, each test is one normal form, run sequentially.  In
+    parallel runs a failure anywhere wins over an undecided test, and a
+    worker that raises makes its test undecided.
     """
-    if jobs <= 1 or len(items) <= 1:
+    if radical or jobs <= 1 or len(items) <= 1:
         for idx, f in items:
             try:
-                ok = radical_membership(f, base_gb.basis, budget,
-                                        base_gb=base_gb, stats=stats)
+                if radical:
+                    ok = not normal_form(f, base_gb.basis,
+                                         degree_cap=budget.degree_cap)
+                else:
+                    ok = radical_membership(f, base_gb.basis, budget,
+                                            base_gb=base_gb, stats=stats)
             except BudgetExhausted as exc:
                 return None, idx, f, str(exc)
             if not ok:
@@ -310,7 +337,9 @@ class _Run:
       is V*(I);
     - "I+det": whether 1 lies in I + (det(x)), that is, V(I) = V*(I).
 
-    A computation's pairs count in the check that runs it.
+    A computation's pairs count in the check that runs it.  `radical`
+    records whether every base ideal is radical because the generators
+    hold the field equations the problem records.
     """
 
     problem: ProblemSpec
@@ -318,6 +347,16 @@ class _Run:
     jobs: int
     fast_path: bool
     bases: dict = dataclass_field(default_factory=dict)
+    radical: bool = dataclass_field(init=False)
+
+    def __post_init__(self):
+        q = self.problem.field_equations_q
+        try:
+            equations = None if q is None else _field_equations(self.problem, q)
+        except ValueError:
+            equations = None
+        self.radical = equations is not None \
+            and set(equations) <= set(self.problem.generators)
 
     def ideal(self, name: str, stats: GBStats):
         if name not in self.bases:
@@ -400,7 +439,7 @@ class _Run:
             image = check.fast_image if use_fast else check.image
             items = [(idx, image(f, ring)) for idx, f in gens]
             verdict, index, witness, reason = _run_membership_tests(
-                items, base, self.budget, self.jobs, stats)
+                items, base, self.budget, self.jobs, stats, self.radical)
         except BudgetExhausted as exc:
             return _result(None, start, stats, undecided_reason=str(exc),
                            note=note)
@@ -525,6 +564,13 @@ def add_field_equations(problem: ProblemSpec, q: int) -> ProblemSpec:
     """Restrict the variety to matrices over the field with q elements by
     adjoining x_k^q - x_k for every entry variable; q must be a power of
     the coefficient characteristic."""
+    return replace(problem, generators=list(problem.generators)
+                   + _field_equations(problem, q), field_equations_q=q)
+
+
+def _field_equations(problem: ProblemSpec, q: int) -> list[Polynomial]:
+    """x_k^q - x_k for every entry variable; ValueError unless q is a
+    power of the coefficient characteristic."""
     p = problem.field.characteristic
     if p == 0:
         raise ValueError("field equations require a prime coefficient field")
@@ -546,5 +592,4 @@ def add_field_equations(problem: ProblemSpec, q: int) -> ProblemSpec:
         low[idx] = 1
         eqs.append(Polynomial(ring, {tuple(high): one, tuple(low): neg_one},
                               _normalized=True))
-    return replace(problem, generators=list(problem.generators) + eqs,
-                   field_equations_q=q)
+    return eqs

@@ -32,10 +32,18 @@ MAX_ENGINE_DEGREE = _FIELD_CAP // 3  # three packed monomials may be summed
 
 @dataclass
 class Budget:
-    """Caps on a single Groebner computation."""
+    """Caps on a single Groebner computation: a pair cap that is not
+    negative and a degree cap in 0..MAX_ENGINE_DEGREE."""
 
     pair_cap: int = 1_000_000
     degree_cap: int = 200
+
+    def __post_init__(self):
+        if self.pair_cap < 0:
+            raise ValueError(f"pair cap {self.pair_cap} is negative")
+        if not 0 <= self.degree_cap <= MAX_ENGINE_DEGREE:
+            raise ValueError(f"degree cap {self.degree_cap} is outside "
+                             f"0..{MAX_ENGINE_DEGREE}")
 
 
 DEFAULT_BUDGET = Budget()
@@ -385,7 +393,7 @@ def buchberger(gens, budget: Budget | None = None, *,
 
     field = ring.field
     codec = _codec(ring)
-    degree_cap = _check_cap(budget.degree_cap)
+    degree_cap = budget.degree_cap
     for g in polys:
         if g.total_degree() > degree_cap:
             raise BudgetExhausted(

@@ -1,6 +1,7 @@
 import concurrent.futures
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -12,6 +13,7 @@ from algroup import (QQ, Budget, DecisionReport, GBStats, Polynomial,
                      is_group, is_group_alt, is_group_bruteforce,
                      load_problem, parse_problem, run_checks, to_y_block,
                      variety_equals_vstar)
+from algroup import groebner
 from algroup.decide import _Run
 
 SUITE = ["sl2.alg", "gl2.alg", "torus2.alg", "diag-antidiag.alg",
@@ -235,7 +237,9 @@ def test_only_the_reported_witness_is_rendered(problem, monkeypatch):
             assert res.witness == real(rendered[0])
 
 
-def test_parallel_workers_never_outnumber_the_tests(problem, monkeypatch):
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Records the requested size of every process pool a run starts."""
     sizes = []
 
     class Recording(concurrent.futures.ProcessPoolExecutor):
@@ -244,18 +248,27 @@ def test_parallel_workers_never_outnumber_the_tests(problem, monkeypatch):
             super().__init__(max_workers=2)
 
     monkeypatch.setattr(decide, "ProcessPoolExecutor", Recording)
+    return sizes
+
+
+def test_parallel_workers_never_outnumber_the_tests(problem, pool_sizes):
     spec = problem("diag-antidiag.alg")  # three generators
     assert check_inversion(spec, jobs=50).verdict is True
-    assert sizes == [3]
+    assert pool_sizes == [3]
 
 
-@pytest.mark.parametrize("seed", [101, 202])
-def test_engine_matches_bruteforce_oracle(seed):
+def _field_equation_corpus(seed):
+    """Twenty random 2x2 problems over F_2 or F_3 with field equations."""
     from conftest import random_matrix_problem
     rng = random.Random(seed)
     for _ in range(20):
         p = rng.choice([2, 3])
-        spec = add_field_equations(random_matrix_problem(rng, p), p)
+        yield add_field_equations(random_matrix_problem(rng, p), p)
+
+
+@pytest.mark.parametrize("seed", [101, 202])
+def test_engine_matches_bruteforce_oracle(seed):
+    for spec in _field_equation_corpus(seed):
         vs = enumerate_variety(spec)
         brute = is_group_bruteforce(vs)
         report = run_checks(spec, ["identity", "inversion", "multiplication",
@@ -349,3 +362,96 @@ def test_one_run_computes_each_base_ideal_once(problem, monkeypatch, name):
     hat = VarRing.matrix_ring(2, QQ, x0=True)
     assert calls == [("contains_one", plain), ("buchberger", plain),
                      ("buchberger", hat)]
+
+
+CLOSURE_CHECKS = ["inversion", "inversion_alt", "multiplication", "division"]
+
+
+@pytest.fixture
+def t_runs(monkeypatch):
+    """Records every contains_one call on a ring with the variable t, that
+    is, every t*f - 1 run of a radical-membership test."""
+    runs = []
+    real = groebner.contains_one
+
+    def counting(gens, *args, **kwargs):
+        if kwargs["ring"].has("t"):
+            runs.append(kwargs["ring"])
+        return real(gens, *args, **kwargs)
+
+    monkeypatch.setattr(groebner, "contains_one", counting)
+    return runs
+
+
+def _closure_outcomes(report):
+    return {name: (res.verdict, res.witness_index)
+            for name, res in report.checks.items()}
+
+
+def _field_equation_fixtures(problems_dir):
+    for path in sorted(problems_dir.glob("*.alg")):
+        spec = load_problem(path)
+        p = spec.field.characteristic
+        if p:
+            for q in (p, p * p):
+                yield add_field_equations(spec, q)
+
+
+def test_field_equation_shortcut_matches_the_general_path(problems_dir,
+                                                          t_runs):
+    cases = [(spec, False) for spec in _field_equation_corpus(101)]
+    fixtures = list(_field_equation_fixtures(problems_dir))
+    assert len(fixtures) == 4
+    cases += [(spec, fast) for spec in fixtures for fast in (False, True)]
+    false_checks = 0
+    for spec, fast in cases:
+        t_runs.clear()
+        shortcut = run_checks(spec, CLOSURE_CHECKS, fast_path=fast)
+        assert t_runs == [], spec.generators
+        general = run_checks(replace(spec, field_equations_q=None),
+                             CLOSURE_CHECKS, fast_path=fast)
+        assert _closure_outcomes(shortcut) == _closure_outcomes(general), \
+            (spec.generators, fast)
+        falses = sum(res.verdict is False for res in general.checks.values())
+        assert len(t_runs) >= falses, (spec.generators, fast)
+        false_checks += falses
+    assert false_checks >= 16
+
+
+@pytest.mark.parametrize("generator", ["2*x1*x2 + x2 + x4 + 1",
+                                       "2*x2*x3 + 2*x2*x4 + x1 + 1"])
+def test_false_multiplication_under_field_equations_is_one_normal_form(
+        generator):
+    # The t*f - 1 route took 3784 and 3281 pairs on these multiplication
+    # checks; the doubled hat basis alone takes about 130.
+    spec = add_field_equations(
+        parse_problem(f"n 2\nfield F 3\n{generator}\n"), 3)
+    report = run_checks(spec, ["inversion", "multiplication"])
+    multiplication = report.checks["multiplication"]
+    brute = is_group_bruteforce(enumerate_variety(spec))
+    assert multiplication.verdict is False
+    assert multiplication.verdict == brute.multiplication
+    assert multiplication.gb_pairs <= 300
+
+
+@pytest.mark.parametrize("q", [5, 4])
+def test_field_equation_flag_without_the_equations_takes_the_general_path(
+        problem, t_runs, q):
+    # The flag alone proves nothing: F_5 problem flagged q = 5 without
+    # x_k^5 - x_k, and one flagged with q = 4, no power of 5.
+    spec = problem("cubic-roots-f5.alg")
+    flagged = run_checks(replace(spec, field_equations_q=q), CLOSURE_CHECKS)
+    assert len(t_runs) == 4
+    cleared = run_checks(spec, CLOSURE_CHECKS)
+    assert _closure_outcomes(flagged) == _closure_outcomes(cleared)
+    assert all(res.verdict is False for res in flagged.checks.values())
+
+
+def test_field_equation_run_starts_no_process_pool(pool_sizes):
+    spec = parse_problem("n 2\nfield F 3\nx2\nx3\n")
+    assert check_multiplication(spec, jobs=2).verdict is True
+    assert pool_sizes == [2]
+    pool_sizes.clear()
+    restricted = add_field_equations(spec, 3)  # six generators
+    assert check_multiplication(restricted, jobs=2).verdict is True
+    assert pool_sizes == []

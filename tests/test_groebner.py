@@ -292,3 +292,16 @@ def test_word_parallel_lcm_is_exact():
                 got = codec.lcm(codec.encode(a), codec.encode(b))
                 assert got == codec.encode(want), (ring.arity, a, b)
                 assert codec.degree(got) == sum(want)
+
+
+@pytest.mark.parametrize("caps", [{"pair_cap": -5}, {"degree_cap": -1},
+                                  {"degree_cap": MAX_ENGINE_DEGREE + 1},
+                                  {"degree_cap": 20000}])
+def test_budget_rejects_caps_out_of_range(caps):
+    with pytest.raises(ValueError):
+        Budget(**caps)
+
+
+def test_budget_accepts_caps_at_their_bounds():
+    assert Budget(pair_cap=0, degree_cap=0).pair_cap == 0
+    assert Budget(degree_cap=MAX_ENGINE_DEGREE).degree_cap == MAX_ENGINE_DEGREE
