@@ -47,7 +47,8 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="N", help="intermediate degree budget")
     dec.add_argument("--format", choices=("text", "json"), default="text")
     dec.add_argument("--jobs", type=int, default=1, metavar="N",
-                     help="parallel per-generator membership tests")
+                     help="accepted for compatibility and ignored: "
+                          "membership tests run in one process")
     return parser
 
 
@@ -152,7 +153,7 @@ def main(argv=None) -> int:
 
     budget = Budget(pair_cap=args.pair_cap, degree_cap=args.degree_cap)
     report = decide.run_checks(problem, checks, budget=budget,
-                               jobs=args.jobs, fast_path=args.fast_path)
+                               fast_path=args.fast_path)
     exit_code = 2 if any(res.verdict is None
                          for res in report.checks.values()) else 0
     show_group = "group" in checks

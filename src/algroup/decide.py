@@ -44,8 +44,7 @@ is never needed.  Every base ideal qualifies:
 
 The runner does not infer the property: it takes this route only when
 the problem records q and every `x_k^q - x_k` is among its generators,
-checked once per run; otherwise it takes the general route.  Normal
-forms take milliseconds, so this route runs its tests sequentially.
+checked once per run; otherwise it takes the general route.
 
 `run_checks` is the one entry point, for the library and the CLI alike:
 it runs a list of check names against one `_Run` into one report.  A
@@ -59,7 +58,6 @@ from __future__ import annotations
 
 import heapq
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field as dataclass_field, replace
 from typing import Callable
 
@@ -199,80 +197,6 @@ def check_identity(problem: ProblemSpec) -> CheckResult:
     return CheckResult(True, time.perf_counter() - start)
 
 
-def _membership_worker(payload):
-    f, base, budget = payload
-    gb = GroebnerBasis(base, GBStats())
-    stats = GBStats()
-    try:
-        ok = radical_membership(f, base, budget, base_gb=gb, stats=stats)
-        return ("ok", ok, stats)
-    except BudgetExhausted as exc:
-        return ("undecided", str(exc), stats)
-
-
-def _run_membership_tests(items, base_gb: GroebnerBasis, budget: Budget,
-                          jobs: int, stats: GBStats, radical: bool):
-    """Radical-membership tests for a batch of (index, image) pairs.
-
-    Returns (verdict, witness_index, witness_image, undecided_reason);
-    tests short-circuit on the first failure.  When the base ideal is
-    radical, each test is one normal form, run sequentially.  In
-    parallel runs a failure anywhere wins over an undecided test, and a
-    worker that raises makes its test undecided.
-    """
-    if radical or jobs <= 1 or len(items) <= 1:
-        for idx, f in items:
-            try:
-                if radical:
-                    ok = not normal_form(f, base_gb.basis,
-                                         degree_cap=budget.degree_cap)
-                else:
-                    ok = radical_membership(f, base_gb.basis, budget,
-                                            base_gb=base_gb, stats=stats)
-            except BudgetExhausted as exc:
-                return None, idx, f, str(exc)
-            if not ok:
-                return False, idx, f, None
-        return True, None, None, None
-
-    outcomes: dict[int, tuple] = {}
-    # Under fork every worker starts with the pool, so more workers than
-    # tests would only be forked to idle.
-    with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
-        futures = {pool.submit(_membership_worker, (f, base_gb.basis, budget)): pos
-                   for pos, (_, f) in enumerate(items)}
-        remaining = set(futures)
-        failed = False
-        while remaining and not failed:
-            done, remaining = wait(remaining, return_when=FIRST_COMPLETED)
-            for fut in done:
-                try:
-                    kind, value, wstats = fut.result()
-                except Exception as exc:
-                    kind, wstats = "undecided", GBStats()
-                    value = (f"membership worker failed: "
-                             f"{type(exc).__name__}: {exc}")
-                stats.merge(wstats)
-                outcomes[futures[fut]] = (kind, value)
-                if kind == "ok" and value is False:
-                    failed = True
-        for fut in remaining:
-            fut.cancel()
-    # The loop stops early only after a failure, so without one every
-    # test has an outcome.
-    positions = sorted(outcomes)
-    for pos in positions:
-        if outcomes[pos] == ("ok", False):
-            idx, f = items[pos]
-            return False, idx, f, None
-    for pos in positions:
-        kind, value = outcomes[pos]
-        if kind == "undecided":
-            idx, f = items[pos]
-            return None, idx, f, value
-    return True, None, None, None
-
-
 @dataclass(frozen=True)
 class _ClosureCheck:
     """One closure check: the base ideal ("I" or "hat", doubled onto the
@@ -344,7 +268,6 @@ class _Run:
 
     problem: ProblemSpec
     budget: Budget
-    jobs: int
     fast_path: bool
     bases: dict = dataclass_field(default_factory=dict)
     radical: bool = dataclass_field(init=False)
@@ -415,8 +338,11 @@ class _Run:
         return self.closure_check(name)
 
     def closure_check(self, name: str) -> CheckResult:
-        """Run the closure check `name` of `_CLOSURE_CHECKS`.  Only the
-        reported generator's image is rendered."""
+        """Run the closure check `name` of `_CLOSURE_CHECKS`: one
+        radical-membership test of each generator's image, in generator
+        order, up to the first that fails or runs out of budget.  When
+        the base ideal is radical, each test is one normal form.  Only
+        the reported generator's image is rendered."""
         check = _CLOSURE_CHECKS[name]
         start = time.perf_counter()
         gens = [(idx, f) for idx, f in enumerate(self.problem.generators,
@@ -436,17 +362,27 @@ class _Run:
                 ring, base = self.product_base(ideal == "hat", stats)
             else:
                 ring, base = self.ideal(ideal, stats)
-            image = check.fast_image if use_fast else check.image
-            items = [(idx, image(f, ring)) for idx, f in gens]
-            verdict, index, witness, reason = _run_membership_tests(
-                items, base, self.budget, self.jobs, stats, self.radical)
         except BudgetExhausted as exc:
             return _result(None, start, stats, undecided_reason=str(exc),
                            note=note)
-        return _result(verdict, start, stats, witness_index=index,
-                       witness=None if witness is None
-                       else _render_witness(witness),
-                       undecided_reason=reason, note=note)
+        image = check.fast_image if use_fast else check.image
+        for idx, f in gens:
+            f = image(f, ring)
+            try:
+                if self.radical:
+                    ok = not normal_form(f, base.basis,
+                                         degree_cap=self.budget.degree_cap)
+                else:
+                    ok = radical_membership(f, base.basis, self.budget,
+                                            base_gb=base, stats=stats)
+            except BudgetExhausted as exc:
+                return _result(None, start, stats, witness_index=idx,
+                               witness=_render_witness(f),
+                               undecided_reason=str(exc), note=note)
+            if not ok:
+                return _result(False, start, stats, witness_index=idx,
+                               witness=_render_witness(f), note=note)
+        return _result(True, start, stats, note=note)
 
 
 # Group checks by command-line name: the report field of the verdict and
@@ -461,7 +397,7 @@ _REPORT_NAMES = {"vstar-eq": "variety_equals_vstar"}
 
 
 def run_checks(problem: ProblemSpec, checks, *, budget: Budget | None = None,
-               jobs: int = 1, fast_path: bool = False) -> DecisionReport:
+               fast_path: bool = False) -> DecisionReport:
     """Run checks, in order, into one report.
 
     A check is a command-line name (`identity`, `inversion`,
@@ -473,7 +409,7 @@ def run_checks(problem: ProblemSpec, checks, *, budget: Budget | None = None,
     applies to the standard closure checks only.
     """
     checks = list(checks)
-    run = _Run(problem, budget or Budget(), jobs, fast_path)
+    run = _Run(problem, budget or Budget(), fast_path)
     report = new_report(problem, "alt" if checks == ["group-alt"]
                         else "standard", fast_path)
 
@@ -509,55 +445,53 @@ def variety_equals_vstar(problem: ProblemSpec, *,
 
 
 def check_inversion(problem: ProblemSpec, *, budget: Budget | None = None,
-                    jobs: int = 1, fast_path: bool = False) -> CheckResult:
+                    fast_path: bool = False) -> CheckResult:
     """Closure under inversion: for each generator f, the determinant
     padding k of f at the formal inverse must lie in the radical of the
     problem ideal."""
-    return run_checks(problem, ["inversion"], budget=budget, jobs=jobs,
+    return run_checks(problem, ["inversion"], budget=budget,
                       fast_path=fast_path).checks["inversion"]
 
 
 def check_inversion_alt(problem: ProblemSpec, *, budget: Budget | None = None,
-                        jobs: int = 1, fast_path: bool = False) -> CheckResult:
+                        fast_path: bool = False) -> CheckResult:
     """Closure under inversion, alternative form: the formal-inverse
     numerators must lie in the radical of the witness-extended ideal."""
-    return run_checks(problem, ["inversion_alt"], budget=budget, jobs=jobs,
+    return run_checks(problem, ["inversion_alt"], budget=budget,
                       fast_path=fast_path).checks["inversion_alt"]
 
 
 def check_multiplication(problem: ProblemSpec, *, budget: Budget | None = None,
-                         jobs: int = 1, fast_path: bool = False) -> CheckResult:
+                         fast_path: bool = False) -> CheckResult:
     """Closure under multiplication: each generator, rewritten at the
     product of the two generic matrices, must lie in the radical of the
     doubled ideal with both invertibility witnesses."""
-    return run_checks(problem, ["multiplication"], budget=budget, jobs=jobs,
+    return run_checks(problem, ["multiplication"], budget=budget,
                       fast_path=fast_path).checks["multiplication"]
 
 
-def check_division(problem: ProblemSpec, *, budget: Budget | None = None,
-                   jobs: int = 1) -> CheckResult:
+def check_division(problem: ProblemSpec, *,
+                   budget: Budget | None = None) -> CheckResult:
     """Closure under right division: each generator at x times the formal
     inverse of y must lie in the radical of the doubled witness ideal.
     Together with the identity check this already decides the group
     property."""
-    return run_checks(problem, ["division"], budget=budget,
-                      jobs=jobs).checks["division"]
+    return run_checks(problem, ["division"], budget=budget).checks["division"]
 
 
 def is_group(problem: ProblemSpec, *, budget: Budget | None = None,
-             jobs: int = 1, fast_path: bool = False) -> DecisionReport:
+             fast_path: bool = False) -> DecisionReport:
     """Identity, then inversion, then multiplication, short-circuiting at
     the first check that is not decidedly true.  An empty generator list
     yields true: the invertible part is then the whole general linear
     group."""
-    return run_checks(problem, ["group"], budget=budget, jobs=jobs,
-                      fast_path=fast_path)
+    return run_checks(problem, ["group"], budget=budget, fast_path=fast_path)
 
 
-def is_group_alt(problem: ProblemSpec, *, budget: Budget | None = None,
-                 jobs: int = 1) -> DecisionReport:
+def is_group_alt(problem: ProblemSpec, *,
+                 budget: Budget | None = None) -> DecisionReport:
     """Identity, then the fused closure-under-division check."""
-    return run_checks(problem, ["group-alt"], budget=budget, jobs=jobs)
+    return run_checks(problem, ["group-alt"], budget=budget)
 
 
 def add_field_equations(problem: ProblemSpec, q: int) -> ProblemSpec:

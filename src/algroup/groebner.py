@@ -271,6 +271,10 @@ def normal_form(f: Polynomial, G, degree_cap: int | None = None) -> Polynomial:
             continue
         if g.ring != ring:
             raise ValueError("divisor lives in a different ring")
+        # A divisor over the cap may not fit the packed exponent fields.
+        if g.total_degree() > cap:
+            raise BudgetExhausted(
+                f"input degree {g.total_degree()} over cap {cap}")
         reducers.append(_prepare_monic(_encode_terms(g, codec), codec, field))
     if not reducers or not f:
         return f

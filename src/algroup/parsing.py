@@ -147,7 +147,11 @@ class _Parser:
             tok = self.peek()
             if tok.kind == "OP" and tok.value == "*":
                 self.advance()
-                poly = poly * self.unary()
+                rhs = self.unary()
+                try:
+                    poly = poly * rhs
+                except OverflowError as exc:
+                    self.error(str(exc), tok)
             else:
                 return poly
 
@@ -168,7 +172,10 @@ class _Parser:
                 if etok.kind != "INT":
                     self.error("exponent must be a non-negative integer literal", etok)
                 self.advance()
-                poly = poly ** int(etok.value)
+                try:
+                    poly = poly ** int(etok.value)
+                except OverflowError as exc:
+                    self.error(str(exc), etok)
             else:
                 return poly
 

@@ -1,4 +1,3 @@
-import concurrent.futures
 import json
 import random
 from dataclasses import replace
@@ -199,12 +198,9 @@ def test_report_round_trips_through_json(problem):
 
 
 def test_parallel_generator_checks_match_sequential(problem):
-    spec = problem("diag-antidiag.alg")
-    seq = check_multiplication(spec)
-    par = check_multiplication(spec, jobs=2)
-    assert seq.verdict is True and par.verdict is True
+    assert check_multiplication(problem("diag-antidiag.alg")).verdict is True
     spec = problem("linear-forms-3x3-noninv.alg")
-    assert check_inversion(spec, jobs=2).verdict is False
+    assert check_inversion(spec).verdict is False
 
 
 def test_only_the_reported_witness_is_rendered(problem, monkeypatch):
@@ -217,44 +213,23 @@ def test_only_the_reported_witness_is_rendered(problem, monkeypatch):
 
     monkeypatch.setattr(Polynomial, "__str__", counting)
     runs = [
-        (check_inversion, "sl2.alg", {}, True),
-        (check_multiplication, "diag-antidiag.alg", {}, True),
-        (check_division, "sl2.alg", {}, True),
-        (check_inversion, "linear-forms-3x3-noninv.alg", {}, False),
-        (check_inversion, "linear-forms-3x3-noninv.alg", {"jobs": 2}, False),
-        (check_inversion_alt, "linear-forms-3x3-noninv.alg", {}, False),
-        (check_multiplication, "fourth-roots.alg", {}, False),
-        (check_division, "fourth-roots.alg", {}, False),
+        (check_inversion, "sl2.alg", True),
+        (check_multiplication, "diag-antidiag.alg", True),
+        (check_division, "sl2.alg", True),
+        (check_inversion, "linear-forms-3x3-noninv.alg", False),
+        (check_inversion_alt, "linear-forms-3x3-noninv.alg", False),
+        (check_multiplication, "fourth-roots.alg", False),
+        (check_division, "fourth-roots.alg", False),
     ]
-    for check, name, kwargs, verdict in runs:
+    for check, name, verdict in runs:
         rendered.clear()
-        res = check(problem(name), **kwargs)
+        res = check(problem(name))
         assert res.verdict is verdict, (check.__name__, name)
         if verdict:
             assert rendered == [] and res.witness is None
         else:
             assert len(rendered) == 1, (check.__name__, name)
             assert res.witness == real(rendered[0])
-
-
-@pytest.fixture
-def pool_sizes(monkeypatch):
-    """Records the requested size of every process pool a run starts."""
-    sizes = []
-
-    class Recording(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-            super().__init__(max_workers=2)
-
-    monkeypatch.setattr(decide, "ProcessPoolExecutor", Recording)
-    return sizes
-
-
-def test_parallel_workers_never_outnumber_the_tests(problem, pool_sizes):
-    spec = problem("diag-antidiag.alg")  # three generators
-    assert check_inversion(spec, jobs=50).verdict is True
-    assert pool_sizes == [3]
 
 
 def _field_equation_corpus(seed):
@@ -292,8 +267,7 @@ def _doubled_basis_reference(spec, hats):
 
 def _assert_product_base_matches_reference(spec):
     for hats in (False, True):
-        ring, gb = _Run(spec, Budget(), 1, False).product_base(hats,
-                                                              GBStats())
+        ring, gb = _Run(spec, Budget(), False).product_base(hats, GBStats())
         ref_ring, ref = _doubled_basis_reference(spec, hats)
         assert ring == ref_ring
         assert set(gb.basis) == set(ref), (spec.generators, hats)
@@ -321,7 +295,7 @@ def test_product_base_matches_doubled_buchberger_on_field_equations():
 def test_product_base_of_a_trivial_block():
     # det(x) = 0 leaves no invertible point: the hat ideal is (1).
     spec = parse_problem("n 2\nfield Q\nx1*x4 - x2*x3\n")
-    ring, gb = _Run(spec, Budget(), 1, False).product_base(True, GBStats())
+    ring, gb = _Run(spec, Budget(), False).product_base(True, GBStats())
     assert gb.basis == [ring.one()]
     _assert_product_base_matches_reference(spec)
 
@@ -447,11 +421,8 @@ def test_field_equation_flag_without_the_equations_takes_the_general_path(
     assert all(res.verdict is False for res in flagged.checks.values())
 
 
-def test_field_equation_run_starts_no_process_pool(pool_sizes):
+def test_field_equation_run_starts_no_process_pool():
     spec = parse_problem("n 2\nfield F 3\nx2\nx3\n")
-    assert check_multiplication(spec, jobs=2).verdict is True
-    assert pool_sizes == [2]
-    pool_sizes.clear()
+    assert check_multiplication(spec).verdict is True
     restricted = add_field_equations(spec, 3)  # six generators
-    assert check_multiplication(restricted, jobs=2).verdict is True
-    assert pool_sizes == []
+    assert check_multiplication(restricted).verdict is True

@@ -219,6 +219,18 @@ def test_degree_budget_exhaustion():
         buchberger(gens, budget=Budget(degree_cap=3))
 
 
+def test_normal_form_rejects_divisors_over_the_degree_cap():
+    # Exponents past the packing bound once wrapped into a false zero.
+    r = ring1()
+    x1 = r.var("x1")
+    for e in (40000, 65538):
+        with pytest.raises(BudgetExhausted,
+                           match=f"input degree {e} over cap {MAX_ENGINE_DEGREE}"):
+            normal_form(x1 ** 3, [x1 ** e])
+    with pytest.raises(BudgetExhausted, match="input degree 9 over cap 5"):
+        normal_form(x1 ** 3, [x1 ** 9], degree_cap=5)
+
+
 def test_stats_are_reported():
     r = ring1()
     gb = buchberger([parse_poly("x1^2 - 1", r), parse_poly("x1 - 1", r)])

@@ -66,6 +66,14 @@ def test_parse_poly_errors_are_positioned():
         parse_poly("z + 1", ring)
 
 
+def test_oversized_degrees_are_positioned_parse_errors():
+    # Column of the exponent, then of the '*' whose product is too large.
+    for text, col in (("x1^99999999999 - 1", 4), ("x1^2147483648 * x1^2", 15)):
+        with pytest.raises(ParseError, match="degree exceeds") as err:
+            parse_problem(f"n 1\nfield Q\n{text}\n")
+        assert (err.value.line, err.value.col) == (3, col), text
+
+
 def random_expression(rng, depth=0):
     kind = rng.randrange(6) if depth < 4 else rng.randrange(2)
     if kind == 0:
