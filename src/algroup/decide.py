@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import asdict, dataclass, field as dataclass_field, replace
 from typing import Callable
 
 from .fields import PrimeField
@@ -69,7 +69,7 @@ from .matrices import (build_hat_ideal, det_poly,
                        eval_at_formal_inverse, make_k, subst_product,
                        subst_x_times_inverse_y, to_y_block)
 from .parsing import ProblemSpec
-from .poly import Polynomial, VarRing, change_ring
+from .poly import MAX_ENGINE_DEGREE, Polynomial, VarRing, change_ring
 
 @dataclass
 class CheckResult:
@@ -85,16 +85,7 @@ class CheckResult:
     note: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "seconds": self.seconds,
-            "witness_index": self.witness_index,
-            "witness": self.witness,
-            "gb_pairs": self.gb_pairs,
-            "gb_zero_reductions": self.gb_zero_reductions,
-            "undecided_reason": self.undecided_reason,
-            "note": self.note,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "CheckResult":
@@ -118,19 +109,7 @@ class DecisionReport:
     notes: list[str] = dataclass_field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "field": self.field,
-            "closure": self.closure,
-            "num_generators": self.num_generators,
-            "mode": self.mode,
-            "fast_path": self.fast_path,
-            "field_equations_q": self.field_equations_q,
-            "checks": {name: res.to_dict() for name, res in self.checks.items()},
-            "group": self.group,
-            "group_alt": self.group_alt,
-            "notes": list(self.notes),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "DecisionReport":
@@ -176,9 +155,8 @@ def _render_witness(f: Polynomial) -> str:
     renders as its leading terms and its term count."""
     if len(f.terms) <= _WITNESS_TERMS:
         return str(f)
-    head = heapq.nlargest(_WITNESS_TERMS, f.terms, key=f.ring.sort_key())
-    text = str(Polynomial(f.ring, {m: f.terms[m] for m in head},
-                          _normalized=True))
+    head = heapq.nlargest(_WITNESS_TERMS, f.terms, key=f.ring.codec.key)
+    text = str(Polynomial._make(f.ring, {m: f.terms[m] for m in head}))
     return f"{text} + ... ({len(f.terms)} terms)"
 
 
@@ -367,10 +345,15 @@ class _Run:
                            note=note)
         image = check.fast_image if use_fast else check.image
         for idx, f in gens:
-            f = image(f, ring)
+            try:
+                f = image(f, ring)
+            except OverflowError as exc:
+                return _result(None, start, stats, witness_index=idx,
+                               undecided_reason=f"undecided: image of the "
+                                                f"generator: {exc}", note=note)
             try:
                 if self.radical:
-                    ok = not normal_form(f, base.basis,
+                    ok = not normal_form(f, base,
                                          degree_cap=self.budget.degree_cap)
                 else:
                     ok = radical_membership(f, base.basis, self.budget,
@@ -514,16 +497,10 @@ def _field_equations(problem: ProblemSpec, q: int) -> list[Polynomial]:
         t += 1
     if remainder != 1 or t < 1:
         raise ValueError(f"{q} is not a power of the field characteristic {p}")
-    ring = problem.ring
-    one = problem.field.one()
-    neg_one = problem.field.neg(one)
-    eqs = []
-    for k in range(1, problem.n**2 + 1):
-        idx = ring.index(f"x{k}")
-        high = [0] * ring.arity
-        high[idx] = q
-        low = [0] * ring.arity
-        low[idx] = 1
-        eqs.append(Polynomial(ring, {tuple(high): one, tuple(low): neg_one},
-                              _normalized=True))
-    return eqs
+    if q > MAX_ENGINE_DEGREE:
+        raise ValueError(f"field equations of degree {q} exceed the "
+                         f"supported degree {MAX_ENGINE_DEGREE}")
+    ring, neg_one = problem.ring, problem.field.neg(1)
+    xs = (ring.var(f"x{k}").terms for k in range(1, problem.n**2 + 1))
+    # Packed, x^q is q times x.
+    return [Polynomial._make(ring, {q * m: 1, m: neg_one}) for (m,) in xs]

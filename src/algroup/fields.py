@@ -1,11 +1,12 @@
 """Exact coefficient arithmetic for the two supported fields.
 
-Rational values are arbitrary-precision fractions (gmpy2.mpq when it is
-installed, fractions.Fraction otherwise); prime-field values are plain
-ints reduced to the canonical range [0, p).  The Field object carries the
-field tag and performs all arithmetic on the raw values; mixing values
-from different fields is prevented at the ring level, where every
-polynomial records which field its coefficients live in.
+A rational value is an int when it is integral and an exact fraction in
+lowest terms otherwise (gmpy2.mpq when installed, fractions.Fraction
+otherwise); every operation returns an int for a result of denominator
+1, and str() of a value does not depend on its form.  Prime-field values
+are ints in [0, p).  A field's `canonical` brings the raw result of
+Python arithmetic on its values to that form.  Polynomials record their
+field, so values of different fields never mix.
 """
 
 from __future__ import annotations
@@ -45,11 +46,21 @@ def is_prime(p: int) -> bool:
     return True
 
 
+def _canonical(v):
+    """A rational value in canonical form: an int when its denominator
+    is 1, the fraction itself otherwise."""
+    if type(v) is int or v.denominator != 1:
+        return v
+    return int(v)
+
+
 class RationalField:
-    """The rationals; values are exact fractions in lowest terms."""
+    """The rationals; integral values are ints, the others exact
+    fractions in lowest terms."""
 
     name = "Q"
     characteristic = 0
+    canonical = staticmethod(_canonical)
 
     def __repr__(self) -> str:
         return "Q"
@@ -60,33 +71,31 @@ class RationalField:
     def __hash__(self) -> int:
         return hash("RationalField")
 
-    def from_int(self, k: int):
-        return rational(k)
+    def from_int(self, k: int) -> int:
+        return int(k)
 
     def from_ratio(self, num: int, den: int):
         if den == 0:
             raise ZeroDivisionError("rational with zero denominator")
-        return rational(num, den)
+        return _canonical(rational(num, den))
 
     def coerce(self, v):
-        if isinstance(v, int):
-            return rational(v)
-        return v
+        return _canonical(v)
 
-    def zero(self):
-        return rational(0)
+    def zero(self) -> int:
+        return 0
 
-    def one(self):
-        return rational(1)
+    def one(self) -> int:
+        return 1
 
     def add(self, a, b):
-        return a + b
+        return _canonical(a + b)
 
     def sub(self, a, b):
-        return a - b
+        return _canonical(a - b)
 
     def mul(self, a, b):
-        return a * b
+        return _canonical(a * b)
 
     def neg(self, a):
         return -a
@@ -94,18 +103,17 @@ class RationalField:
     def inv(self, a):
         if not a:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / a
+        return _canonical(rational(1) / a)
 
     def div(self, a, b):
         if not b:
             raise ZeroDivisionError("division by zero")
-        return a / b
+        return _canonical(rational(a) / b)
 
     def pow(self, a, e: int):
-        return a**e
-
-    def to_str(self, a) -> str:
-        return str(a)
+        if e < 0:
+            return _canonical(rational(a) ** e)
+        return _canonical(a**e)
 
 
 class PrimeField:
@@ -140,6 +148,9 @@ class PrimeField:
     def from_int(self, k: int) -> int:
         return k % self.p
 
+    def canonical(self, v) -> int:
+        return v % self.p
+
     def coerce(self, v) -> int:
         return v % self.p
 
@@ -171,9 +182,6 @@ class PrimeField:
 
     def pow(self, a: int, e: int) -> int:
         return pow(a, e, self.p)
-
-    def to_str(self, a) -> str:
-        return str(a)
 
 
 QQ = RationalField()

@@ -8,26 +8,22 @@ criteria.  Every run is bounded by an explicit Budget, and exhausting it
 raises BudgetExhausted instead of ever returning a possibly wrong
 verdict.
 
-Internally a monomial is packed into a single integer, 16 bits per
-variable with the total degree in the top field: multiplying monomials
-is integer addition, divisibility is a borrow-free subtraction test, the
-lcm uses the same guard bits to pick the larger exponent of every field
-at once, and the degrevlex sort key is two integer operations.
-The packing bounds the supported intermediate total degree at 10922; the
-public polynomial API keeps plain exponent tuples.
+The engine works on `Polynomial.terms` as they are: packed monomials
+(see `poly`), whose products are integer additions and whose
+divisibility, lcm and degrevlex key are the ring codec's word-parallel
+integer operations, and coefficients in the field's canonical form.  A
+basis element is prepared for division once, as its packed lead and its
+tail made monic, and a GroebnerBasis keeps its prepared reducers for
+every later normal form.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 
-from .fields import PrimeField
-from .poly import Polynomial, VarRing, change_ring
-
-_BITS = 16
-_FIELD_CAP = 0x7FFF
-MAX_ENGINE_DEGREE = _FIELD_CAP // 3  # three packed monomials may be summed
+from .poly import (MAX_ENGINE_DEGREE, Polynomial, VarRing, _degree_error,
+                   change_ring)
 
 
 @dataclass
@@ -69,104 +65,29 @@ class GBStats:
 class GroebnerBasis:
     basis: list[Polynomial]
     stats: GBStats
+    _prepared: tuple | None = dataclass_field(default=None, init=False,
+                                              repr=False, compare=False)
 
     @property
     def is_trivial(self) -> bool:
         return len(self.basis) == 1 and self.basis[0].is_constant and bool(self.basis[0])
 
-
-class _Codec:
-    """Packs exponent tuples of one ring into integers, and builds their
-    integer degrevlex sort keys."""
-
-    def __init__(self, ring: VarRing):
-        arity = ring.arity
-        self.arity = arity
-        self.deg_shift = _BITS * arity
-        self.guard = 0
-        offs = 0
-        for i in range(arity + 1):
-            self.guard |= 1 << (_BITS * i + _BITS - 1)
-        for i in range(arity):
-            offs |= _FIELD_CAP << (_BITS * i)
-        self.low_mask = (1 << self.deg_shift) - 1
-        self._low_guard = self.guard & self.low_mask
-        self._offs = offs
-
-    # Variable i of the ring sits at bits [16*i, 16*i + 16); the total
-    # degree occupies the field above all variables.
-
-    def encode(self, mono: tuple) -> int:
-        packed = sum(mono) << self.deg_shift
-        for i, e in enumerate(mono):
-            if e:
-                packed |= e << (_BITS * i)
-        return packed
-
-    def decode(self, packed: int) -> tuple:
-        return tuple((packed >> (_BITS * i)) & _FIELD_CAP
-                     for i in range(self.arity))
-
-    def degree(self, packed: int) -> int:
-        return packed >> self.deg_shift
-
-    def divides(self, a: int, b: int) -> bool:
-        return ((b | self.guard) - a) & self.guard == self.guard
-
-    def lcm(self, a: int, b: int) -> int:
-        # Per field, (a_i | 0x8000) - b_i keeps bit 15 exactly when
-        # a_i >= b_i and never borrows from the next field; spreading
-        # that bit over the field selects the larger exponent.
-        low = self.low_mask
-        a &= low
-        b &= low
-        larger = ((((a | self.guard) - b) & self._low_guard)
-                  >> (_BITS - 1)) * _FIELD_CAP
-        out = (a & larger) | (b & ~larger)
-        # The fields sum to the degree, and 2^16 = 1 mod 0xFFFF; the
-        # remainder is exact because an lcm of two monomials of degree at
-        # most MAX_ENGINE_DEGREE has degree at most 2 * MAX_ENGINE_DEGREE,
-        # below 0xFFFF.
-        return out | (out % 0xFFFF) << self.deg_shift
-
-    def key(self, packed: int):
-        """Integer key: ascending key order equals ascending degrevlex."""
-        # Complementing every field reverses the tie-break exactly as
-        # degrevlex requires when variable 0 is the most significant.
-        return (packed >> self.deg_shift << self.deg_shift) \
-            + self._offs - (packed & self.low_mask)
-
-
-_CODEC_CACHE: dict = {}
-
-
-def _codec(ring: VarRing) -> _Codec:
-    codec = _CODEC_CACHE.get(ring)
-    if codec is None:
-        codec = _Codec(ring)
-        _CODEC_CACHE[ring] = codec
-    return codec
-
-
-def _check_cap(degree_cap: int) -> int:
-    if degree_cap > MAX_ENGINE_DEGREE:
-        raise ValueError(f"degree cap {degree_cap} exceeds the engine bound "
-                         f"{MAX_ENGINE_DEGREE}")
-    return degree_cap
+    def reducers(self, ring: VarRing) -> list:
+        """The basis prepared for division in ring, once per basis."""
+        if self._prepared is None:
+            self._prepared = (ring, _prepare_reducers(self.basis, ring))
+        elif self._prepared[0] != ring:
+            raise ValueError("divisor lives in a different ring")
+        return self._prepared[1]
 
 
 # A prepared reducer is (packed lead, lead coefficient, packed tail items).
 
 
-def _encode_terms(p: Polynomial, codec: _Codec) -> dict:
-    encode = codec.encode
-    return {encode(m): c for m, c in p.terms.items()}
-
-
-def _prepare_monic(terms: dict, codec: _Codec, field):
+def _prepare_monic(terms: dict, codec, field):
     lm = max(terms, key=codec.key)
     lc = terms[lm]
-    if lc == field.one():
+    if lc == 1:
         tail = [(m, c) for m, c in terms.items() if m != lm]
     else:
         inv = field.inv(lc)
@@ -175,17 +96,18 @@ def _prepare_monic(terms: dict, codec: _Codec, field):
     return lm, field.one(), tail
 
 
-def _decode_basis(G, ring: VarRing, codec: _Codec) -> list[Polynomial]:
-    decode = codec.decode
-    out = []
-    for lm, lc, tail in G:
-        terms = {decode(m): c for m, c in tail}
-        terms[decode(lm)] = lc
-        out.append(Polynomial(ring, terms, _normalized=True))
-    return out
+def _prepare_reducers(G, ring: VarRing) -> list:
+    if any(g.ring != ring for g in G):
+        raise ValueError("divisor lives in a different ring")
+    return [_prepare_monic(g.terms, ring.codec, ring.field) for g in G if g]
 
 
-def _reduce_terms(terms: dict, reducers, codec: _Codec, field,
+def _as_poly(prep, ring: VarRing) -> Polynomial:
+    lm, lc, tail = prep
+    return Polynomial._make(ring, {**dict(tail), lm: lc})
+
+
+def _reduce_terms(terms: dict, reducers, codec, field,
                   degree_cap: int) -> dict:
     """Fully reduce a packed term dict; returns the packed remainder."""
     work = dict(terms)
@@ -201,8 +123,7 @@ def _reduce_terms(terms: dict, reducers, codec: _Codec, field,
         heap.append((-keyf(m), m))
     heapq.heapify(heap)
     push, pop = heapq.heappush, heapq.heappop
-    prime = field.p if isinstance(field, PrimeField) else None
-    fsub, fmul, fneg = field.sub, field.mul, field.neg
+    canonical = field.canonical
     while heap:
         m = pop(heap)[1]
         c = work.get(m)
@@ -218,38 +139,21 @@ def _reduce_terms(terms: dict, reducers, codec: _Codec, field,
             continue
         del work[m]
         u = m - lm
-        if prime is not None:
-            for mt, ct in tail:
-                mm = mt + u
-                prev = work.get(mm)
-                if prev is None:
-                    if mm >> deg_shift > degree_cap:
-                        raise BudgetExhausted(
-                            f"monomial degree {mm >> deg_shift} over cap {degree_cap}")
-                    work[mm] = -c * ct % prime
-                    push(heap, (-keyf(mm), mm))
+        for mt, ct in tail:
+            mm = mt + u
+            prev = work.get(mm)
+            if prev is None:
+                if mm >> deg_shift > degree_cap:
+                    raise BudgetExhausted(
+                        f"monomial degree {mm >> deg_shift} over cap {degree_cap}")
+                work[mm] = canonical(-c * ct)
+                push(heap, (-keyf(mm), mm))
+            else:
+                v = canonical(prev - c * ct)
+                if v:
+                    work[mm] = v
                 else:
-                    v = (prev - c * ct) % prime
-                    if v:
-                        work[mm] = v
-                    else:
-                        del work[mm]
-        else:
-            for mt, ct in tail:
-                mm = mt + u
-                prev = work.get(mm)
-                if prev is None:
-                    if mm >> deg_shift > degree_cap:
-                        raise BudgetExhausted(
-                            f"monomial degree {mm >> deg_shift} over cap {degree_cap}")
-                    work[mm] = fneg(fmul(c, ct))
-                    push(heap, (-keyf(mm), mm))
-                else:
-                    v = fsub(prev, fmul(c, ct))
-                    if v:
-                        work[mm] = v
-                    else:
-                        del work[mm]
+                    del work[mm]
     return rem
 
 
@@ -259,59 +163,43 @@ def normal_form(f: Polynomial, G, degree_cap: int | None = None) -> Polynomial:
     No term of the result is divisible by any lead monomial of G, and
     f minus the result lies in the ideal generated by G.  The divisors
     need not be a Groebner basis; a zero remainder proves membership
-    either way.
+    either way.  G is a list of divisors or a GroebnerBasis, whose
+    prepared reducers are reused.
     """
     ring = f.ring
-    codec = _codec(ring)
-    field = ring.field
-    cap = _check_cap(degree_cap) if degree_cap is not None else MAX_ENGINE_DEGREE
-    reducers = []
-    for g in G:
-        if not g:
-            continue
-        if g.ring != ring:
-            raise ValueError("divisor lives in a different ring")
-        # A divisor over the cap may not fit the packed exponent fields.
-        if g.total_degree() > cap:
-            raise BudgetExhausted(
-                f"input degree {g.total_degree()} over cap {cap}")
-        reducers.append(_prepare_monic(_encode_terms(g, codec), codec, field))
+    cap = MAX_ENGINE_DEGREE if degree_cap is None else degree_cap
+    if cap > MAX_ENGINE_DEGREE:
+        raise ValueError(f"degree cap {cap} exceeds the engine bound "
+                         f"{MAX_ENGINE_DEGREE}")
+    if isinstance(G, GroebnerBasis):
+        reducers = G.reducers(ring)
+    else:
+        reducers = _prepare_reducers(G, ring)
+    deg_shift = ring.codec.deg_shift
+    for lm, _, _ in reducers:
+        # A monic reducer's lead has its largest degree under degrevlex.
+        if lm >> deg_shift > cap:
+            raise BudgetExhausted(f"input degree {lm >> deg_shift} over cap {cap}")
     if not reducers or not f:
         return f
-    rem = _reduce_terms(_encode_terms(f, codec), reducers, codec, field, cap)
-    out = {codec.decode(m): c for m, c in rem.items()}
-    return Polynomial(ring, out, _normalized=True)
+    rem = _reduce_terms(f.terms, reducers, ring.codec, ring.field, cap)
+    return Polynomial._make(ring, rem)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
-    """The cancellation combination of the two lead terms."""
+    """The cancellation combination of the two lead terms, of f and g
+    made monic."""
     if f.ring != g.ring:
         raise ValueError("polynomials from different rings")
     if not f or not g:
         raise ValueError("S-polynomial of the zero polynomial")
     ring = f.ring
-    keyf = ring.sort_key()
-    field = ring.field
-    lmf = max(f.terms, key=keyf)
-    lmg = max(g.terms, key=keyf)
-    lcf, lcg = f.terms[lmf], g.terms[lmg]
-    lcm = tuple(max(a, b) for a, b in zip(lmf, lmg))
-    uf = tuple(a - b for a, b in zip(lcm, lmf))
-    ug = tuple(a - b for a, b in zip(lcm, lmg))
-    cf, cg = field.inv(lcf), field.inv(lcg)
-    fmul, fsub = field.mul, field.sub
-    terms: dict = {}
-    for m, c in f.terms.items():
-        terms[tuple(a + b for a, b in zip(m, uf))] = fmul(cf, c)
-    for m, c in g.terms.items():
-        mm = tuple(a + b for a, b in zip(m, ug))
-        prev = terms.get(mm)
-        v = fsub(prev, fmul(cg, c)) if prev is not None else field.neg(fmul(cg, c))
-        if v:
-            terms[mm] = v
-        elif prev is not None:
-            del terms[mm]
-    return Polynomial(ring, terms, _normalized=True)
+    a = _prepare_monic(f.terms, ring.codec, ring.field)
+    b = _prepare_monic(g.terms, ring.codec, ring.field)
+    lcm = ring.codec.lcm(a[0], b[0])
+    if lcm >> ring.codec.deg_shift > MAX_ENGINE_DEGREE:
+        raise _degree_error(lcm >> ring.codec.deg_shift)
+    return Polynomial._make(ring, _spair_terms(a, b, lcm, ring.field))
 
 
 def _spair_terms(a, b, lcm, field) -> dict:
@@ -337,7 +225,7 @@ def _spair_terms(a, b, lcm, field) -> dict:
     return terms
 
 
-def _interreduce(G, ring, codec: _Codec, field, degree_cap) -> list[Polynomial]:
+def _interreduce(G, ring, codec, field, degree_cap) -> list[Polynomial]:
     # Minimal basis: drop elements whose lead another lead divides.
     items = sorted(G, key=lambda prep: codec.key(prep[0]))
     minimal = []
@@ -359,7 +247,7 @@ def _interreduce(G, ring, codec: _Codec, field, degree_cap) -> list[Polynomial]:
             if reduced != dict(tail):
                 minimal[idx] = (lm, lc, sorted(reduced.items()))
                 changed = True
-    return _decode_basis(minimal, ring, codec)
+    return [_as_poly(prep, ring) for prep in minimal]
 
 
 def buchberger(gens, budget: Budget | None = None, *,
@@ -396,7 +284,7 @@ def buchberger(gens, budget: Budget | None = None, *,
         return finish([ring.one()])
 
     field = ring.field
-    codec = _codec(ring)
+    codec = ring.codec
     degree_cap = budget.degree_cap
     for g in polys:
         if g.total_degree() > degree_cap:
@@ -457,7 +345,7 @@ def buchberger(gens, budget: Budget | None = None, *,
                 heapq.heappush(heap, (l >> deg_shift, keyf(l), i, t))
 
         for j, g in enumerate(polys):
-            add_element(_prepare_monic(_encode_terms(g, codec), codec, field),
+            add_element(_prepare_monic(g.terms, codec, field),
                         make_pairs=j >= assume_gb_prefix)
 
         while heap:
@@ -480,7 +368,7 @@ def buchberger(gens, budget: Budget | None = None, *,
             add_element(prep, make_pairs=True)
 
         if not reduce_basis:
-            return finish(_decode_basis(G, ring, codec))
+            return finish([_as_poly(prep, ring) for prep in G])
         return finish(_interreduce(G, ring, codec, field, degree_cap))
     except BudgetExhausted:
         if stats is not None:
@@ -521,9 +409,14 @@ def radical_membership(f: Polynomial, gens, budget: Budget | None = None, *,
     for g in base:
         if g.ring != ring:
             raise ValueError("generators live in a different ring")
-    reduced = normal_form(f, base, degree_cap=budget.degree_cap)
+    reduced = normal_form(f, base_gb if base_gb is not None else base,
+                          degree_cap=budget.degree_cap)
     if not reduced:
         return True
+    if reduced.total_degree() >= budget.degree_cap:
+        # t*reduced - 1 is over the cap, and may be over the degree limit.
+        raise BudgetExhausted(f"input degree {reduced.total_degree() + 1} "
+                              f"over cap {budget.degree_cap}")
     ring_t = ring.extend_front("t")
     lifted = [change_ring(g, ring_t) for g in base]
     helper = ring_t.var("t") * change_ring(reduced, ring_t) - ring_t.one()

@@ -94,12 +94,13 @@ def build_hat_ideal(problem: ProblemSpec) -> tuple[VarRing, list[Polynomial]]:
 
 def _assert_x_block_only(f: Polynomial, allow_x0: bool = False) -> None:
     names = f.ring.names
+    used = 0
     for m in f.terms:
-        for i, e in enumerate(m):
-            if e and not (names[i].startswith("x")
-                          and (allow_x0 or names[i] != "x0")):
-                raise ValueError(f"polynomial mentions {names[i]}, "
-                                 "expected x-block variables only")
+        used |= m
+    for i, _ in f.ring.codec.factors(used):
+        if not (names[i].startswith("x") and (allow_x0 or names[i] != "x0")):
+            raise ValueError(f"polynomial mentions {names[i]}, "
+                             "expected x-block variables only")
 
 
 def subst_product(f: Polynomial, target: VarRing) -> Polynomial:
@@ -156,17 +157,15 @@ def eval_at_formal_inverse(f: Polynomial) -> FormalInverseImage:
     for k in range(1, n * n + 1):
         i, j = (k - 1) // n, (k - 1) % n
         adj_for_index[ring.index(f"x{k}")] = adj[i][j]
+    codec = ring.codec
     power_cache: dict = {}
     acc = ring.zero()
     for m, c in f.terms.items():
-        term = ring.const(c) * det_pow[degree - sum(m)]
-        for idx, e in enumerate(m):
-            if not e:
-                continue
-            key = (idx, e)
+        term = ring.const(c) * det_pow[degree - codec.degree(m)]
+        for key in codec.factors(m):
             p = power_cache.get(key)
             if p is None:
-                p = adj_for_index[idx] ** e
+                p = adj_for_index[key[0]] ** key[1]
                 power_cache[key] = p
             term = term * p
         acc = acc + term

@@ -32,6 +32,18 @@ class ParseError(ValueError):
         self.reason = message
 
 
+# Python converts decimal strings of at most this many digits by default.
+MAX_LITERAL_DIGITS = 4300
+
+
+def _literal(digits: str, line: int, col: int) -> int:
+    """The value of a literal of at most MAX_LITERAL_DIGITS digits."""
+    if len(digits) > MAX_LITERAL_DIGITS:
+        raise ParseError(f"integer literal of {len(digits)} digits exceeds "
+                         f"the limit of {MAX_LITERAL_DIGITS}", line, col)
+    return int(digits)
+
+
 @dataclass
 class ProblemSpec:
     """A parsed problem: dimension, coefficient field, and generators.
@@ -48,15 +60,6 @@ class ProblemSpec:
     ring: VarRing
     source: str | None = None
     field_equations_q: int | None = None
-
-    @classmethod
-    def build(cls, n: int, field: Field, generators=(), source=None) -> "ProblemSpec":
-        ring = VarRing.matrix_ring(n, field)
-        gens = list(generators)
-        for g in gens:
-            if g.ring != ring:
-                raise ValueError("generator lives in the wrong ring")
-        return cls(n, field, gens, ring, source)
 
 
 @dataclass
@@ -173,7 +176,7 @@ class _Parser:
                     self.error("exponent must be a non-negative integer literal", etok)
                 self.advance()
                 try:
-                    poly = poly ** int(etok.value)
+                    poly = poly ** _literal(etok.value, etok.line, etok.col)
                 except OverflowError as exc:
                     self.error(str(exc), etok)
             else:
@@ -183,7 +186,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "INT":
             self.advance()
-            return self.ring.from_int(int(tok.value))
+            return self.ring.from_int(_literal(tok.value, tok.line, tok.col))
         if tok.kind == "NAME":
             self.advance()
             return self._variable(tok)
@@ -227,11 +230,12 @@ def parse_problem(text: str, source: str | None = None) -> ProblemSpec:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        indent = len(raw) - len(raw.lstrip())
         if n is None:
             m = re.fullmatch(r"n\s+(\d+)", line)
             if not m:
                 raise ParseError("expected header 'n <int>'", lineno, 1)
-            n = int(m.group(1))
+            n = _literal(m.group(1), lineno, indent + m.start(1) + 1)
             if n < 1:
                 raise ParseError("n must be a positive integer", lineno, 1)
             continue
@@ -243,8 +247,9 @@ def parse_problem(text: str, source: str | None = None) -> ProblemSpec:
             if m.group(1) == "Q":
                 fld = QQ
             else:
+                p = _literal(m.group(2), lineno, indent + m.start(2) + 1)
                 try:
-                    fld = PrimeField(int(m.group(2)))
+                    fld = PrimeField(p)
                 except ValueError as exc:
                     raise ParseError(str(exc), lineno, 1) from None
             ring = VarRing.matrix_ring(n, fld)

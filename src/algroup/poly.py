@@ -1,33 +1,125 @@
 """Sparse multivariate polynomials over an ordered variable ring.
 
-A monomial is a tuple of exponents, one per ring variable, and a
-polynomial is a map from monomials to nonzero coefficients.  Ring
+A monomial is one packed integer, from the parser to the Groebner
+engine: the exponent of ring variable i sits at bits [16*i, 16*i + 16)
+and the total degree in the field above all variables, so a product of
+monomials is an integer sum and the total degree a shift.  The ring's
+`codec` holds these operations and the integer degrevlex key.  Ring
 variables are stored most-significant-first, so the ring's own variable
 order doubles as the ranking of the one supported monomial order,
-degrevlex.
+degrevlex.  A polynomial maps packed monomials to nonzero coefficients in
+the canonical form of its field (see `fields`).
+
+Exponent tuples appear only at the boundary: the constructor packs
+them and `Polynomial.exponents` unpacks.  Total degrees are bounded by
+MAX_ENGINE_DEGREE, so that three packed monomials may be summed without
+a field overflowing; a product or power past it raises OverflowError.
 """
 
 from __future__ import annotations
 
-from operator import add as _iadd
+from functools import cache
 
 from .fields import Field
 
-Monomial = tuple  # tuple[int, ...], one exponent per ring variable
+_BITS = 16
+_FIELD_MASK = 0xFFFF
+_FIELD_CAP = 0x7FFF
+MAX_ENGINE_DEGREE = _FIELD_CAP // 3  # three packed monomials may be summed
 
-# Total degrees past this bound abort rather than wrap or crawl.
-DEGREE_LIMIT = 2**31
+
+def _degree_error(degree: int) -> OverflowError:
+    return OverflowError(f"polynomial degree exceeds the supported limit: "
+                         f"{degree} > {MAX_ENGINE_DEGREE}")
 
 
-def _degrevlex_key(m: Monomial):
-    """Key under which ascending sort equals ascending degrevlex order."""
-    return (sum(m), tuple(-e for e in reversed(m)))
+@cache  # rings of one arity share one codec, and one set of masks
+class _Codec:
+    """Arithmetic on the packed monomials of a ring of `arity` variables."""
+
+    __slots__ = ("arity", "deg_shift", "guard", "low_mask", "_low_guard",
+                 "_offs")
+
+    def __init__(self, arity: int):
+        self.arity = arity
+        self.deg_shift = _BITS * arity
+        self.guard = 0
+        offs = 0
+        for i in range(arity + 1):
+            self.guard |= 1 << (_BITS * i + _BITS - 1)
+        for i in range(arity):
+            offs |= _FIELD_CAP << (_BITS * i)
+        self.low_mask = (1 << self.deg_shift) - 1
+        self._low_guard = self.guard & self.low_mask
+        self._offs = offs
+
+    def pack(self, exps) -> int:
+        """The packed monomial of an exponent tuple."""
+        if len(exps) != self.arity or min(exps, default=0) < 0:
+            raise ValueError(f"expected {self.arity} non-negative exponents, "
+                             f"got {exps!r}")
+        degree = sum(exps)
+        if degree > _FIELD_CAP:
+            raise _degree_error(degree)
+        packed = degree << self.deg_shift
+        for i, e in enumerate(exps):
+            packed |= e << (_BITS * i)
+        return packed
+
+    def unpack(self, packed: int) -> tuple:
+        """The exponent tuple of a packed monomial."""
+        return tuple((packed >> (_BITS * i)) & _FIELD_CAP
+                     for i in range(self.arity))
+
+    @staticmethod
+    def factors(packed: int) -> list[tuple[int, int]]:
+        """(variable index, exponent) for every variable of the monomial;
+        the degree field, the highest nonzero one, is skipped."""
+        out = []
+        i = 0
+        while True:
+            e = packed & _FIELD_MASK
+            packed >>= _BITS
+            if not packed:
+                return out
+            if e:
+                out.append((i, e))
+            i += 1
+
+    def degree(self, packed: int) -> int:
+        return packed >> self.deg_shift
+
+    def divides(self, a: int, b: int) -> bool:
+        return ((b | self.guard) - a) & self.guard == self.guard
+
+    def lcm(self, a: int, b: int) -> int:
+        # Per field, (a_i | 0x8000) - b_i keeps bit 15 exactly when
+        # a_i >= b_i and never borrows from the next field; spreading
+        # that bit over the field selects the larger exponent.
+        low = self.low_mask
+        a &= low
+        b &= low
+        larger = ((((a | self.guard) - b) & self._low_guard)
+                  >> (_BITS - 1)) * _FIELD_CAP
+        out = (a & larger) | (b & ~larger)
+        # The fields sum to the degree, and 2^16 = 1 mod 0xFFFF; the
+        # remainder is exact because an lcm of two monomials of degree at
+        # most MAX_ENGINE_DEGREE has degree at most 2 * MAX_ENGINE_DEGREE,
+        # below 0xFFFF.
+        return out | (out % 0xFFFF) << self.deg_shift
+
+    def key(self, packed: int) -> int:
+        """Integer key: ascending key order equals ascending degrevlex."""
+        # Complementing every field reverses the tie-break exactly as
+        # degrevlex requires when variable 0 is the most significant.
+        return (packed >> self.deg_shift << self.deg_shift) \
+            + self._offs - (packed & self.low_mask)
 
 
 class VarRing:
     """Named variables over a coefficient field, most significant first."""
 
-    __slots__ = ("names", "field", "n", "_index")
+    __slots__ = ("names", "field", "n", "codec", "_index")
 
     def __init__(self, names, field: Field, n: int | None = None):
         names = tuple(names)
@@ -36,6 +128,7 @@ class VarRing:
         self.names = names
         self.field = field
         self.n = n
+        self.codec = _Codec(len(names))
         self._index = {name: i for i, name in enumerate(names)}
 
     @classmethod
@@ -82,32 +175,31 @@ class VarRing:
             raise ValueError(f"ring has no variable {name}") from None
 
     def sort_key(self):
-        """Sort key of the monomial order, degrevlex."""
-        return _degrevlex_key
+        """Sort key of packed monomials under the monomial order,
+        degrevlex."""
+        return self.codec.key
 
     def var(self, name: str) -> "Polynomial":
-        exps = [0] * self.arity
-        exps[self.index(name)] = 1
-        return Polynomial(self, {tuple(exps): self.field.one()}, _normalized=True)
+        packed = (1 << (_BITS * self.index(name))) | (1 << self.codec.deg_shift)
+        return Polynomial._make(self, {packed: self.field.one()})
 
     def const(self, value) -> "Polynomial":
         v = self.field.coerce(value)
-        if not v:
-            return Polynomial(self, {}, _normalized=True)
-        return Polynomial(self, {(0,) * self.arity: v}, _normalized=True)
+        return Polynomial._make(self, {0: v} if v else {})
 
     def from_int(self, k: int) -> "Polynomial":
         return self.const(self.field.from_int(k))
 
     def zero(self) -> "Polynomial":
-        return Polynomial(self, {}, _normalized=True)
+        return Polynomial._make(self, {})
 
     def one(self) -> "Polynomial":
         return self.const(1)
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, VarRing) and other.names == self.names
-                and other.field == self.field)
+        return other is self or (isinstance(other, VarRing)
+                                 and other.names == self.names
+                                 and other.field == self.field)
 
     def __hash__(self) -> int:
         return hash((self.names, self.field))
@@ -117,16 +209,36 @@ class VarRing:
 
 
 class Polynomial:
-    """Immutable sparse polynomial: ring plus {monomial: coefficient}."""
+    """Immutable sparse polynomial: ring plus {packed monomial:
+    coefficient}."""
 
     __slots__ = ("ring", "terms")
 
-    def __init__(self, ring: VarRing, terms: dict, *, _normalized: bool = False):
+    def __init__(self, ring: VarRing, terms: dict):
+        """The polynomial of {exponent tuple: coefficient}, zeros dropped."""
+        pack, coerce = ring.codec.pack, ring.field.coerce
+        out = {}
+        for exps, c in terms.items():
+            c = coerce(c)
+            if c:
+                out[pack(exps)] = c
+        if out and max(out) >> ring.codec.deg_shift > MAX_ENGINE_DEGREE:
+            raise _degree_error(max(out) >> ring.codec.deg_shift)
         self.ring = ring
-        if _normalized:
-            self.terms = terms
-        else:
-            self.terms = {m: c for m, c in terms.items() if c}
+        self.terms = out
+
+    @classmethod
+    def _make(cls, ring: VarRing, terms: dict) -> "Polynomial":
+        """The polynomial of packed terms with nonzero canonical values."""
+        poly = cls.__new__(cls)
+        poly.ring = ring
+        poly.terms = terms
+        return poly
+
+    def exponents(self) -> dict:
+        """{exponent tuple: coefficient}, the inverse of the constructor."""
+        unpack = self.ring.codec.unpack
+        return {unpack(m): c for m, c in self.terms.items()}
 
     def _coerce(self, other) -> "Polynomial":
         if isinstance(other, Polynomial):
@@ -153,26 +265,26 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        field = self.ring.field
+        fadd = self.ring.field.add
         out = dict(self.terms)
         for m, c in other.terms.items():
             prev = out.get(m)
             if prev is None:
                 out[m] = c
             else:
-                v = field.add(prev, c)
+                v = fadd(prev, c)
                 if v:
                     out[m] = v
                 else:
                     del out[m]
-        return Polynomial(self.ring, out, _normalized=True)
+        return Polynomial._make(self.ring, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
         neg = self.ring.field.neg
-        return Polynomial(self.ring, {m: neg(c) for m, c in self.terms.items()},
-                          _normalized=True)
+        return Polynomial._make(self.ring,
+                                {m: neg(c) for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
         other = self._coerce(other)
@@ -187,34 +299,42 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        ring = self.ring
         if not self.terms or not other.terms:
-            return self.ring.zero()
-        if self.total_degree() + other.total_degree() > DEGREE_LIMIT:
-            raise OverflowError("polynomial degree exceeds the supported limit")
-        field = self.ring.field
-        fmul, fadd = field.mul, field.add
+            return ring.zero()
+        degree = self.total_degree() + other.total_degree()
+        if degree > MAX_ENGINE_DEGREE:
+            raise _degree_error(degree)
+        outer, inner = self.terms, other.terms
+        if len(outer) < len(inner):
+            outer, inner = inner, outer
+        canonical = ring.field.canonical
+        if len(inner) == 1:
+            # A term times a polynomial: distinct monomials stay distinct
+            # and products of nonzero values are nonzero.
+            ((m2, c2),) = inner.items()
+            return Polynomial._make(ring, {m + m2: canonical(c * c2)
+                                           for m, c in outer.items()})
+        # Accumulate raw sums of products and bring each one to canonical
+        # form once, at the end.
+        inner = list(inner.items())
         out: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(map(_iadd, m1, m2))
-                prev = out.get(m)
-                if prev is None:
-                    out[m] = fmul(c1, c2)
-                else:
-                    v = fadd(prev, fmul(c1, c2))
-                    if v:
-                        out[m] = v
-                    else:
-                        del out[m]
-        return Polynomial(self.ring, out, _normalized=True)
+        get = out.get
+        for m1, c1 in outer.items():
+            for m2, c2 in inner:
+                m = m1 + m2
+                out[m] = get(m, 0) + c1 * c2
+        return Polynomial._make(ring, {m: v for m, c in out.items()
+                                       if (v := canonical(c))})
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "Polynomial":
         if not isinstance(e, int) or e < 0:
             raise ValueError("polynomial exponent must be a non-negative integer")
-        if e * max(self.total_degree(), 1) > DEGREE_LIMIT:
-            raise OverflowError("polynomial degree exceeds the supported limit")
+        # A constant counts as degree 1, so that its powers stay small.
+        if e * max(self.total_degree(), 1) > MAX_ENGINE_DEGREE:
+            raise _degree_error(e * max(self.total_degree(), 1))
         result = self.ring.one()
         base = self
         while e:
@@ -229,19 +349,17 @@ class Polynomial:
         """Largest term degree; 0 for the zero polynomial."""
         if not self.terms:
             return 0
-        return max(map(sum, self.terms))
+        return max(self.terms) >> self.ring.codec.deg_shift
 
     @property
     def is_constant(self) -> bool:
-        if not self.terms:
-            return True
-        return len(self.terms) == 1 and not any(next(iter(self.terms)))
+        return not self.terms or (len(self.terms) == 1 and 0 in self.terms)
 
     def leading(self):
-        """(monomial, coefficient) of the leading term; None if zero."""
+        """(packed monomial, coefficient) of the leading term, or None."""
         if not self.terms:
             return None
-        m = max(self.terms, key=self.ring.sort_key())
+        m = max(self.terms, key=self.ring.codec.key)
         return m, self.terms[m]
 
     def evaluate(self, point):
@@ -251,18 +369,17 @@ class Polynomial:
         field = self.ring.field
         values = [field.coerce(v) for v in point]
         fmul, fadd, fpow = field.mul, field.add, field.pow
+        factors = self.ring.codec.factors
         acc = field.zero()
         powers: dict = {}
         for m, c in self.terms.items():
             term = c
-            for i, e in enumerate(m):
-                if e:
-                    key = (i, e)
-                    v = powers.get(key)
-                    if v is None:
-                        v = fpow(values[i], e)
-                        powers[key] = v
-                    term = fmul(term, v)
+            for key in factors(m):
+                v = powers.get(key)
+                if v is None:
+                    v = fpow(values[key[0]], key[1])
+                    powers[key] = v
+                term = fmul(term, v)
             acc = fadd(acc, term)
         return acc
 
@@ -284,20 +401,18 @@ class Polynomial:
             if img.ring != target:
                 raise ValueError(f"image of {name} lives in a different ring")
         names = self.ring.names
+        factors = self.ring.codec.factors
         power_cache: dict = {}
         out = target.zero()
         for m, c in self.terms.items():
             term = target.const(c)
-            for i, e in enumerate(m):
-                if not e:
-                    continue
-                name = names[i]
-                if name not in images:
-                    raise ValueError(f"no substitution image for variable {name}")
-                key = (name, e)
+            for key in factors(m):
                 p = power_cache.get(key)
                 if p is None:
-                    p = images[name] ** e
+                    name = names[key[0]]
+                    if name not in images:
+                        raise ValueError(f"no substitution image for variable {name}")
+                    p = images[name] ** key[1]
                     power_cache[key] = p
                 term = term * p
             out = out + term
@@ -317,23 +432,26 @@ def change_ring(f: Polynomial, target: VarRing, rename=None) -> Polynomial:
         return f
     if target.field != f.ring.field:
         raise ValueError("target ring has a different coefficient field")
-    src_names = f.ring.names
-    mapping: dict[int, int] = {}
-    out: dict = {}
-    arity = target.arity
+    # Each variable of f moves its field by a fixed shift; variables that
+    # move by the same shift move together, under one mask.
+    used = 0
+    for m in f.terms:
+        used |= m
+    names = f.ring.names
+    moves: dict[int, int] = {}
+    for i, _ in f.ring.codec.factors(used):
+        name = rename(names[i]) if rename else names[i]
+        shift = _BITS * (target.index(name) - i)
+        moves[shift] = moves.get(shift, 0) | _FIELD_MASK << (_BITS * i)
+    src_shift, dst_shift = f.ring.codec.deg_shift, target.codec.deg_shift
+    out = {}
     for m, c in f.terms.items():
-        exps = [0] * arity
-        for i, e in enumerate(m):
-            if not e:
-                continue
-            j = mapping.get(i)
-            if j is None:
-                name = src_names[i]
-                j = target.index(rename(name) if rename else name)
-                mapping[i] = j
-            exps[j] = e
-        out[tuple(exps)] = c
-    return Polynomial(target, out, _normalized=True)
+        packed = m >> src_shift << dst_shift
+        for shift, mask in moves.items():
+            packed |= (m & mask) << shift if shift >= 0 \
+                else (m & mask) >> -shift
+        out[packed] = c
+    return Polynomial._make(target, out)
 
 
 def render(f: Polynomial) -> str:
@@ -342,19 +460,19 @@ def render(f: Polynomial) -> str:
         return "0"
     ring = f.ring
     names = ring.names
-    key = ring.sort_key()
+    factors = ring.codec.factors
     parts: list[str] = []
-    for m in sorted(f.terms, key=key, reverse=True):
+    for m in sorted(f.terms, key=ring.codec.key, reverse=True):
         c = f.terms[m]
-        factors = [f"{names[i]}^{e}" if e > 1 else names[i]
-                   for i, e in enumerate(m) if e]
-        cs = ring.field.to_str(c)
+        powers = [f"{names[i]}^{e}" if e > 1 else names[i]
+                  for i, e in factors(m)]
+        cs = str(c)
         negative = cs.startswith("-")
         mag = cs[1:] if negative else cs
-        if factors and mag == "1":
-            body = "*".join(factors)
-        elif factors:
-            body = "*".join([mag] + factors)
+        if powers and mag == "1":
+            body = "*".join(powers)
+        elif powers:
+            body = "*".join([mag] + powers)
         else:
             body = mag
         if not parts:

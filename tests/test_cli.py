@@ -145,6 +145,15 @@ def test_oversized_exponent_is_an_input_error(tmp_path):
     assert run.stderr.startswith(f"algroup: error: {prob}: line 3, column 4:")
 
 
+def test_oversized_coefficient_is_an_input_error(tmp_path):
+    prob = tmp_path / "long.alg"
+    prob.write_text("n 1\nfield Q\n" + "9" * 5000 + "*x1 - 1\n")
+    run = run_python("-m", "algroup.cli", "decide", str(prob))
+    assert run.returncode == 1
+    assert "Traceback" not in run.stderr
+    assert run.stderr.startswith(f"algroup: error: {prob}: line 3, column 1:")
+
+
 def test_oracle_mismatch_aborts(tmp_path, capsys):
     # Over the closure of F_2 the variety of x1^2+x1+1 is the two cube
     # roots of unity, whose product escapes; the F_2 point set is empty,

@@ -13,6 +13,7 @@ from algroup import (QQ, Budget, DecisionReport, GBStats, Polynomial,
                      load_problem, parse_problem, run_checks, to_y_block,
                      variety_equals_vstar)
 from algroup import groebner
+from algroup.poly import MAX_ENGINE_DEGREE
 from algroup.decide import _Run
 
 SUITE = ["sl2.alg", "gl2.alg", "torus2.alg", "diag-antidiag.alg",
@@ -419,6 +420,35 @@ def test_field_equation_flag_without_the_equations_takes_the_general_path(
     cleared = run_checks(spec, CLOSURE_CHECKS)
     assert _closure_outcomes(flagged) == _closure_outcomes(cleared)
     assert all(res.verdict is False for res in flagged.checks.values())
+
+
+def test_reducers_are_prepared_once_per_basis(monkeypatch):
+    # Six generators under the field equations: every normal form of the
+    # inversion check divides by the basis of I, and every one of the
+    # multiplication check by the doubled hat basis.
+    prepared = []
+    real = groebner._prepare_reducers
+
+    def counting(G, ring):
+        prepared.append(ring)
+        return real(G, ring)
+
+    monkeypatch.setattr(groebner, "_prepare_reducers", counting)
+    spec = add_field_equations(parse_problem("n 2\nfield F 3\nx2\nx3\n"), 3)
+    assert run_checks(spec, ["group"]).group is True
+    assert prepared == [VarRing.matrix_ring(2, spec.field),
+                        VarRing.matrix_ring(2, spec.field, x0=True, y=True,
+                                            y0=True)]
+
+
+def test_image_over_the_degree_limit_is_undecided():
+    # (x1*y1 + x2*y3)^5462 has degree 10924: it is refused before it is
+    # expanded, and the check reports the generator and the degree.
+    spec = parse_problem("n 2\nfield Q\nx1^5462\n")
+    res = check_multiplication(spec,
+                               budget=Budget(degree_cap=MAX_ENGINE_DEGREE))
+    assert (res.verdict, res.witness_index) == (None, 1)
+    assert f"10924 > {MAX_ENGINE_DEGREE}" in res.undecided_reason
 
 
 def test_field_equation_run_starts_no_process_pool():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -13,6 +14,37 @@ def test_rational_arithmetic():
     assert QQ.inv(QQ.from_ratio(-3, 7)) == QQ.from_ratio(-7, 3)
     assert QQ.sub(half, half) == QQ.zero()
     assert QQ.mul(QQ.from_int(6), QQ.from_ratio(1, 6)) == QQ.one()
+
+
+def test_integral_rationals_are_ints():
+    # Every result with denominator 1 is an int, whatever the operands,
+    # and str() of any result is str() of the same value as a Fraction.
+    rng = random.Random(8)
+    pool = [QQ.from_ratio(rng.randint(-12, 12), rng.randint(1, 6))
+            for _ in range(40)] + [QQ.from_int(k) for k in range(-3, 4)]
+    ops = [QQ.add, QQ.sub, QQ.mul, QQ.div, QQ.neg, QQ.inv, QQ.pow]
+    integral = 0
+    for _ in range(3000):
+        op = rng.choice(ops)
+        a, b = rng.choice(pool), rng.choice(pool)
+        if op in (QQ.div, QQ.inv) and not (b if op == QQ.div else a):
+            continue
+        if op == QQ.pow:
+            if not a:
+                continue
+            v = op(a, rng.randint(-3, 3))
+        elif op in (QQ.neg, QQ.inv):
+            v = op(a)
+        else:
+            v = op(a, b)
+        assert not isinstance(v, float)
+        if Fraction(str(v)).denominator == 1:
+            assert type(v) is int, (op.__name__, a, b, v)
+            integral += 1
+        assert str(v) == str(Fraction(str(v)))
+    assert integral > 300
+    assert type(QQ.from_ratio(6, 3)) is int
+    assert type(QQ.coerce(Fraction(4, 2))) is int
 
 
 def test_prime_field_arithmetic():

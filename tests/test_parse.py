@@ -68,10 +68,28 @@ def test_parse_poly_errors_are_positioned():
 
 def test_oversized_degrees_are_positioned_parse_errors():
     # Column of the exponent, then of the '*' whose product is too large.
-    for text, col in (("x1^99999999999 - 1", 4), ("x1^2147483648 * x1^2", 15)):
+    for text, col in (("x1^99999999999 - 1", 4), ("x1^10000 * x1^1000", 10)):
         with pytest.raises(ParseError, match="degree exceeds") as err:
             parse_problem(f"n 1\nfield Q\n{text}\n")
         assert (err.value.line, err.value.col) == (3, col), text
+
+
+@pytest.mark.parametrize("text, position", [
+    ("n 1\nfield Q\n{big}*x1 - 1\n", (3, 1)),
+    ("n 1\nfield Q\nx1 - 2^{big}\n", (3, 8)),
+    ("  n {big}\nfield Q\n", (1, 5)),
+    ("n 1\nfield F {big}\n", (2, 9)),
+])
+def test_oversized_literals_are_positioned_parse_errors(text, position):
+    # Past Python's default limit on decimal string conversion.
+    with pytest.raises(ParseError, match="literal of 4301 digits") as err:
+        parse_problem(text.format(big="7" * 4301))
+    assert (err.value.line, err.value.col) == position
+
+
+def test_coefficients_at_the_literal_limit_parse():
+    spec = parse_problem("n 1\nfield Q\n" + "7" * 4300 + "*x1 - 1\n")
+    assert len(str(spec.generators[0])) == len("7" * 4300 + "*x1 - 1")
 
 
 def random_expression(rng, depth=0):
