@@ -26,6 +26,20 @@ place of the hat ideal and the numerator in place of the padded image.
 The doubled ideal's basis is one block's basis joined with its copy in
 the other block, since the two blocks share no variable.
 
+Every image is built in the quotient ring R/J of the check's base ideal
+J.  Whether an image lies in rad(J) depends only on its class modulo J,
+and the normal form modulo a Groebner basis of J is a ring map onto
+R/J: NF(a*b) = NF(NF(a)*NF(b)) (Cox, Little and O'Shea, Ideals,
+Varieties, and Algorithms, ch. 2 section 6).  So the pieces of an image
+(the adjugate and the determinant with its powers, or the entries of
+X*Y or y0*X*adj(Y)) are reduced modulo the base basis as they are
+built, and the image is their normal form.  The pieces depend on the
+base basis only, so a check builds them once for all of its generators.
+The normal form modulo a reduced basis is canonical, so the membership
+test, and its `t*f - 1` input, see the same polynomial as with the
+expanded image: verdicts and pair counts are those of the expanded
+images, and the reported witness is the reduced image.
+
 Under field equations (`add_field_equations`, which records q on the
 problem) every membership test is one normal form.  A base ideal that
 contains a squarefree univariate polynomial in each of its variables,
@@ -65,7 +79,7 @@ from .fields import PrimeField
 from .groebner import (Budget, BudgetExhausted, GBStats, GroebnerBasis,
                        buchberger, contains_one, normal_form,
                        radical_membership)
-from .matrices import (build_hat_ideal, det_poly,
+from .matrices import (adjugate, build_hat_ideal, det_poly,
                        eval_at_formal_inverse, make_k, subst_product,
                        subst_x_times_inverse_y, to_y_block)
 from .parsing import ProblemSpec
@@ -175,37 +189,57 @@ def check_identity(problem: ProblemSpec) -> CheckResult:
     return CheckResult(True, time.perf_counter() - start)
 
 
+_ImageFactory = Callable[[VarRing, GroebnerBasis],
+                         Callable[[Polynomial], Polynomial]]
+
+
 @dataclass(frozen=True)
 class _ClosureCheck:
     """One closure check: the base ideal ("I" or "hat", doubled onto the
     x and y blocks or not) and the image of a generator in the base
-    ring.  A row with a fast image has a fast path, which takes the base
-    ideal I and the fast image when V(I) = V*(I)."""
+    ring.  An image is made by a factory of the base ring and basis,
+    which builds the pieces every generator's image shares and returns
+    the map from a generator to its reduced image.  A row with a fast
+    image has a fast path, which takes the base ideal I and the fast
+    image when V(I) = V*(I)."""
 
     ideal: str
     doubled: bool
-    image: Callable[[Polynomial, VarRing], Polynomial]
-    fast_image: Callable[[Polynomial, VarRing], Polynomial] | None = None
+    image: _ImageFactory
+    fast_image: _ImageFactory | None = None
     fast_note: str | None = None
 
 
-# The images look up the matrices functions in this module's globals at
-# call time, so a wrapper or stub bound to those names later is called.
+# The factories look up the matrices functions in this module's globals
+# at call time, so a wrapper or stub bound to those names later is
+# called.  Every piece is reduced modulo the base basis as it is built.
 
-def _padded_inverse_image(f: Polynomial, ring: VarRing) -> Polynomial:
-    return make_k(eval_at_formal_inverse(f))
-
-
-def _inverse_numerator_image(f: Polynomial, ring: VarRing) -> Polynomial:
-    return change_ring(eval_at_formal_inverse(f).numerator, ring)
-
-
-def _product_image(f: Polynomial, ring: VarRing) -> Polynomial:
-    return subst_product(f, ring)
+def _inverse_pieces(ring: VarRing, base: GroebnerBasis):
+    """adj(X) and the list [1, det(X)], which the images extend with the
+    higher determinant powers they need."""
+    return adjugate(ring, "x", base), [ring.one(), det_poly(ring, "x", base)]
 
 
-def _quotient_image(f: Polynomial, ring: VarRing) -> Polynomial:
-    return subst_x_times_inverse_y(f, ring)
+def _padded_inverse_image(ring: VarRing, base: GroebnerBasis):
+    adj, powers = _inverse_pieces(ring, base)
+    return lambda f: make_k(eval_at_formal_inverse(
+        f, base, adj=adj, det_powers=powers), base, det=powers[1])
+
+
+def _inverse_numerator_image(ring: VarRing, base: GroebnerBasis):
+    adj, powers = _inverse_pieces(ring, base)
+    return lambda f: eval_at_formal_inverse(
+        change_ring(f, ring), base, adj=adj, det_powers=powers).numerator
+
+
+def _product_image(ring: VarRing, base: GroebnerBasis):
+    images: dict = {}  # the reduced entries of X*Y, filled by the first call
+    return lambda f: subst_product(f, ring, base, images=images)
+
+
+def _quotient_image(ring: VarRing, base: GroebnerBasis):
+    images: dict = {}  # the reduced entries of y0*X*adj(Y), likewise
+    return lambda f: subst_x_times_inverse_y(f, ring, base, images=images)
 
 
 _NUMERATORS_NOTE = "fast path: testing numerators in the plain ideal"
@@ -318,9 +352,11 @@ class _Run:
     def closure_check(self, name: str) -> CheckResult:
         """Run the closure check `name` of `_CLOSURE_CHECKS`: one
         radical-membership test of each generator's image, in generator
-        order, up to the first that fails or runs out of budget.  When
-        the base ideal is radical, each test is one normal form.  Only
-        the reported generator's image is rendered."""
+        order, up to the first that fails or runs out of budget.  The
+        pieces the images share are built once, modulo the base basis,
+        before the first test.  When the base ideal is radical, each
+        test is one normal form.  Only the reported generator's image is
+        rendered."""
         check = _CLOSURE_CHECKS[name]
         start = time.perf_counter()
         gens = [(idx, f) for idx, f in enumerate(self.problem.generators,
@@ -343,10 +379,10 @@ class _Run:
         except BudgetExhausted as exc:
             return _result(None, start, stats, undecided_reason=str(exc),
                            note=note)
-        image = check.fast_image if use_fast else check.image
+        image = (check.fast_image if use_fast else check.image)(ring, base)
         for idx, f in gens:
             try:
-                f = image(f, ring)
+                f = image(f)
             except OverflowError as exc:
                 return _result(None, start, stats, witness_index=idx,
                                undecided_reason=f"undecided: image of the "

@@ -2,16 +2,35 @@
 
 The x block identifies the variable x_{(i-1)n+j} with matrix entry
 (i, j), row major; the y block does the same with y variables.  This
-module provides the expanded determinant and adjugate of a block, the
+module provides the determinant and adjugate of a block, the
 invertibility witness x0*det(x) - 1, the matrix-product substitution,
 and the formal-inverse image of a polynomial with its denominator
 exponent.
+
+Each closure-check construction takes an optional `modulo`, a Groebner
+basis of its target ring.  Normal form modulo a Groebner basis of J is a
+ring map onto R/J: NF(a*b) = NF(NF(a)*NF(b)) and NF(a + b) = NF(a) +
+NF(b).  So with `modulo` a construction reduces its pieces as it builds
+them (each minor of the cofactor expansion, each determinant power,
+each entry image) and returns NF(image), the same polynomial as the
+normal form of the expanded image, without ever expanding it.  The
+products inside a substitution are not reduced one by one: a reduction
+per partial product costs more than it saves.  Without `modulo` each
+construction returns the expanded polynomial.
+
+The pieces that do not depend on the polynomial being mapped can be
+passed in, so that one closure check builds them once for all of its
+generators: the adjugate and the determinant, and two memos the
+constructions fill on first use, the list of determinant powers and the
+dict of entry images.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import groebner
+from .groebner import GroebnerBasis
 from .parsing import ProblemSpec
 from .poly import Polynomial, VarRing, change_ring
 
@@ -29,7 +48,15 @@ def _entries(ring: VarRing, block: str):
             for i in range(1, n + 1)]
 
 
-def _minor_function(entries, ring: VarRing):
+def _reduction(modulo: GroebnerBasis | None):
+    """The normal form modulo the basis `modulo`, or the identity."""
+    if modulo is None:
+        return lambda p: p
+    # Looked up at call time, so that a wrapper bound later is called.
+    return lambda p: groebner.normal_form(p, modulo)
+
+
+def _minor_function(entries, ring: VarRing, reduce):
     memo: dict = {}
 
     def minor(rows: tuple, cols: tuple) -> Polynomial:
@@ -45,28 +72,33 @@ def _minor_function(entries, ring: VarRing):
             sub = minor(rows[1:], cols[:pos] + cols[pos + 1:])
             term = entries[i][j] * sub
             acc = acc + term if pos % 2 == 0 else acc - term
-        memo[key] = acc
+        memo[key] = acc = reduce(acc)
         return acc
 
     return minor
 
 
-def det_poly(ring: VarRing, block: str = "x") -> Polynomial:
-    """Expanded determinant of the generic block, by cofactor expansion."""
+def det_poly(ring: VarRing, block: str = "x",
+             modulo: GroebnerBasis | None = None) -> Polynomial:
+    """Determinant of the generic block, by cofactor expansion; with
+    `modulo`, its normal form, each minor reduced as it is built."""
     entries = _entries(ring, block)
     n = ring.n
-    return _minor_function(entries, ring)(tuple(range(n)), tuple(range(n)))
+    minor = _minor_function(entries, ring, _reduction(modulo))
+    return minor(tuple(range(n)), tuple(range(n)))
 
 
-def adjugate(ring: VarRing, block: str = "x") -> list[list[Polynomial]]:
+def adjugate(ring: VarRing, block: str = "x",
+             modulo: GroebnerBasis | None = None) -> list[list[Polynomial]]:
     """Classical adjoint of the generic block: adj[i][j] = cofactor(j, i).
 
     Satisfies X * adj(X) = adj(X) * X = det(X) * identity as polynomial
-    identities.  Indices in the result are 0-based.
+    identities.  Indices in the result are 0-based.  With `modulo`, each
+    entry is its normal form, each minor reduced as it is built.
     """
     entries = _entries(ring, block)
     n = ring.n
-    minor = _minor_function(entries, ring)
+    minor = _minor_function(entries, ring, _reduction(modulo))
     adj = []
     for i in range(n):
         row = []
@@ -103,20 +135,43 @@ def _assert_x_block_only(f: Polynomial, allow_x0: bool = False) -> None:
                              "expected x-block variables only")
 
 
-def subst_product(f: Polynomial, target: VarRing) -> Polynomial:
-    """f with each entry variable replaced by the matrix-product entry:
-    x_{(i-1)n+j} maps to the (i, j) entry of X*Y in the target ring."""
+def _matmul(a, b, zero: Polynomial):
+    n = len(a)
+    return [[sum((a[i][k] * b[k][j] for k in range(n)), zero)
+             for j in range(n)] for i in range(n)]
+
+
+def _substitute(f: Polynomial, target: VarRing, entries,
+                modulo: GroebnerBasis | None,
+                images: dict | None) -> Polynomial:
+    """f with x_{(i-1)n+j} replaced by entry (i, j) of the matrix that
+    entries() returns; with `modulo`, the entries and the result are
+    reduced.  `images` memoises the entry images: an empty dict is
+    filled, and a filled one is used as it is."""
     _assert_x_block_only(f)
-    n = f.ring.n
-    images = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            acc = target.zero()
-            for k in range(1, n + 1):
-                acc = acc + target.var(entry_name("x", i, k, n)) * \
-                    target.var(entry_name("y", k, j, n))
-            images[entry_name("x", i, j, n)] = acc
-    return f.substitute(images, target)
+    reduce = _reduction(modulo)
+    images = {} if images is None else images
+    if not images:
+        n = f.ring.n
+        for i, row in enumerate(entries(), start=1):
+            for j, e in enumerate(row, start=1):
+                images[entry_name("x", i, j, n)] = reduce(e)
+    return reduce(f.substitute(images, target))
+
+
+def subst_product(f: Polynomial, target: VarRing,
+                  modulo: GroebnerBasis | None = None, *,
+                  images: dict | None = None) -> Polynomial:
+    """f with each entry variable replaced by the matrix-product entry:
+    x_{(i-1)n+j} maps to the (i, j) entry of X*Y in the target ring.
+
+    With `modulo`, the entries of X*Y and the result are normal forms.
+    `images`, when given, memoises the entry images for every call with
+    the same target and `modulo`; an empty dict is filled.
+    """
+    return _substitute(f, target, lambda: _matmul(
+        _entries(target, "x"), _entries(target, "y"), target.zero()),
+        modulo, images)
 
 
 def to_y_block(f: Polynomial, target: VarRing) -> Polynomial:
@@ -134,25 +189,36 @@ class FormalInverseImage:
     denom_exponent: int
 
 
-def eval_at_formal_inverse(f: Polynomial) -> FormalInverseImage:
+def eval_at_formal_inverse(f: Polynomial,
+                           modulo: GroebnerBasis | None = None, *,
+                           adj: list | None = None,
+                           det_powers: list | None = None
+                           ) -> FormalInverseImage:
     """Clear denominators out of f evaluated at the formal inverse.
 
     With L the total degree of f, a term of degree m contributes its
     coefficient times the matching adjugate entries times det^(L-m), so
     the numerator h satisfies h(v) = det(v)^L * f(v^-1) for every
     invertible v.  The denominator exponent is fixed at L.
+
+    With `modulo`, the numerator is the normal form of h.  `adj` and
+    `det_powers`, when given, are adj(X) and the list [1, det(X), ...]
+    of f's ring, reduced modulo `modulo` when it is given; the list is
+    extended in place up to det^L, so that one list serves every f.
     """
     _assert_x_block_only(f)
     ring = f.ring
     if not f:
         return FormalInverseImage(ring.zero(), 0)
+    reduce = _reduction(modulo)
     n = ring.n
-    adj = adjugate(ring, "x")
-    det = det_poly(ring, "x")
+    if adj is None:
+        adj = adjugate(ring, "x", modulo)
+    if det_powers is None:
+        det_powers = [ring.one(), det_poly(ring, "x", modulo)]
     degree = f.total_degree()
-    det_pow = [ring.one()]
-    for _ in range(degree):
-        det_pow.append(det_pow[-1] * det)
+    while len(det_powers) <= degree:
+        det_powers.append(reduce(det_powers[-1] * det_powers[1]))
     adj_for_index = {}
     for k in range(1, n * n + 1):
         i, j = (k - 1) // n, (k - 1) % n
@@ -161,7 +227,7 @@ def eval_at_formal_inverse(f: Polynomial) -> FormalInverseImage:
     power_cache: dict = {}
     acc = ring.zero()
     for m, c in f.terms.items():
-        term = ring.const(c) * det_pow[degree - codec.degree(m)]
+        term = ring.const(c) * det_powers[degree - codec.degree(m)]
         for key in codec.factors(m):
             p = power_cache.get(key)
             if p is None:
@@ -169,28 +235,35 @@ def eval_at_formal_inverse(f: Polynomial) -> FormalInverseImage:
                 power_cache[key] = p
             term = term * p
         acc = acc + term
-    return FormalInverseImage(acc, degree)
+    return FormalInverseImage(reduce(acc), degree)
 
 
-def make_k(img: FormalInverseImage) -> Polynomial:
+def make_k(img: FormalInverseImage, modulo: GroebnerBasis | None = None, *,
+           det: Polynomial | None = None) -> Polynomial:
     """Multiply the formal-inverse numerator by one more det factor,
-    making it vanish on singular points as well."""
-    return img.numerator * det_poly(img.numerator.ring, "x")
+    making it vanish on singular points as well.  With `modulo`, the
+    result is a normal form; `det`, when given, is det(X), reduced
+    modulo `modulo` when it is given."""
+    if det is None:
+        det = det_poly(img.numerator.ring, "x", modulo)
+    return _reduction(modulo)(img.numerator * det)
 
 
-def subst_x_times_inverse_y(f: Polynomial, target: VarRing) -> Polynomial:
+def subst_x_times_inverse_y(f: Polynomial, target: VarRing,
+                            modulo: GroebnerBasis | None = None, *,
+                            images: dict | None = None) -> Polynomial:
     """f with entry (i, j) replaced by y0 times the (i, j) entry of
     X*adj(Y); modulo the y-block witness relation, y0 stands for
-    det(y)^-1, so this represents f at x times the formal inverse of y."""
-    _assert_x_block_only(f)
-    n = f.ring.n
-    adj_y = adjugate(target, "y")
-    y0 = target.var("y0")
-    images = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            acc = target.zero()
-            for k in range(1, n + 1):
-                acc = acc + target.var(entry_name("x", i, k, n)) * adj_y[k - 1][j - 1]
-            images[entry_name("x", i, j, n)] = y0 * acc
-    return f.substitute(images, target)
+    det(y)^-1, so this represents f at x times the formal inverse of y.
+
+    With `modulo`, adj(Y), the entry images and the result are normal
+    forms.  `images`, when given, memoises the entry images for every
+    call with the same target and `modulo`; an empty dict is filled.
+    """
+    def entries():
+        y0 = target.var("y0")
+        xadj = _matmul(_entries(target, "x"), adjugate(target, "y", modulo),
+                       target.zero())
+        return [[y0 * e for e in row] for row in xadj]
+
+    return _substitute(f, target, entries, modulo, images)

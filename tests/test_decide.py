@@ -1,18 +1,21 @@
 import json
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
 from algroup import (QQ, Budget, DecisionReport, GBStats, Polynomial,
-                     VarRing, add_field_equations, buchberger, build_f0,
-                     change_ring, check_division, check_identity,
+                     ProblemSpec, VarRing, add_field_equations, buchberger,
+                     build_f0, change_ring, check_division, check_identity,
                      check_inversion, check_inversion_alt,
                      check_multiplication, decide, enumerate_variety,
-                     is_group, is_group_alt, is_group_bruteforce,
-                     load_problem, parse_problem, run_checks, to_y_block,
+                     eval_at_formal_inverse, is_group, is_group_alt,
+                     is_group_bruteforce, load_problem, make_k, normal_form,
+                     parse_problem, run_checks, subst_product,
+                     subst_x_times_inverse_y, to_y_block,
                      variety_equals_vstar)
-from algroup import groebner
+from algroup import groebner, matrices
 from algroup.poly import MAX_ENGINE_DEGREE
 from algroup.decide import _Run
 
@@ -456,3 +459,113 @@ def test_field_equation_run_starts_no_process_pool():
     assert check_multiplication(spec).verdict is True
     restricted = add_field_equations(spec, 3)  # six generators
     assert check_multiplication(restricted).verdict is True
+
+
+# The expanded construction of each image factory: no `modulo`.
+EXPANDED_IMAGES = {
+    decide._padded_inverse_image:
+        lambda f, ring: make_k(eval_at_formal_inverse(f)),
+    decide._inverse_numerator_image:
+        lambda f, ring: change_ring(eval_at_formal_inverse(f).numerator, ring),
+    decide._product_image: subst_product,
+    decide._quotient_image: subst_x_times_inverse_y,
+}
+
+
+def _over_q(spec):
+    """The problem with its integer coefficients read over Q."""
+    ring = VarRing.matrix_ring(spec.n, QQ)
+    return ProblemSpec(spec.n, QQ, [Polynomial(ring, f.exponents())
+                                    for f in spec.generators], ring)
+
+
+def test_reduced_images_equal_the_normal_forms_of_the_expanded_ones(
+        problems_dir):
+    specs = list(_field_equation_corpus(101))
+    specs += [_over_q(spec) for spec in specs]
+    specs += [load_problem(p) for p in sorted(problems_dir.glob("*.alg"))]
+    assert {spec.field.characteristic for spec in specs} == {0, 2, 3, 5}
+    compared = Counter()
+    for spec in specs:
+        run = _Run(spec, Budget(), False)
+        gens = [f for f in spec.generators if f]
+        for name, check in decide._CLOSURE_CHECKS.items():
+            for fast in (False, True):
+                # A fast image is built modulo the plain ideal I.
+                factory = check.fast_image if fast else check.image
+                ideal = "I" if fast else check.ideal
+                if factory is None:
+                    continue
+                if check.doubled:
+                    ring, base = run.product_base(ideal == "hat", GBStats())
+                else:
+                    ring, base = run.ideal(ideal, GBStats())
+                # One factory call per check: every generator's image
+                # reuses its pieces, as in a decision.
+                image = factory(ring, base)
+                for f in gens:
+                    want = normal_form(EXPANDED_IMAGES[factory](f, ring), base)
+                    assert image(f) == want, (spec.generators, name, fast, f)
+                    compared[name, fast] += 1
+    assert len(compared) == 7 and min(compared.values()) >= 50
+
+
+def test_closure_checks_build_the_determinant_and_adjugate_once(monkeypatch):
+    # The 3x3 torus: six generators, every one tested by every check.
+    spec = parse_problem("n 3\nfield Q\nx2\nx3\nx4\nx6\nx7\nx8\n")
+    checks, calls = [], []
+    real_check = _Run.closure_check
+
+    def tracking(self, name):
+        checks.append(name)
+        return real_check(self, name)
+
+    monkeypatch.setattr(_Run, "closure_check", tracking)
+    for module in (decide, matrices):
+        for name in ("adjugate", "det_poly"):
+            def counting(ring, block="x", *args, real=getattr(matrices, name),
+                         name=name, **kwargs):
+                calls.append((checks[-1] if checks else None, name, ring,
+                              block))
+                return real(ring, block, *args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting, raising=False)
+    report = run_checks(spec, ["group", "group-alt"])
+    assert report.group is True and report.group_alt is True
+    per_check = Counter(calls)
+    assert {(check, name) for check, name, _, _ in per_check} >= {
+        ("inversion", "adjugate"), ("inversion", "det_poly"),
+        ("division", "adjugate")}
+    assert max(per_check.values()) == 1, per_check
+
+
+def _diagonal_family(n, quadratic):
+    """Every off-diagonal entry zero, then quadratic(d) for each diagonal
+    entry d."""
+    entries = [f"x{k}" for k in range(1, n * n + 1)]
+    diagonal = entries[::n + 1]
+    lines = [e for e in entries if e not in diagonal]
+    lines += [quadratic.format(d=d) for d in diagonal]
+    return parse_problem(f"n {n}\nfield Q\n" + "\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("quadratic, verdict, index", [
+    ("{d}^2 - 1", True, None),
+    ("({d} - 1)*({d} - 2)", False, 21)])
+def test_n5_diagonal_quadratics_build_small_images(monkeypatch, quadratic,
+                                                   verdict, index):
+    # Expanded before reduction, the inversion images of these families
+    # reach 201,096 terms; reduced as they are built, a few dozen.
+    sizes = []
+    real = Polynomial._make
+
+    def recording(ring, terms):
+        sizes.append(len(terms))
+        return real(ring, terms)
+
+    monkeypatch.setattr(Polynomial, "_make", staticmethod(recording))
+    report = run_checks(_diagonal_family(5, quadratic), ["group", "group-alt"])
+    assert (report.group, report.group_alt) == (verdict, verdict)
+    assert report.checks["inversion"].witness_index == index
+    assert report.checks["division"].witness_index == index
+    assert max(sizes) < 1000
