@@ -1,26 +1,37 @@
 """Groebner-basis engine: Buchberger's algorithm, normal forms, ideal
 triviality, and radical membership via an adjoined inverse variable.
 
-Basis elements are kept monic throughout.  Pair selection follows the
-normal strategy (smallest lcm degree first); pair pruning follows the
-Gebauer-Moeller update, which implements the coprime-lead and chain
-criteria.  Every run is bounded by an explicit Budget, and exhausting it
-raises BudgetExhausted instead of ever returning a possibly wrong
-verdict.
+Pair selection follows the normal strategy (smallest lcm degree first);
+pair pruning follows the Gebauer-Moeller update, which implements the
+coprime-lead and chain criteria.  Every run is bounded by an explicit
+Budget, and exhausting it raises BudgetExhausted instead of ever
+returning a possibly wrong verdict.
 
 The engine works on `Polynomial.terms` as they are: packed monomials
 (see `poly`), whose products are integer additions and whose
 divisibility, lcm and degrevlex key are the ring codec's word-parallel
 integer operations, and coefficients in the field's canonical form.  A
-basis element is prepared for division once, as its packed lead and its
-tail made monic, and a GroebnerBasis keeps its prepared reducers for
-every later normal form.
+basis element is prepared for division once, as its packed lead, its
+lead coefficient and its tail, and a GroebnerBasis keeps its prepared
+reducers for every later normal form.
+
+Over F_p a prepared reducer is monic.  Over Q it is a primitive integer
+polynomial with a positive lead coefficient, and reduction is
+fraction-free (Knuth, TAOCP vol. 2, 4.6.1): to cancel a term c*m by a
+reducer of lead coefficient lc, the pending terms are multiplied by
+lc/gcd(c, lc) instead of the reducer being divided by lc.  Each such
+step is a nonzero multiple of the monic one, so both choose the same
+reducers and reach the same zero remainders; a normal form divides by
+the tracked scale once, at the end.  The bases returned are monic.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field as dataclass_field
+from itertools import islice
+from math import gcd, lcm
+from operator import attrgetter
 
 from .poly import (MAX_ENGINE_DEGREE, Polynomial, VarRing, _degree_error,
                    change_ring)
@@ -81,37 +92,74 @@ class GroebnerBasis:
         return self._prepared[1]
 
 
-# A prepared reducer is (packed lead, lead coefficient, packed tail items).
+# A prepared reducer is (packed lead, lead coefficient, packed tail
+# items): monic over F_p, primitive with int coefficients and a positive
+# lead coefficient over Q.
+
+_denominator = attrgetter("denominator")
 
 
-def _prepare_monic(terms: dict, codec, field):
+def _clear_denominators(terms: dict) -> tuple[dict, int]:
+    """The terms times the lcm D of their denominators, as ints, and D."""
+    den = lcm(*map(_denominator, terms.values()))
+    if den == 1:
+        return terms, 1
+    # int() keeps gmpy2's integers out of the engine.
+    return {m: int(c.numerator * (den // c.denominator))
+            for m, c in terms.items()}, den
+
+
+def _prepare(terms: dict, codec, p: int):
     lm = max(terms, key=codec.key)
     lc = terms[lm]
-    if lc == 1:
-        tail = [(m, c) for m, c in terms.items() if m != lm]
+    if p:
+        if lc != 1:
+            inv = pow(lc, -1, p)
+            terms = {m: inv * c % p for m, c in terms.items()}
     else:
-        inv = field.inv(lc)
-        fmul = field.mul
-        tail = [(m, fmul(inv, c)) for m, c in terms.items() if m != lm]
-    return lm, field.one(), tail
+        terms, _ = _clear_denominators(terms)
+        g = gcd(*terms.values())
+        if terms[lm] < 0:
+            g = -g
+        if g != 1:
+            terms = {m: c // g for m, c in terms.items()}
+    return lm, terms[lm], [(m, c) for m, c in terms.items() if m != lm]
 
 
 def _prepare_reducers(G, ring: VarRing) -> list:
     if any(g.ring != ring for g in G):
         raise ValueError("divisor lives in a different ring")
-    return [_prepare_monic(g.terms, ring.codec, ring.field) for g in G if g]
+    p = ring.field.characteristic
+    return [_prepare(g.terms, ring.codec, p) for g in G if g]
+
+
+def _divided(items, den: int, field) -> dict:
+    """The terms (m, c) of items with c divided by den."""
+    ratio = field.from_ratio
+    return {m: ratio(c, den) for m, c in items}
 
 
 def _as_poly(prep, ring: VarRing) -> Polynomial:
+    """The prepared element made monic."""
     lm, lc, tail = prep
-    return Polynomial._make(ring, {**dict(tail), lm: lc})
+    terms = dict(tail) if lc == 1 else _divided(tail, lc, ring.field)
+    terms[lm] = 1
+    return Polynomial._make(ring, terms)
 
 
-def _reduce_terms(terms: dict, reducers, codec, field,
-                  degree_cap: int) -> dict:
-    """Fully reduce a packed term dict; returns the packed remainder."""
+def _reduce_terms(terms: dict, reducers, codec, p: int,
+                  degree_cap: int) -> tuple[dict, int]:
+    """Fully reduce a packed term dict with integral coefficients.
+
+    Returns (rem, s): rem is s times the remainder, for a positive
+    integer s that is 1 over F_p (p > 0) and after steps by monic
+    reducers only.
+    """
     work = dict(terms)
     rem: dict = {}
+    scale = 1
+    # (terms in rem, scale they left at) before each rescaling of work.
+    marks: list[tuple[int, int]] = []
     deg_shift = codec.deg_shift
     guard = codec.guard
     keyf = codec.key
@@ -123,7 +171,6 @@ def _reduce_terms(terms: dict, reducers, codec, field,
         heap.append((-keyf(m), m))
     heapq.heapify(heap)
     push, pop = heapq.heappush, heapq.heappop
-    canonical = field.canonical
     while heap:
         m = pop(heap)[1]
         c = work.get(m)
@@ -138,6 +185,17 @@ def _reduce_terms(terms: dict, reducers, codec, field,
             rem[m] = c
             continue
         del work[m]
+        if lc != 1:
+            # With the work scaled by lc/g, the term (lc/g)*c*m cancels
+            # against (c/g)*x^u times the reducer's lead term.
+            g = gcd(c, lc)
+            f = lc // g
+            c //= g
+            if f != 1:
+                if rem:
+                    marks.append((len(rem), scale))
+                scale *= f
+                work = {k: v * f for k, v in work.items()}
         u = m - lm
         for mt, ct in tail:
             mm = mt + u
@@ -146,15 +204,26 @@ def _reduce_terms(terms: dict, reducers, codec, field,
                 if mm >> deg_shift > degree_cap:
                     raise BudgetExhausted(
                         f"monomial degree {mm >> deg_shift} over cap {degree_cap}")
-                work[mm] = canonical(-c * ct)
+                work[mm] = -c * ct % p if p else -c * ct
                 push(heap, (-keyf(mm), mm))
             else:
-                v = canonical(prev - c * ct)
+                v = (prev - c * ct) % p if p else prev - c * ct
                 if v:
                     work[mm] = v
                 else:
                     del work[mm]
-    return rem
+    if marks:
+        # Bring the terms that left before a rescaling to the final scale.
+        items = iter(rem.items())
+        rem = {}
+        done = 0
+        for count, before in marks:
+            f = scale // before
+            for m, c in islice(items, count - done):
+                rem[m] = c * f
+            done = count
+        rem.update(items)
+    return rem, scale
 
 
 def normal_form(f: Polynomial, G, degree_cap: int | None = None) -> Polynomial:
@@ -177,12 +246,17 @@ def normal_form(f: Polynomial, G, degree_cap: int | None = None) -> Polynomial:
         reducers = _prepare_reducers(G, ring)
     deg_shift = ring.codec.deg_shift
     for lm, _, _ in reducers:
-        # A monic reducer's lead has its largest degree under degrevlex.
+        # A reducer's lead has its largest degree under degrevlex.
         if lm >> deg_shift > cap:
             raise BudgetExhausted(f"input degree {lm >> deg_shift} over cap {cap}")
     if not reducers or not f:
         return f
-    rem = _reduce_terms(f.terms, reducers, ring.codec, ring.field, cap)
+    p = ring.field.characteristic
+    terms, den = (f.terms, 1) if p else _clear_denominators(f.terms)
+    rem, scale = _reduce_terms(terms, reducers, ring.codec, p, cap)
+    den *= scale
+    if den != 1:
+        rem = _divided(rem.items(), den, ring.field)
     return Polynomial._make(ring, rem)
 
 
@@ -194,30 +268,38 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     if not f or not g:
         raise ValueError("S-polynomial of the zero polynomial")
     ring = f.ring
-    a = _prepare_monic(f.terms, ring.codec, ring.field)
-    b = _prepare_monic(g.terms, ring.codec, ring.field)
-    lcm = ring.codec.lcm(a[0], b[0])
-    if lcm >> ring.codec.deg_shift > MAX_ENGINE_DEGREE:
-        raise _degree_error(lcm >> ring.codec.deg_shift)
-    return Polynomial._make(ring, _spair_terms(a, b, lcm, ring.field))
+    p = ring.field.characteristic
+    a = _prepare(f.terms, ring.codec, p)
+    b = _prepare(g.terms, ring.codec, p)
+    l = ring.codec.lcm(a[0], b[0])
+    if l >> ring.codec.deg_shift > MAX_ENGINE_DEGREE:
+        raise _degree_error(l >> ring.codec.deg_shift)
+    terms = _spair_terms(a, b, l, p)
+    # The integral S-pair is lcm(lc_a, lc_b) times the monic one.
+    den = lcm(a[1], b[1])
+    if den != 1:
+        terms = _divided(terms.items(), den, ring.field)
+    return Polynomial._make(ring, terms)
 
 
-def _spair_terms(a, b, lcm, field) -> dict:
-    # Both reducers are monic, so the lead terms cancel exactly.
-    lma, _, taila = a
-    lmb, _, tailb = b
-    ua, ub = lcm - lma, lcm - lmb
-    terms: dict = {}
-    for m, c in taila:
-        terms[m + ua] = c
-    fsub, fneg = field.sub, field.neg
+def _spair_terms(a, b, l, p: int) -> dict:
+    # (lc_b/g)*x^ua*a - (lc_a/g)*x^ub*b with g = gcd(lc_a, lc_b): the
+    # lead terms cancel exactly and the result is integral.
+    lma, lca, taila = a
+    lmb, lcb, tailb = b
+    fa = fb = 1
+    if lca != lcb:
+        g = gcd(lca, lcb)
+        fa, fb = lcb // g, lca // g
+    ua, ub = l - lma, l - lmb
+    terms = {m + ua: fa * c for m, c in taila}
     for m, c in tailb:
         mm = m + ub
         prev = terms.get(mm)
         if prev is None:
-            terms[mm] = fneg(c)
+            terms[mm] = -fb * c % p if p else -fb * c
         else:
-            v = fsub(prev, c)
+            v = (prev - fb * c) % p if p else prev - fb * c
             if v:
                 terms[mm] = v
             else:
@@ -225,7 +307,7 @@ def _spair_terms(a, b, lcm, field) -> dict:
     return terms
 
 
-def _interreduce(G, ring, codec, field, degree_cap) -> list[Polynomial]:
+def _interreduce(G, ring, codec, p, degree_cap) -> list[Polynomial]:
     # Minimal basis: drop elements whose lead another lead divides.
     items = sorted(G, key=lambda prep: codec.key(prep[0]))
     minimal = []
@@ -243,9 +325,11 @@ def _interreduce(G, ring, codec, field, degree_cap) -> list[Polynomial]:
             others = minimal[:idx] + minimal[idx + 1:]
             if not others:
                 continue
-            reduced = _reduce_terms(dict(tail), others, codec, field, degree_cap)
-            if reduced != dict(tail):
-                minimal[idx] = (lm, lc, sorted(reduced.items()))
+            terms = dict(tail)
+            reduced, scale = _reduce_terms(terms, others, codec, p, degree_cap)
+            if scale != 1 or reduced != terms:
+                reduced[lm] = lc * scale
+                minimal[idx] = _prepare(reduced, codec, p)
                 changed = True
     return [_as_poly(prep, ring) for prep in minimal]
 
@@ -255,6 +339,9 @@ def buchberger(gens, budget: Budget | None = None, *,
                assume_gb_prefix: int = 0, stats: GBStats | None = None,
                reduce_basis: bool = True) -> GroebnerBasis:
     """Reduced monic Groebner basis of the ideal generated by gens.
+
+    During the run the reducers are primitive integer polynomials with
+    positive leads over Q and monic over F_p; the basis returned is monic.
 
     assume_gb_prefix marks the first k generators as an already computed
     Groebner basis, so their internal S-pairs are skipped.  Exceeding the
@@ -283,7 +370,7 @@ def buchberger(gens, budget: Budget | None = None, *,
     if any(g.is_constant for g in polys):
         return finish([ring.one()])
 
-    field = ring.field
+    p = ring.field.characteristic
     codec = ring.codec
     degree_cap = budget.degree_cap
     for g in polys:
@@ -345,7 +432,7 @@ def buchberger(gens, budget: Budget | None = None, *,
                 heapq.heappush(heap, (l >> deg_shift, keyf(l), i, t))
 
         for j, g in enumerate(polys):
-            add_element(_prepare_monic(g.terms, codec, field),
+            add_element(_prepare(g.terms, codec, p),
                         make_pairs=j >= assume_gb_prefix)
 
         while heap:
@@ -356,12 +443,12 @@ def buchberger(gens, budget: Budget | None = None, *,
             if local.pairs_processed >= budget.pair_cap:
                 raise BudgetExhausted(f"pair cap {budget.pair_cap} reached")
             local.pairs_processed += 1
-            sterms = _spair_terms(G[i], G[j], l, field)
-            rem = _reduce_terms(sterms, active, codec, field, degree_cap)
+            sterms = _spair_terms(G[i], G[j], l, p)
+            rem, _ = _reduce_terms(sterms, active, codec, p, degree_cap)
             if not rem:
                 local.reductions_to_zero += 1
                 continue
-            prep = _prepare_monic(rem, codec, field)
+            prep = _prepare(rem, codec, p)
             if prep[0] >> deg_shift == 0:
                 # A nonzero constant: the ideal is the whole ring.
                 return finish([ring.one()])
@@ -369,7 +456,7 @@ def buchberger(gens, budget: Budget | None = None, *,
 
         if not reduce_basis:
             return finish([_as_poly(prep, ring) for prep in G])
-        return finish(_interreduce(G, ring, codec, field, degree_cap))
+        return finish(_interreduce(G, ring, codec, p, degree_cap))
     except BudgetExhausted:
         if stats is not None:
             stats.merge(local)

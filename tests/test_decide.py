@@ -569,3 +569,48 @@ def test_n5_diagonal_quadratics_build_small_images(monkeypatch, quadratic,
     assert report.checks["inversion"].witness_index == index
     assert report.checks["division"].witness_index == index
     assert max(sizes) < 1000
+
+
+def _random_sl_z(rng, n):
+    """g in SL_n(Z) as a product of elementary matrices, with its inverse."""
+    g = [[int(i == j) for j in range(n)] for i in range(n)]
+    ginv = [row[:] for row in g]
+    for _ in range(3 if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        e = rng.choice([-2, -1, 1, 2])
+        # g <- g*(I + e*E_ij) and ginv <- (I - e*E_ij)*ginv.
+        for row in g:
+            row[j] += e * row[i]
+        ginv[i] = [a - e * b for a, b in zip(ginv[i], ginv[j])]
+    return g, ginv
+
+
+def test_q_verdicts_are_invariant_under_scaling_and_conjugation(problems_dir):
+    # V and g*V*g^-1 are groups together, generator by generator: the
+    # map X -> g^-1*X*g is a ring automorphism that carries each image
+    # and each base ideal of one problem onto those of the other.
+    # Scaling a generator by a nonzero constant changes no ideal.
+    # Non-unit and fractional scalars give every basis non-monic input.
+    rng = random.Random(41)
+    scalars = [QQ.from_ratio(a, b) for a, b in
+               [(2, 1), (-3, 1), (1, 2), (-2, 3), (5, 4), (7, 9)]]
+    fixtures = [load_problem(path) for path in sorted(problems_dir.glob("*.alg"))]
+    fixtures = [spec for spec in fixtures if spec.field == QQ]
+    assert len(fixtures) == 9
+    for spec in fixtures:
+        n, ring = spec.n, spec.ring
+        X = [[ring.var(matrices.entry_name("x", i + 1, j + 1, n))
+              for j in range(n)] for i in range(n)]
+        g, ginv = _random_sl_z(rng, n)
+        images = {matrices.entry_name("x", i + 1, j + 1, n):
+                  sum((ring.from_int(ginv[i][k] * g[l][j]) * X[k][l]
+                       for k in range(n) for l in range(n)), ring.zero())
+                  for i in range(n) for j in range(n)}
+        moved = replace(spec, generators=[
+            f.substitute(images) * ring.const(rng.choice(scalars))
+            for f in spec.generators])
+        want = run_checks(spec, ["group", "group-alt"])
+        got = run_checks(moved, ["group", "group-alt"])
+        assert (got.group, got.group_alt) == (want.group, want.group_alt)
+        assert _closure_outcomes(got) == _closure_outcomes(want), \
+            (spec.source, g)

@@ -1,4 +1,6 @@
+import fractions
 import random
+from math import gcd
 
 import pytest
 
@@ -6,6 +8,23 @@ from algroup import (Budget, BudgetExhausted, Polynomial, PrimeField, QQ,
                      VarRing, buchberger, contains_one, normal_form,
                      parse_poly, radical_membership, s_polynomial)
 from algroup.groebner import MAX_ENGINE_DEGREE
+
+# Coefficients with non-unit numerators and denominators, for the
+# fraction-free reduction over Q.
+Q_COEFFS = [QQ.from_ratio(a, b) for a, b in
+            [(1, 1), (-1, 1), (2, 1), (-3, 1), (3, 2), (-5, 7), (1, 3),
+             (4, 9), (-7, 4)]]
+
+
+def _random_q_poly(rng, ring, variables, max_terms=3, max_degree=2):
+    """A random polynomial over Q whose first term is not constant."""
+    terms = {}
+    for k in range(rng.randint(1, max_terms)):
+        exps = [0] * ring.arity
+        for _ in range(rng.randint(k == 0, max_degree)):
+            exps[rng.choice(variables)] += 1
+        terms[tuple(exps)] = rng.choice(Q_COEFFS)
+    return Polynomial(ring, terms)
 
 
 def ring1():
@@ -264,12 +283,124 @@ def test_cross_check_against_sympy():
         [parse_poly("x1^2 - x2", r), parse_poly("x2^2 - x3", r),
          parse_poly("x3^2 - x1", r)],
     ]
+    # Seeded random ideals with non-unit leading coefficients and
+    # fractional coefficients, such as 3/2*x1^2 - 5*x2, which take the
+    # scaling steps of the reduction; normal forms of random polynomials
+    # are checked against sympy's reduction by its basis.
+    rng = random.Random(20)
+    fixtures += [[_random_q_poly(rng, r, range(3), max_terms=4)
+                  for _ in range(3)] for _ in range(12)]
     for gens in fixtures:
-        mine = {sympy.expand(_to_sympy(g, symbols))
-                for g in buchberger(gens).basis}
+        gb = buchberger(gens)
+        mine = {sympy.expand(_to_sympy(g, symbols)) for g in gb.basis}
         theirs = sympy.groebner([_to_sympy(g, symbols) for g in gens],
-                                *symbols, order="grevlex")
-        assert mine == {sympy.expand(e) for e in theirs.exprs}
+                                *symbols, order="grevlex", domain="QQ")
+        assert mine == {sympy.expand(e) for e in theirs.exprs}, gens
+        for _ in range(3):
+            f = _random_q_poly(rng, r, range(4), max_terms=4, max_degree=3)
+            want = theirs.reduce(_to_sympy(f, symbols))[1]
+            got = normal_form(f, gb)
+            assert sympy.expand(_to_sympy(got, symbols) - want) == 0, (gens, f)
+
+
+def _naive_division(f, divisors):
+    """Multivariate division with the lead terms divided by fractions:
+    the leading term of what is left is cancelled by the first divisor
+    whose lead monomial divides it, or moved to the remainder."""
+    ring = f.ring
+    divides = ring.codec.divides
+    rest, rem = f, ring.zero()
+    while rest:
+        m, c = rest.leading()
+        for g in divisors:
+            lm, lc = g.leading()
+            if divides(lm, m):
+                factor = Polynomial._make(ring, {m - lm: QQ.div(c, lc)})
+                rest = rest - factor * g
+                break
+        else:
+            lead = Polynomial._make(ring, {m: c})
+            rem, rest = rem + lead, rest - lead
+    return rem
+
+
+def test_normal_form_over_q_matches_fraction_division():
+    rng = random.Random(31)
+    r = ring2()
+    for _ in range(40):
+        divisors = [_random_q_poly(rng, r, range(4))
+                    for _ in range(rng.randint(1, 3))]
+        divisors = [g for g in divisors if not g.is_constant]
+        f = _random_q_poly(rng, r, range(4), max_terms=5, max_degree=4)
+        assert normal_form(f, divisors) == _naive_division(f, divisors), \
+            (f, divisors)
+
+
+def test_s_polynomial_is_the_monic_formula():
+    rng = random.Random(32)
+    r = ring2()
+    for _ in range(40):
+        f, g = (_random_q_poly(rng, r, range(4)) for _ in range(2))
+        (ma, ca), (mb, cb) = f.leading(), g.leading()
+        l = r.codec.lcm(ma, mb)
+        want = (Polynomial._make(r, {l - ma: QQ.inv(ca)}) * f
+                - Polynomial._make(r, {l - mb: QQ.inv(cb)}) * g)
+        assert s_polynomial(f, g) == want, (f, g)
+
+
+def test_prepared_reducers_over_q_are_primitive_integer_polynomials():
+    rng = random.Random(33)
+    r = ring2()
+    for _ in range(10):
+        gb = buchberger([_random_q_poly(rng, r, range(4)) for _ in range(3)])
+        for lm, lc, tail in gb.reducers(r):
+            coeffs = [lc] + [c for _, c in tail]
+            assert all(type(c) is int for c in coeffs)
+            assert gcd(*coeffs) == 1 and lc > 0
+            assert all(m != lm for m, _ in tail)
+        for g in gb.basis:
+            assert g.leading()[1] == 1
+
+
+def _orthogonal_group_gens(ring, n, g=None):
+    """Entries of Y^T*Y - I for Y = g^-1*X*g, the orthogonal group
+    conjugated by g in SL_n(Z) (given with its inverse)."""
+    X = [[ring.var(f"x{n * i + j + 1}") for j in range(n)] for i in range(n)]
+    if g is not None:
+        g, ginv = g
+        X = [[sum((ring.from_int(ginv[i][k] * g[l][j]) * X[k][l]
+                   for k in range(n) for l in range(n)), ring.zero())
+              for j in range(n)] for i in range(n)]
+    gens = []
+    for i in range(n):
+        for j in range(i, n):
+            e = sum((X[k][i] * X[k][j] for k in range(n)), ring.zero())
+            gens.append(e - ring.one() if i == j else e)
+    return gens
+
+
+def test_buchberger_over_q_builds_no_fractions_in_the_loop(monkeypatch):
+    # Reduction over Q runs in integers, so Fractions are built only for
+    # the monic basis returned.  The conjugated O(3) has non-unit leads:
+    # monic reducers would make each of its reduction steps a fraction
+    # product (104,499 constructions).
+    ring = VarRing.matrix_ring(3, QQ)
+    g = ([[1, 0, 0], [-1, 1, 0], [-1, 0, 1]], [[1, 0, 0], [1, 1, 0], [1, 0, 1]])
+    built = []
+    real = fractions.Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(cls)
+        return real(cls, *args, **kwargs)
+
+    for gens in (_orthogonal_group_gens(ring, 3),
+                 _orthogonal_group_gens(ring, 3, g)):
+        built.clear()
+        monkeypatch.setattr(fractions.Fraction, "__new__", counting)
+        gb = buchberger(gens)
+        monkeypatch.undo()
+        assert gb.stats.pairs_processed == 290
+        assert len(built) <= sum(len(b.terms) for b in gb.basis)
 
 
 def _random_monomial(rng, arity):
