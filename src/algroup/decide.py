@@ -40,25 +40,42 @@ test, and its `t*f - 1` input, see the same polynomial as with the
 expanded image: verdicts and pair counts are those of the expanded
 images, and the reported witness is the reduced image.
 
-Under field equations (`add_field_equations`, which records q on the
-problem) every membership test is one normal form.  A base ideal that
-contains a squarefree univariate polynomial in each of its variables,
-over a perfect field, is radical (Seidenberg's lemma; Kreuzer-Robbiano,
-Computational Commutative Algebra 1, section 3.7), and in a radical
-ideal radical membership is plain membership: a nonzero normal form
-modulo the reduced basis already decides false, and the `t*f - 1` run
-is never needed.  Every base ideal qualifies:
+A membership test is one normal form when its base ideal J is
+radical: radical membership is then plain membership, and a nonzero
+normal form modulo the reduced basis decides false.  Otherwise it takes
+the `t*f - 1` run.  Three certificates prove J radical; the answer is
+kept on J's basis (`GroebnerBasis.radical`), decided once, when the
+first test of that basis meets a nonzero normal form, so a check whose
+tests all hold pays nothing for it:
 
-- `x^q - x` has derivative -1, so it is squarefree, and F_p is perfect;
-- the hat ideal contains `x0^q - x0`: the coefficients lie in F_p and q
-  is a power of p, so det^q = det modulo the field equations; x0*det = 1
-  in the hat ideal; hence x0^q - x0 = x0*(x0^q*det - x0*det) = 0;
-- each block of a doubled ideal is a copy of a one-block ideal, in its
-  own variables.
+- field equations (`add_field_equations`, which records q on the
+  problem).  Over a perfect field, an ideal that contains a squarefree
+  univariate polynomial in each of its variables is radical
+  (Seidenberg's lemma; Kreuzer-Robbiano, Computational Commutative
+  Algebra 1, section 3.7).  Every base ideal qualifies: `x^q - x` has
+  derivative -1, so it is squarefree, and F_p is perfect; the hat ideal
+  contains `x0^q - x0`, because the coefficients lie in F_p and q is a
+  power of p, so det^q = det modulo the field equations, x0*det = 1 in
+  the hat ideal, and hence x0^q - x0 = x0*(x0^q*det - x0*det) = 0.  The
+  runner does not infer this: only when the problem records q and
+  every `x_k^q - x_k` is among its generators, checked once per run,
+  does it mark each basis radical as it makes it.
+- squarefree leads (`groebner` criterion (a)).  If every lead of a
+  Groebner basis of J is squarefree, in(J) is a squarefree monomial
+  ideal, hence radical.  For f in rad(J) with normal form r, r^k lies
+  in J, so lm(r)^k and then lm(r) lie in in(J); as no term of r is
+  divisible by a lead, r = 0.
+- zero-dimensional with squarefree minimal polynomials (`groebner`
+  criterion (b)).  The minimal polynomial mu_k of each variable x_k in
+  R/J generates J meet k[x_k]; if every mu_k is coprime to its
+  derivative, J contains a squarefree univariate polynomial in each
+  variable and is radical by the same lemma, and over a perfect field
+  the converse holds too.  The field-equation certificate is the case
+  where mu_k divides x^q - x.
 
-The runner does not infer the property: it takes this route only when
-the problem records q and every `x_k^q - x_k` is among its generators,
-checked once per run; otherwise it takes the general route.
+A doubled ideal takes its block's answer: over a perfect field, J(x) +
+J(y) is radical when J is (Bourbaki, Algebra V section 15), and both
+criteria hold for its basis exactly when they hold for J's.
 
 `run_checks` is the one entry point, for the library and the CLI alike:
 it runs a list of check names against one `_Run` into one report.  A
@@ -77,8 +94,7 @@ from typing import Callable
 
 from .fields import PrimeField
 from .groebner import (Budget, BudgetExhausted, GBStats, GroebnerBasis,
-                       buchberger, contains_one, normal_form,
-                       radical_membership)
+                       buchberger, contains_one, radical_membership)
 from .matrices import (adjugate, build_hat_ideal, det_poly,
                        eval_at_formal_inverse, make_k, subst_product,
                        subst_x_times_inverse_y, to_y_block)
@@ -275,7 +291,8 @@ class _Run:
 
     A computation's pairs count in the check that runs it.  `radical`
     records whether every base ideal is radical because the generators
-    hold the field equations the problem records.
+    hold the field equations the problem records; then every basis of
+    the run is marked radical as it is made.
     """
 
     problem: ProblemSpec
@@ -306,8 +323,10 @@ class _Run:
                 else:
                     ring, gens = problem.ring, [f for f in problem.generators
                                                 if f]
-                value = ring, buchberger(gens, self.budget, ring=ring,
-                                         stats=stats)
+                gb = buchberger(gens, self.budget, ring=ring, stats=stats)
+                if self.radical:
+                    gb.radical = True
+                value = ring, gb
             self.bases[name] = value
         return self.bases[name]
 
@@ -321,6 +340,11 @@ class _Run:
         coprime leads (Buchberger's first criterion), no lead of one
         block divides a term of the other, and degrevlex restricted to
         either block is degrevlex with the same relative ranking.
+
+        The doubled ideal is radical when J is, over a perfect field
+        (Bourbaki, Algebra V section 15), so it takes J's answer when J
+        has one.  Both criteria of `groebner` hold for the doubled basis
+        exactly when they hold for J's, so otherwise it decides alike.
         """
         problem = self.problem
         ring = VarRing.matrix_ring(problem.n, problem.field, x0=hats, y=True,
@@ -335,7 +359,7 @@ class _Run:
         # lead above every x lead of the same degree, so a stable sort by
         # degree interleaves the two copies.
         basis.sort(key=Polynomial.total_degree)
-        return ring, GroebnerBasis(basis, GBStats())
+        return ring, GroebnerBasis(basis, GBStats(), radical=block.radical)
 
     def check(self, name: str) -> CheckResult:
         """Run one check by report name."""
@@ -354,9 +378,9 @@ class _Run:
         radical-membership test of each generator's image, in generator
         order, up to the first that fails or runs out of budget.  The
         pieces the images share are built once, modulo the base basis,
-        before the first test.  When the base ideal is radical, each
-        test is one normal form.  Only the reported generator's image is
-        rendered."""
+        before the first test.  When the base ideal is proven radical,
+        each test is one normal form.  Only the reported generator's
+        image is rendered."""
         check = _CLOSURE_CHECKS[name]
         start = time.perf_counter()
         gens = [(idx, f) for idx, f in enumerate(self.problem.generators,
@@ -388,12 +412,8 @@ class _Run:
                                undecided_reason=f"undecided: image of the "
                                                 f"generator: {exc}", note=note)
             try:
-                if self.radical:
-                    ok = not normal_form(f, base,
-                                         degree_cap=self.budget.degree_cap)
-                else:
-                    ok = radical_membership(f, base.basis, self.budget,
-                                            base_gb=base, stats=stats)
+                ok = radical_membership(f, base.basis, self.budget,
+                                        base_gb=base, stats=stats)
             except BudgetExhausted as exc:
                 return _result(None, start, stats, witness_index=idx,
                                witness=_render_witness(f),

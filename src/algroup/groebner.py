@@ -1,5 +1,5 @@
 """Groebner-basis engine: Buchberger's algorithm, normal forms, ideal
-triviality, and radical membership via an adjoined inverse variable.
+triviality, radical certificates, and radical membership.
 
 Pair selection follows the normal strategy (smallest lcm degree first);
 pair pruning follows the Gebauer-Moeller update, which implements the
@@ -23,6 +23,29 @@ lc/gcd(c, lc) instead of the reducer being divided by lc.  Each such
 step is a nonzero multiple of the monic one, so both choose the same
 reducers and reach the same zero remainders; a normal form divides by
 the tracked scale once, at the end.  The bases returned are monic.
+
+Radical membership of f in J is plain membership when J is radical: a
+nonzero normal form modulo a Groebner basis then decides false.
+Otherwise it is decided as 1 in (J, t*f - 1), one more Buchberger run.
+A GroebnerBasis decides once, on the first nonzero normal form of a
+membership test, whether one of two criteria proves its ideal J radical,
+and keeps the answer (`GroebnerBasis.certified_radical`):
+
+- (a) every lead monomial is squarefree.  Then in(J) is generated by
+  squarefree monomials, so it is radical.  Let f be in rad(J) and r its
+  normal form, so r^k lies in J for some k.  Then lm(r)^k lies in in(J),
+  hence lm(r) does, and r = 0 since no term of r is divisible by a lead
+  (Sturmfels, Groebner Bases and Convex Polytopes, ch. 8).
+- (b) J is zero-dimensional (every variable has a pure power among the
+  leads), and the minimal polynomial mu_k of every variable x_k in R/J
+  is squarefree: gcd(mu_k, mu_k') = 1.  mu_k is the first linear
+  dependency among NF(1), NF(x_k), NF(x_k^2), ... (as in FGLM: Faugere,
+  Gianni, Lazard and Mora, JSC 1993).  Over a perfect field, such as Q
+  and F_p, this holds exactly when J is radical (Seidenberg's lemma;
+  Kreuzer and Robbiano, Computational Commutative Algebra 1, 3.7).  The
+  search stops after degree_cap powers; past that J is not proven.
+
+An ideal neither criterion proves keeps the `t*f - 1` run.
 """
 
 from __future__ import annotations
@@ -76,6 +99,10 @@ class GBStats:
 class GroebnerBasis:
     basis: list[Polynomial]
     stats: GBStats
+    # Whether the ideal is proven radical; None until first asked.  A
+    # caller that knows the answer may set it.
+    radical: bool | None = dataclass_field(default=None, repr=False,
+                                           compare=False)
     _prepared: tuple | None = dataclass_field(default=None, init=False,
                                               repr=False, compare=False)
 
@@ -90,6 +117,14 @@ class GroebnerBasis:
         elif self._prepared[0] != ring:
             raise ValueError("divisor lives in a different ring")
         return self._prepared[1]
+
+    def certified_radical(self, ring: VarRing, degree_cap: int) -> bool:
+        """Whether criterion (a) or (b) of the module docstring proves the
+        ideal radical, decided on the first call and kept.  False means
+        not proven, not that the ideal is not radical."""
+        if self.radical is None:
+            self.radical = _certify_radical(self, ring, degree_cap)
+        return self.radical
 
 
 # A prepared reducer is (packed lead, lead coefficient, packed tail
@@ -346,7 +381,8 @@ def buchberger(gens, budget: Budget | None = None, *,
     assume_gb_prefix marks the first k generators as an already computed
     Groebner basis, so their internal S-pairs are skipped.  Exceeding the
     budget raises BudgetExhausted.  reduce_basis=False skips the final
-    interreduction; the result still generates the ideal and has the
+    interreduction and returns the elements as the run kept them, not
+    made monic; the result still generates the ideal and has the
     Groebner property, but is not the canonical reduced basis.
     """
     budget = budget or DEFAULT_BUDGET
@@ -455,7 +491,8 @@ def buchberger(gens, budget: Budget | None = None, *,
             add_element(prep, make_pairs=True)
 
         if not reduce_basis:
-            return finish([_as_poly(prep, ring) for prep in G])
+            return finish([Polynomial._make(ring, dict([(lm, lc), *tail]))
+                           for lm, lc, tail in G])
         return finish(_interreduce(G, ring, codec, p, degree_cap))
     except BudgetExhausted:
         if stats is not None:
@@ -483,23 +520,25 @@ def radical_membership(f: Polynomial, gens, budget: Budget | None = None, *,
                        stats: GBStats | None = None) -> bool:
     """Whether f lies in the radical of the ideal generated by gens.
 
-    Decided as 1 in (gens, t*f - 1) with a fresh variable t ranked
-    highest; plain ideal membership of f is tried first since it already
-    implies radical membership.  When base_gb is supplied, its basis is
-    used in place of gens and its internal S-pairs are skipped.
+    Plain ideal membership of f is tried first since it already implies
+    radical membership.  When base_gb, a Groebner basis of the ideal, is
+    supplied, it is used in place of gens; a nonzero normal form then
+    decides false when `base_gb.certified_radical` holds.  Otherwise the
+    test is 1 in (gens, t*f - 1) with a fresh variable t ranked highest,
+    skipping the internal S-pairs of base_gb.
     """
     ring = f.ring
     if ring.has("t"):
         raise ValueError("ring already uses the auxiliary variable t")
     budget = budget or DEFAULT_BUDGET
-    base = list(base_gb.basis) if base_gb is not None else [g for g in gens if g]
-    for g in base:
-        if g.ring != ring:
-            raise ValueError("generators live in a different ring")
+    base = base_gb.basis if base_gb is not None else [g for g in gens if g]
     reduced = normal_form(f, base_gb if base_gb is not None else base,
                           degree_cap=budget.degree_cap)
     if not reduced:
         return True
+    if base_gb is not None and base_gb.certified_radical(ring,
+                                                         budget.degree_cap):
+        return False
     if reduced.total_degree() >= budget.degree_cap:
         # t*reduced - 1 is over the cap, and may be over the degree limit.
         raise BudgetExhausted(f"input degree {reduced.total_degree() + 1} "
@@ -510,3 +549,103 @@ def radical_membership(f: Polynomial, gens, budget: Budget | None = None, *,
     return contains_one(lifted + [helper], budget, ring=ring_t,
                         assume_gb_prefix=len(lifted) if base_gb is not None else 0,
                         stats=stats)
+
+
+def _certify_radical(gb: GroebnerBasis, ring: VarRing, degree_cap: int) -> bool:
+    """Criteria (a) and (b) of the module docstring on the Groebner
+    basis gb; a search that runs out of budget proves nothing."""
+    codec = ring.codec
+    leads = [lm for lm, _, _ in gb.reducers(ring)]
+    low, shift = codec.low_mask, codec.deg_shift
+    # A monomial is squarefree when each exponent is 0 or 1, that is,
+    # when its exponents have as many bits set as its degree.
+    if all((lm & low).bit_count() == lm >> shift for lm in leads):
+        return True
+    pure = set()
+    for lm in leads:
+        powers = codec.factors(lm)
+        if len(powers) == 1:
+            pure.add(powers[0][0])
+    if len(pure) < ring.arity:
+        return False
+    for name in ring.names:
+        try:
+            mu = _minimal_polynomial(gb, ring.var(name), degree_cap)
+        except BudgetExhausted:
+            return False
+        if mu is None or not _squarefree(mu, ring.field):
+            return False
+    return True
+
+
+def _minimal_polynomial(gb: GroebnerBasis, x: Polynomial,
+                        degree_cap: int) -> list | None:
+    """Coefficients, constant first, of the monic minimal polynomial of x
+    modulo the zero-dimensional ideal of gb: the first linear dependency
+    among NF(1), NF(x), NF(x^2), ...  None when there is none up to
+    x^degree_cap."""
+    field = x.ring.field
+    mul, sub = field.mul, field.sub
+    # Echelon rows (pivot monomial, normal-form vector with 1 at the
+    # pivot, the same vector as a combination of the powers of x); each
+    # row is zero at the pivots of the rows before it.
+    rows: list = []
+    power = x.ring.one()
+    for k in range(degree_cap + 1):
+        if k:
+            power = normal_form(power * x, gb, degree_cap)
+        vec, combo = dict(power.terms), {k: 1}
+        for pivot, row, row_combo in rows:
+            c = vec.get(pivot)
+            if c:
+                _subtract(vec, row, c, mul, sub)
+                _subtract(combo, row_combo, c, mul, sub)
+        if not vec:
+            return [combo.get(i, 0) for i in range(k + 1)]
+        pivot, c = next(iter(vec.items()))
+        s = field.inv(c)
+        rows.append((pivot, {m: mul(v, s) for m, v in vec.items()},
+                     {i: mul(v, s) for i, v in combo.items()}))
+    return None
+
+
+def _subtract(vec: dict, row: dict, c, mul, sub) -> None:
+    """vec -= c*row, in place, dropping the zeros."""
+    for m, v in row.items():
+        w = sub(vec.get(m, 0), mul(c, v))
+        if w:
+            vec[m] = w
+        else:
+            vec.pop(m, None)
+
+
+def _squarefree(mu: list, field) -> bool:
+    """Whether the univariate polynomial mu (coefficients, constant
+    first) is coprime to its derivative.  Over F_p the derivative of
+    x^p - a is 0, so the gcd is mu itself."""
+    a = mu
+    b = _trimmed([field.mul(field.from_int(i), c)
+                  for i, c in enumerate(mu) if i])
+    while b:
+        a, b = b, _remainder(a, b, field)
+    return len(a) == 1
+
+
+def _trimmed(a: list) -> list:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _remainder(a: list, b: list, field) -> list:
+    """a mod b for univariate coefficient lists, b with a nonzero lead."""
+    a = list(a)
+    s = field.inv(b[-1])
+    while len(a) >= len(b):
+        c = field.mul(a[-1], s)
+        off = len(a) - len(b)
+        for i, v in enumerate(b):
+            a[off + i] = field.sub(a[off + i], field.mul(c, v))
+        a.pop()  # the lead, now zero
+        _trimmed(a)
+    return a

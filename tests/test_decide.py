@@ -361,6 +361,13 @@ def t_runs(monkeypatch):
     return runs
 
 
+@pytest.fixture
+def no_certificate(monkeypatch):
+    """Forces the radical criteria of `groebner` off: a base ideal not
+    marked radical by field equations takes the t*f - 1 route."""
+    monkeypatch.setattr(groebner, "_certify_radical", lambda *args: False)
+
+
 def _closure_outcomes(report):
     return {name: (res.verdict, res.witness_index)
             for name, res in report.checks.items()}
@@ -376,7 +383,8 @@ def _field_equation_fixtures(problems_dir):
 
 
 def test_field_equation_shortcut_matches_the_general_path(problems_dir,
-                                                          t_runs):
+                                                          t_runs,
+                                                          no_certificate):
     cases = [(spec, False) for spec in _field_equation_corpus(101)]
     fixtures = list(_field_equation_fixtures(problems_dir))
     assert len(fixtures) == 4
@@ -414,7 +422,7 @@ def test_false_multiplication_under_field_equations_is_one_normal_form(
 
 @pytest.mark.parametrize("q", [5, 4])
 def test_field_equation_flag_without_the_equations_takes_the_general_path(
-        problem, t_runs, q):
+        problem, t_runs, no_certificate, q):
     # The flag alone proves nothing: F_5 problem flagged q = 5 without
     # x_k^5 - x_k, and one flagged with q = 4, no power of 5.
     spec = problem("cubic-roots-f5.alg")
@@ -423,6 +431,43 @@ def test_field_equation_flag_without_the_equations_takes_the_general_path(
     cleared = run_checks(spec, CLOSURE_CHECKS)
     assert _closure_outcomes(flagged) == _closure_outcomes(cleared)
     assert all(res.verdict is False for res in flagged.checks.values())
+
+
+def test_certified_base_ideals_run_no_t_times_f_minus_one(problem, t_runs):
+    # (x1 - 1)*(x1^2 - 2) over F_5 is squarefree, without field equations:
+    # every base ideal is proven radical by its minimal polynomials.
+    report = run_checks(problem("cubic-roots-f5.alg"), CLOSURE_CHECKS)
+    assert t_runs == []
+    assert all(res.verdict is False for res in report.checks.values())
+
+
+def _differential_corpus(problems_dir):
+    """(problem, fast path) pairs: the fixtures, the Q metamorphic set,
+    and the F_p fuzz corpus of seed 101 with its field equations but not
+    flagged, so that the criteria, not the flag, decide."""
+    for path in sorted(problems_dir.glob("*.alg")):
+        for fast in (False, True):
+            yield load_problem(path), fast
+    for _, moved in _q_metamorphic_cases(problems_dir):
+        yield moved, False
+    for spec in _field_equation_corpus(101):
+        yield replace(spec, field_equations_q=None), False
+
+
+def test_radical_certificates_match_the_general_path(problems_dir, t_runs,
+                                                     monkeypatch):
+    cases = list(_differential_corpus(problems_dir))
+    certified = [_closure_outcomes(run_checks(spec, CLOSURE_CHECKS,
+                                              fast_path=fast))
+                 for spec, fast in cases]
+    runs_with = len(t_runs)
+    monkeypatch.setattr(groebner, "_certify_radical", lambda *args: False)
+    general = [_closure_outcomes(run_checks(spec, CLOSURE_CHECKS,
+                                            fast_path=fast))
+               for spec, fast in cases]
+    for case, got, want in zip(cases, certified, general):
+        assert got == want, case
+    assert runs_with < len(t_runs) - runs_with
 
 
 def test_reducers_are_prepared_once_per_basis(monkeypatch):
@@ -585,12 +630,10 @@ def _random_sl_z(rng, n):
     return g, ginv
 
 
-def test_q_verdicts_are_invariant_under_scaling_and_conjugation(problems_dir):
-    # V and g*V*g^-1 are groups together, generator by generator: the
-    # map X -> g^-1*X*g is a ring automorphism that carries each image
-    # and each base ideal of one problem onto those of the other.
-    # Scaling a generator by a nonzero constant changes no ideal.
-    # Non-unit and fractional scalars give every basis non-monic input.
+def _q_metamorphic_cases(problems_dir):
+    """(fixture, moved) pairs: each Q fixture conjugated by a random g in
+    SL_n(Z), its generators scaled by random nonzero rationals.
+    Non-unit and fractional scalars give every basis non-monic input."""
     rng = random.Random(41)
     scalars = [QQ.from_ratio(a, b) for a, b in
                [(2, 1), (-3, 1), (1, 2), (-2, 3), (5, 4), (7, 9)]]
@@ -606,11 +649,19 @@ def test_q_verdicts_are_invariant_under_scaling_and_conjugation(problems_dir):
                   sum((ring.from_int(ginv[i][k] * g[l][j]) * X[k][l]
                        for k in range(n) for l in range(n)), ring.zero())
                   for i in range(n) for j in range(n)}
-        moved = replace(spec, generators=[
+        yield spec, replace(spec, generators=[
             f.substitute(images) * ring.const(rng.choice(scalars))
             for f in spec.generators])
+
+
+def test_q_verdicts_are_invariant_under_scaling_and_conjugation(problems_dir):
+    # V and g*V*g^-1 are groups together, generator by generator: the
+    # map X -> g^-1*X*g is a ring automorphism that carries each image
+    # and each base ideal of one problem onto those of the other.
+    # Scaling a generator by a nonzero constant changes no ideal.
+    for spec, moved in _q_metamorphic_cases(problems_dir):
         want = run_checks(spec, ["group", "group-alt"])
         got = run_checks(moved, ["group", "group-alt"])
         assert (got.group, got.group_alt) == (want.group, want.group_alt)
         assert _closure_outcomes(got) == _closure_outcomes(want), \
-            (spec.source, g)
+            spec.source

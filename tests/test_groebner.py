@@ -7,6 +7,7 @@ import pytest
 from algroup import (Budget, BudgetExhausted, Polynomial, PrimeField, QQ,
                      VarRing, buchberger, contains_one, normal_form,
                      parse_poly, radical_membership, s_polynomial)
+from algroup import build_hat_ideal, groebner, parse_problem
 from algroup.groebner import MAX_ENGINE_DEGREE
 
 # Coefficients with non-unit numerators and denominators, for the
@@ -193,6 +194,83 @@ def test_radical_membership_examples():
     assert radical_membership(x1 + x2, [(x1 + x2) ** 3])
     assert radical_membership(r.zero(), [])
     assert not radical_membership(x1, [])
+
+
+def plane(field=QQ):
+    return VarRing(("x1", "x2"), field)
+
+
+def _certified(texts, ring, degree_cap=200):
+    gb = buchberger([parse_poly(text, ring) for text in texts])
+    return gb.certified_radical(ring, degree_cap)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5), PrimeField(7)])
+def test_radical_certificates_prove_radical_ideals(field):
+    r = plane(field)
+    # (b): zero-dimensional, minimal polynomials x^2 - 1 and x.
+    assert _certified(["x1^2 - 1", "x2"], r)
+    # (b): the hat ideal of the n=2 (d-1)*(d-2) diagonal, whose leads
+    # x1^2 and x4^2 are not squarefree.
+    spec = parse_problem(f"n 2\nfield {field.name}\nx2\nx3\n"
+                         "(x1 - 1)*(x1 - 2)\n(x4 - 1)*(x4 - 2)\n")
+    hat, gens = build_hat_ideal(spec)
+    gb = buchberger(gens, ring=hat)
+    assert any(e > 1 for lm, _, _ in gb.reducers(hat)
+               for _, e in hat.codec.factors(lm))
+    assert gb.certified_radical(hat, 200)
+    # (a): squarefree leads, positive-dimensional (SL(2)).
+    assert _certified(["x1*x4 - x2*x3 - 1"], ring2(field))
+    # Trivially: the zero ideal and the whole ring.
+    assert _certified([], r) and _certified(["1"], r)
+
+
+@pytest.mark.parametrize("texts, field", [
+    (["x1^2"], QQ), (["x1^2", "x2"], QQ), (["(x1 - 1)^2", "x2"], QQ),
+    (["(x1 - 1)^2", "x2"], PrimeField(3)),
+    # (x1 + 1)^2 and (x1 - 2)^3: their derivatives vanish.
+    (["x1^2 + 1", "x2"], PrimeField(2)), (["x1^3 - 2", "x2"], PrimeField(3)),
+    # Prime, but positive-dimensional with the lead x1^2.
+    (["x1^2 - x2"], QQ)])
+def test_radical_certificates_never_prove_what_they_cannot(texts, field):
+    assert not _certified(texts, plane(field))
+
+
+def test_uncertified_ideals_still_run_t_times_f_minus_one(monkeypatch):
+    r = plane()
+    calls = []
+    real = groebner.contains_one
+
+    def counting(gens, *args, **kwargs):
+        calls.append(kwargs["ring"])
+        return real(gens, *args, **kwargs)
+
+    monkeypatch.setattr(groebner, "contains_one", counting)
+    x1, x2 = r.var("x1"), r.var("x2")
+    prime = buchberger([x1 * x1 - x2])
+    assert not radical_membership(x1, prime.basis, base_gb=prime)
+    assert prime.radical is False and len(calls) == 1
+    # A certified basis decides a nonzero normal form by itself, and its
+    # answer is kept for the next test.
+    certified = buchberger([x1 * x1 - 1, x2])
+    for f in (x1, x1 - 2):
+        assert not radical_membership(f, certified.basis, base_gb=certified)
+    assert certified.radical is True and len(calls) == 1
+    # Without a basis there is no answer to keep: t*f - 1 runs.
+    assert not radical_membership(x1, certified.basis)
+    assert len(calls) == 2
+
+
+def test_a_power_bound_that_is_hit_proves_nothing():
+    r = plane()
+    # mu(x1) = x^4 - 2 (x1^2 = x2, x2^2 = 2) needs four powers.
+    gens = ["x1^2 - x2", "x2^2 - 2"]
+    assert _certified(gens, r, degree_cap=4)
+    assert not _certified(gens, r, degree_cap=3)
+    # A lead over the cap stops the search as well.
+    assert _certified(["x1^3 - 1", "x2"], r, degree_cap=3)
+    assert not _certified(["x1^3 - 1", "x2"], r, degree_cap=2)
+    assert not _certified(["x1^3 - 1", "x2"], r, degree_cap=0)
 
 
 def test_radical_membership_rejects_ring_with_t():
