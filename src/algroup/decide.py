@@ -26,6 +26,19 @@ place of the hat ideal and the numerator in place of the padded image.
 The doubled ideal's basis is one block's basis joined with its copy in
 the other block, since the two blocks share no variable.
 
+The hat ideal and I + (det(x)), which decides V(I) = V*(I), both
+contain I, so each is built on I as the run holds it.  Once the run has
+I's reduced basis G, det is reduced to r = NF_G(det), which the
+inversion images of I share, and the hat basis is Buchberger's on G
+(moved to the ring with x0) plus x0*r - 1, with the pairs inside G
+skipped because G is already a Groebner basis; I + (det(x)) is the
+triviality test of G plus r, likewise.  Before G exists (`group-alt`,
+or the fast path's first test), r is det reduced by the generators as a
+plain list of divisors.  Either way det - r lies in I, so I + (x0*r - 1)
+= I + (x0*det - 1) and I + (r) = I + (det): the ideals, and hence their
+reduced bases, verdicts and witnesses, are those of the raw generators
+and the expanded det, with fewer pairs.
+
 Every image is built in the quotient ring R/J of the check's base ideal
 J.  Whether an image lies in rad(J) depends only on its class modulo J,
 and the normal form modulo a Groebner basis of J is a ring map onto
@@ -94,10 +107,11 @@ from typing import Callable
 
 from .fields import PrimeField
 from .groebner import (Budget, BudgetExhausted, GBStats, GroebnerBasis,
-                       buchberger, contains_one, radical_membership)
-from .matrices import (adjugate, build_hat_ideal, det_poly,
-                       eval_at_formal_inverse, make_k, subst_product,
-                       subst_x_times_inverse_y, to_y_block)
+                       buchberger, contains_one, normal_form,
+                       radical_membership)
+from .matrices import (adjugate, build_f0, det_poly, eval_at_formal_inverse,
+                       make_k, subst_product, subst_x_times_inverse_y,
+                       to_y_block)
 from .parsing import ProblemSpec
 from .poly import MAX_ENGINE_DEGREE, Polynomial, VarRing, change_ring
 
@@ -205,7 +219,7 @@ def check_identity(problem: ProblemSpec) -> CheckResult:
     return CheckResult(True, time.perf_counter() - start)
 
 
-_ImageFactory = Callable[[VarRing, GroebnerBasis],
+_ImageFactory = Callable[[VarRing, GroebnerBasis, Polynomial | None],
                          Callable[[Polynomial], Polynomial]]
 
 
@@ -229,31 +243,40 @@ class _ClosureCheck:
 # The factories look up the matrices functions in this module's globals
 # at call time, so a wrapper or stub bound to those names later is
 # called.  Every piece is reduced modulo the base basis as it is built.
+# A factory also takes det(X) reduced modulo the base basis when the run
+# holds it, and builds it otherwise.
 
-def _inverse_pieces(ring: VarRing, base: GroebnerBasis):
+def _inverse_pieces(ring: VarRing, base: GroebnerBasis,
+                    det: Polynomial | None):
     """adj(X) and the list [1, det(X)], which the images extend with the
     higher determinant powers they need."""
-    return adjugate(ring, "x", base), [ring.one(), det_poly(ring, "x", base)]
+    if det is None:
+        det = det_poly(ring, "x", base)
+    return adjugate(ring, "x", base), [ring.one(), det]
 
 
-def _padded_inverse_image(ring: VarRing, base: GroebnerBasis):
-    adj, powers = _inverse_pieces(ring, base)
+def _padded_inverse_image(ring: VarRing, base: GroebnerBasis,
+                          det: Polynomial | None = None):
+    adj, powers = _inverse_pieces(ring, base, det)
     return lambda f: make_k(eval_at_formal_inverse(
         f, base, adj=adj, det_powers=powers), base, det=powers[1])
 
 
-def _inverse_numerator_image(ring: VarRing, base: GroebnerBasis):
-    adj, powers = _inverse_pieces(ring, base)
+def _inverse_numerator_image(ring: VarRing, base: GroebnerBasis,
+                             det: Polynomial | None = None):
+    adj, powers = _inverse_pieces(ring, base, det)
     return lambda f: eval_at_formal_inverse(
         change_ring(f, ring), base, adj=adj, det_powers=powers).numerator
 
 
-def _product_image(ring: VarRing, base: GroebnerBasis):
+def _product_image(ring: VarRing, base: GroebnerBasis,
+                   det: Polynomial | None = None):
     images: dict = {}  # the reduced entries of X*Y, filled by the first call
     return lambda f: subst_product(f, ring, base, images=images)
 
 
-def _quotient_image(ring: VarRing, base: GroebnerBasis):
+def _quotient_image(ring: VarRing, base: GroebnerBasis,
+                    det: Polynomial | None = None):
     images: dict = {}  # the reduced entries of y0*X*adj(Y), likewise
     return lambda f: subst_x_times_inverse_y(f, ring, base, images=images)
 
@@ -289,6 +312,11 @@ class _Run:
       is V*(I);
     - "I+det": whether 1 lies in I + (det(x)), that is, V(I) = V*(I).
 
+    The last two are built on I as the run holds it (`seed`; see the
+    module docstring).  `dets` keeps det reduced modulo the basis of "I"
+    or "hat", built once per run and shared by the inversion images of
+    that base and, for "I", by the other two ideals.
+
     A computation's pairs count in the check that runs it.  `radical`
     records whether every base ideal is radical because the generators
     hold the field equations the problem records; then every basis of
@@ -299,6 +327,7 @@ class _Run:
     budget: Budget
     fast_path: bool
     bases: dict = dataclass_field(default_factory=dict)
+    dets: dict = dataclass_field(default_factory=dict)
     radical: bool = dataclass_field(init=False)
 
     def __post_init__(self):
@@ -311,24 +340,48 @@ class _Run:
             and set(equations) <= set(self.problem.generators)
 
     def ideal(self, name: str, stats: GBStats):
-        if name not in self.bases:
-            problem = self.problem
+        if name in self.bases:
+            return self.bases[name]
+        problem = self.problem
+        if name == "I":
+            ring, prefix = problem.ring, 0
+            gens = [f for f in problem.generators if f]
+        else:
+            gens, prefix, det = self.seed()
             if name == "I+det":
-                gens = list(problem.generators) + [det_poly(problem.ring, "x")]
-                value = contains_one(gens, self.budget, ring=problem.ring,
-                                     stats=stats)
-            else:
-                if name == "hat":
-                    ring, gens = build_hat_ideal(problem)
-                else:
-                    ring, gens = problem.ring, [f for f in problem.generators
-                                                if f]
-                gb = buchberger(gens, self.budget, ring=ring, stats=stats)
-                if self.radical:
-                    gb.radical = True
-                value = ring, gb
-            self.bases[name] = value
+                self.bases[name] = contains_one(
+                    gens + [det], self.budget, ring=problem.ring,
+                    assume_gb_prefix=prefix, stats=stats)
+                return self.bases[name]
+            ring = VarRing.matrix_ring(problem.n, problem.field, x0=True)
+            gens = [change_ring(g, ring) for g in gens]
+            gens.append(build_f0(ring, "x", change_ring(det, ring)))
+        gb = buchberger(gens, self.budget, ring=ring, assume_gb_prefix=prefix,
+                        stats=stats)
+        if self.radical:
+            gb.radical = True
+        self.bases[name] = ring, gb
         return self.bases[name]
+
+    def seed(self) -> tuple[list[Polynomial], int, Polynomial]:
+        """(gens, prefix, det): generators of I whose first `prefix` are
+        a Groebner basis, and det(x) reduced modulo them.  These are I's
+        reduced basis and the normal form of det once the run holds the
+        basis; otherwise the nonzero generators and det reduced by them
+        as a plain list, with no prefix."""
+        if "I" in self.bases:
+            _, gb = self.bases["I"]
+            return gb.basis, len(gb.basis), self.reduced_det("I")
+        gens = [f for f in self.problem.generators if f]
+        return gens, 0, normal_form(det_poly(self.problem.ring, "x"), gens)
+
+    def reduced_det(self, name: str) -> Polynomial:
+        """det(x) reduced modulo the run's basis of the ideal `name`,
+        "I" or "hat", which must already be computed; built once."""
+        if name not in self.dets:
+            ring, base = self.bases[name]
+            self.dets[name] = det_poly(ring, "x", base)
+        return self.dets[name]
 
     def product_base(self, hats: bool, stats: GBStats):
         """Reduced basis of the doubled ideal J(x) + J(y), where J is the
@@ -403,7 +456,9 @@ class _Run:
         except BudgetExhausted as exc:
             return _result(None, start, stats, undecided_reason=str(exc),
                            note=note)
-        image = (check.fast_image if use_fast else check.image)(ring, base)
+        det = None if check.doubled else self.reduced_det(ideal)
+        image = (check.fast_image if use_fast else check.image)(ring, base,
+                                                                det)
         for idx, f in gens:
             try:
                 f = image(f)

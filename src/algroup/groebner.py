@@ -2,10 +2,15 @@
 triviality, radical certificates, and radical membership.
 
 Pair selection follows the normal strategy (smallest lcm degree first);
-pair pruning follows the Gebauer-Moeller update, which implements the
-coprime-lead and chain criteria.  Every run is bounded by an explicit
-Budget, and exhausting it raises BudgetExhausted instead of ever
-returning a possibly wrong verdict.
+pair pruning follows the Gebauer-Moeller update (Gebauer and Moeller,
+JSC 1988; UPDATE in Becker and Weispfenning, Groebner Bases, 1993),
+which implements the coprime-lead and chain criteria.  A new element is
+paired only with the live elements, those whose lead no later lead
+divides; the others also leave the reducers.  Each lcm of the new lead
+with an earlier one is computed once, in one batch (`_Codec.lcms`), and
+serves both the new pairs and the chain criterion on the pending ones.
+Every run is bounded by an explicit Budget, and exhausting it raises
+BudgetExhausted instead of ever returning a possibly wrong verdict.
 
 The engine works on `Polynomial.terms` as they are: packed monomials
 (see `poly`), whose products are integer additions and whose
@@ -112,11 +117,16 @@ class GroebnerBasis:
 
     def reducers(self, ring: VarRing) -> list:
         """The basis prepared for division in ring, once per basis."""
+        return self.prepared(ring)[0]
+
+    def prepared(self, ring: VarRing) -> tuple[list, int]:
+        """The prepared reducers and their largest lead degree."""
         if self._prepared is None:
-            self._prepared = (ring, _prepare_reducers(self.basis, ring))
+            reducers = _prepare_reducers(self.basis, ring)
+            self._prepared = (ring, reducers, _top_degree(reducers, ring))
         elif self._prepared[0] != ring:
             raise ValueError("divisor lives in a different ring")
-        return self._prepared[1]
+        return self._prepared[1:]
 
     def certified_radical(self, ring: VarRing, degree_cap: int) -> bool:
         """Whether criterion (a) or (b) of the module docstring proves the
@@ -166,6 +176,13 @@ def _prepare_reducers(G, ring: VarRing) -> list:
         raise ValueError("divisor lives in a different ring")
     p = ring.field.characteristic
     return [_prepare(g.terms, ring.codec, p) for g in G if g]
+
+
+def _top_degree(reducers, ring: VarRing) -> int:
+    """The largest lead degree; a lead has its polynomial's largest
+    degree under degrevlex."""
+    return max((lm for lm, _, _ in reducers), default=0) \
+        >> ring.codec.deg_shift
 
 
 def _divided(items, den: int, field) -> dict:
@@ -276,14 +293,16 @@ def normal_form(f: Polynomial, G, degree_cap: int | None = None) -> Polynomial:
         raise ValueError(f"degree cap {cap} exceeds the engine bound "
                          f"{MAX_ENGINE_DEGREE}")
     if isinstance(G, GroebnerBasis):
-        reducers = G.reducers(ring)
+        reducers, top = G.prepared(ring)
     else:
         reducers = _prepare_reducers(G, ring)
-    deg_shift = ring.codec.deg_shift
-    for lm, _, _ in reducers:
-        # A reducer's lead has its largest degree under degrevlex.
-        if lm >> deg_shift > cap:
-            raise BudgetExhausted(f"input degree {lm >> deg_shift} over cap {cap}")
+        top = _top_degree(reducers, ring)
+    if top > cap:
+        # The message names the first reducer over the cap.
+        deg_shift = ring.codec.deg_shift
+        degree = next(lm >> deg_shift for lm, _, _ in reducers
+                      if lm >> deg_shift > cap)
+        raise BudgetExhausted(f"input degree {degree} over cap {cap}")
     if not reducers or not f:
         return f
     p = ring.field.characteristic
@@ -379,11 +398,13 @@ def buchberger(gens, budget: Budget | None = None, *,
     positive leads over Q and monic over F_p; the basis returned is monic.
 
     assume_gb_prefix marks the first k generators as an already computed
-    Groebner basis, so their internal S-pairs are skipped.  Exceeding the
-    budget raises BudgetExhausted.  reduce_basis=False skips the final
-    interreduction and returns the elements as the run kept them, not
-    made monic; the result still generates the ideal and has the
-    Groebner property, but is not the canonical reduced basis.
+    Groebner basis, so their internal S-pairs are skipped; `decide`
+    builds the ideals that contain the problem ideal this way, on its
+    basis.  Exceeding the budget raises BudgetExhausted.
+    reduce_basis=False skips the final interreduction and returns the
+    elements as the run kept them, not made monic; the result still
+    generates the ideal and has the Groebner property, but is not the
+    canonical reduced basis.
     """
     budget = budget or DEFAULT_BUDGET
     local = GBStats()
@@ -414,58 +435,76 @@ def buchberger(gens, budget: Budget | None = None, *,
             raise BudgetExhausted(
                 f"input degree {g.total_degree()} over cap {degree_cap}")
 
-    divides = codec.divides
-    lcm_of = codec.lcm
+    lcms = codec.lcms
     keyf = codec.key
     deg_shift = codec.deg_shift
+    guard = codec.guard
 
     try:
         G: list = []
         lms: list[int] = []
-        # Reducers whose lead is divisible by a newer lead are redundant
-        # for division; keep only the survivors in the scan list.
+        # The live elements, whose lead no later lead divides, as indices
+        # into G and as the reducers they are; the others are redundant
+        # for division and for new pairs.
+        live: list[int] = []
         active: list = []
         heap: list = []
         pending: dict[tuple[int, int], int] = {}
 
         def add_element(prep, make_pairs: bool) -> None:
-            # Gebauer-Moeller update: among the new element's candidate
-            # pairs, classes whose lcm has a coprime-lead member drop
-            # entirely, each surviving lcm keeps one representative, and
-            # no kept lcm divides another; old pairs whose lcm the new
-            # lead properly refines are dropped.
+            # Gebauer-Moeller update (UPDATE in Becker and Weispfenning):
+            # the new element t is paired with the live elements only.
+            # Among those candidates, classes whose lcm has a coprime-lead
+            # member drop entirely, each surviving lcm keeps one
+            # representative, and no kept lcm divides another.  A pending
+            # pair (a, b) whose lcm the new lead divides is dropped unless
+            # lcm(a, t) or lcm(b, t) equals it (the chain criterion).
+            # Then the live elements whose lead the new lead divides leave.
             t = len(G)
-            G.append(prep)
             lmt = prep[0]
+            if make_pairs:
+                # lcm(lm_i, lm_t), computed once for each i that needs it.
+                # Divisibility tests are codec.divides, inlined.
+                ls = dict(zip(live, lcms([lms[i] for i in live], lmt)))
+                refined = [(pair, l) for pair, l in pending.items()
+                           if ((l | guard) - lmt) & guard == guard]
+                rest = {i for pair, _ in refined for i in pair
+                        if i not in ls}
+                ls.update(zip(rest, lcms([lms[i] for i in rest], lmt)))
+                by_lcm: dict[int, tuple[int, bool]] = {}
+                for i in live:
+                    l = ls[i]
+                    coprime = l == lms[i] + lmt  # lcm equals the product
+                    seen = by_lcm.get(l)
+                    if seen is None or (coprime and not seen[1]):
+                        by_lcm[l] = (i, coprime)
+                reps = sorted((keyf(l), l, i, coprime)
+                              for l, (i, coprime) in by_lcm.items())
+                kept: list[int] = []
+                kept_out: list[tuple[int, int]] = []
+                for _, l, i, coprime in reps:
+                    lg = l | guard
+                    if not coprime and any((lg - l2) & guard == guard
+                                           for l2 in kept):
+                        continue
+                    kept.append(l)
+                    if not coprime:
+                        kept_out.append((l, i))
+                for pair, l in refined:
+                    if ls[pair[0]] != l and ls[pair[1]] != l:
+                        del pending[pair]
+                for l, i in kept_out:
+                    pending[(i, t)] = l
+                    heapq.heappush(heap, (l >> deg_shift, keyf(l), i, t))
+            G.append(prep)
             lms.append(lmt)
-            active[:] = [old for old in active if not divides(lmt, old[0])]
+            kept_live = [k for k, i in enumerate(live)
+                         if ((lms[i] | guard) - lmt) & guard != guard]
+            if len(kept_live) < len(live):
+                live[:] = [live[k] for k in kept_live]
+                active[:] = [active[k] for k in kept_live]
+            live.append(t)
             active.append(prep)
-            if not make_pairs:
-                return
-            by_lcm: dict[int, tuple[int, bool]] = {}
-            for i in range(t):
-                l = lcm_of(lms[i], lmt)
-                coprime = l == lms[i] + lmt  # lcm equals the product
-                seen = by_lcm.get(l)
-                if seen is None or (coprime and not seen[1]):
-                    by_lcm[l] = (i, coprime)
-            reps = sorted((keyf(l), l, i, coprime)
-                          for l, (i, coprime) in by_lcm.items())
-            kept: list[int] = []
-            kept_out: list[tuple[int, int]] = []
-            for _, l, i, coprime in reps:
-                if not coprime and any(divides(l2, l) for l2 in kept):
-                    continue
-                kept.append(l)
-                if not coprime:
-                    kept_out.append((l, i))
-            for (a, b), l in list(pending.items()):
-                if divides(lmt, l) and lcm_of(lms[a], lmt) != l \
-                        and lcm_of(lms[b], lmt) != l:
-                    del pending[(a, b)]
-            for l, i in kept_out:
-                pending[(i, t)] = l
-                heapq.heappush(heap, (l >> deg_shift, keyf(l), i, t))
 
         for j, g in enumerate(polys):
             add_element(_prepare(g.terms, codec, p),

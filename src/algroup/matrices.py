@@ -111,9 +111,15 @@ def adjugate(ring: VarRing, block: str = "x",
     return adj
 
 
-def build_f0(ring: VarRing, block: str = "x") -> Polynomial:
-    """The invertibility witness: x0*det(x) - 1 (or its y counterpart)."""
-    return ring.var(f"{block}0") * det_poly(ring, block) - ring.one()
+def build_f0(ring: VarRing, block: str = "x",
+             det: Polynomial | None = None) -> Polynomial:
+    """The invertibility witness: x0*det(x) - 1 (or its y counterpart).
+    `det`, when given, stands in for det(x): a polynomial of the ring
+    congruent to it modulo an ideal, which the witness then extends to
+    the same ideal."""
+    if det is None:
+        det = det_poly(ring, block)
+    return ring.var(f"{block}0") * det - ring.one()
 
 
 def build_hat_ideal(problem: ProblemSpec) -> tuple[VarRing, list[Polynomial]]:

@@ -93,20 +93,28 @@ class _Codec:
         return ((b | self.guard) - a) & self.guard == self.guard
 
     def lcm(self, a: int, b: int) -> int:
-        # Per field, (a_i | 0x8000) - b_i keeps bit 15 exactly when
-        # a_i >= b_i and never borrows from the next field; spreading
+        return self.lcms((a,), b)[0]
+
+    def lcms(self, ms, b: int) -> list[int]:
+        """lcm(m, b) for every m of ms, in order."""
+        # Per field, (m_i | 0x8000) - b_i keeps bit 15 exactly when
+        # m_i >= b_i and never borrows from the next field; spreading
         # that bit over the field selects the larger exponent.
-        low = self.low_mask
-        a &= low
+        low, guard, low_guard = self.low_mask, self.guard, self._low_guard
+        shift = self.deg_shift
         b &= low
-        larger = ((((a | self.guard) - b) & self._low_guard)
-                  >> (_BITS - 1)) * _FIELD_CAP
-        out = (a & larger) | (b & ~larger)
-        # The fields sum to the degree, and 2^16 = 1 mod 0xFFFF; the
-        # remainder is exact because an lcm of two monomials of degree at
-        # most MAX_ENGINE_DEGREE has degree at most 2 * MAX_ENGINE_DEGREE,
-        # below 0xFFFF.
-        return out | (out % 0xFFFF) << self.deg_shift
+        out = []
+        for a in ms:
+            a &= low
+            larger = ((((a | guard) - b) & low_guard) >> (_BITS - 1)) \
+                * _FIELD_CAP
+            m = b ^ ((a ^ b) & larger)
+            # The fields sum to the degree, and 2^16 = 1 mod 0xFFFF; the
+            # remainder is exact because an lcm of two monomials of
+            # degree at most MAX_ENGINE_DEGREE has degree at most
+            # 2 * MAX_ENGINE_DEGREE, below 0xFFFF.
+            out.append(m | (m % 0xFFFF) << shift)
+        return out
 
     def key(self, packed: int) -> int:
         """Integer key: ascending key order equals ascending degrevlex."""

@@ -7,9 +7,10 @@ import pytest
 
 from algroup import (QQ, Budget, DecisionReport, GBStats, Polynomial,
                      ProblemSpec, VarRing, add_field_equations, buchberger,
-                     build_f0, change_ring, check_division, check_identity,
-                     check_inversion, check_inversion_alt,
-                     check_multiplication, decide, enumerate_variety,
+                     build_f0, build_hat_ideal, change_ring, check_division,
+                     check_identity, check_inversion, check_inversion_alt,
+                     check_multiplication, contains_one, decide, det_poly,
+                     enumerate_variety,
                      eval_at_formal_inverse, is_group, is_group_alt,
                      is_group_bruteforce, load_problem, make_k, normal_form,
                      parse_problem, run_checks, subst_product,
@@ -236,13 +237,19 @@ def test_only_the_reported_witness_is_rendered(problem, monkeypatch):
             assert res.witness == real(rendered[0])
 
 
-def _field_equation_corpus(seed):
-    """Twenty random 2x2 problems over F_2 or F_3 with field equations."""
+def _random_corpus(seed):
+    """Twenty random 2x2 problems over F_2 or F_3, with their prime."""
     from conftest import random_matrix_problem
     rng = random.Random(seed)
     for _ in range(20):
         p = rng.choice([2, 3])
-        yield add_field_equations(random_matrix_problem(rng, p), p)
+        yield random_matrix_problem(rng, p), p
+
+
+def _field_equation_corpus(seed):
+    """The random corpus of the seed, with field equations."""
+    for spec, p in _random_corpus(seed):
+        yield add_field_equations(spec, p)
 
 
 @pytest.mark.parametrize("seed", [101, 202])
@@ -665,3 +672,59 @@ def test_q_verdicts_are_invariant_under_scaling_and_conjugation(problems_dir):
         assert (got.group, got.group_alt) == (want.group, want.group_alt)
         assert _closure_outcomes(got) == _closure_outcomes(want), \
             spec.source
+
+
+def _unseeded(self):
+    """`_Run.seed` as if the run held no basis of I and reduced nothing:
+    the raw generators and the expanded determinant."""
+    gens = [f for f in self.problem.generators if f]
+    return gens, 0, det_poly(self.problem.ring, "x")
+
+
+def _seeding_corpus(problems_dir):
+    """Every fixture, its F_p ones also with field equations; the Q
+    metamorphic problems; the F_p corpus of seed 101 with and without
+    field equations."""
+    specs = [load_problem(path) for path in sorted(problems_dir.glob("*.alg"))]
+    specs += _field_equation_fixtures(problems_dir)
+    specs += [moved for _, moved in _q_metamorphic_cases(problems_dir)]
+    for spec, p in _random_corpus(101):
+        specs += [spec, add_field_equations(spec, p)]
+    return specs
+
+
+def test_base_bases_built_on_i_match_the_raw_generators(problems_dir,
+                                                         monkeypatch):
+    # The hat and I+det ideals are built on I's reduced basis and det
+    # reduced modulo it, or before that basis exists on the generators
+    # and det reduced by them; the ideals, hence the reduced bases and
+    # every verdict and witness, are those of the raw generators.
+    checks = ["group", "group-alt", "vstar-eq"]
+    specs = _seeding_corpus(problems_dir)
+    assert len(specs) == 64
+    seeded = [run_checks(spec, checks) for spec in specs]
+    for spec in specs:
+        ring, gens = build_hat_ideal(spec)
+        want_hat = buchberger(gens, ring=ring).basis
+        want_vstar = contains_one(list(spec.generators)
+                                  + [det_poly(spec.ring, "x")],
+                                  ring=spec.ring)
+        before, after = (_Run(spec, Budget(), False) for _ in range(2))
+        after.ideal("I", GBStats())
+        for run in (before, after):
+            hat_ring, hat = run.ideal("hat", GBStats())
+            assert hat_ring == ring and hat.basis == want_hat, spec
+            assert run.ideal("I+det", GBStats()) == want_vstar, spec
+    monkeypatch.setattr(_Run, "seed", _unseeded)
+    unseeded = [run_checks(spec, checks) for spec in specs]
+    fewer = 0
+    for spec, got, want in zip(specs, seeded, unseeded):
+        assert (got.group, got.group_alt) == (want.group, want.group_alt)
+        assert got.checks.keys() == want.checks.keys()
+        for name, res in got.checks.items():
+            ref = want.checks[name]
+            assert (res.verdict, res.witness_index, res.witness) == \
+                (ref.verdict, ref.witness_index, ref.witness), (spec, name)
+            assert res.gb_pairs <= ref.gb_pairs, (spec, name)
+            fewer += res.gb_pairs < ref.gb_pairs
+    assert fewer >= 20

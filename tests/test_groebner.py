@@ -4,9 +4,10 @@ from math import gcd
 
 import pytest
 
-from algroup import (Budget, BudgetExhausted, Polynomial, PrimeField, QQ,
-                     VarRing, buchberger, contains_one, normal_form,
-                     parse_poly, radical_membership, s_polynomial)
+from algroup import (Budget, BudgetExhausted, Polynomial, PrimeField,
+                     ProblemSpec, QQ, VarRing, buchberger, contains_one,
+                     normal_form, parse_poly, radical_membership,
+                     s_polynomial)
 from algroup import build_hat_ideal, groebner, parse_problem
 from algroup.groebner import MAX_ENGINE_DEGREE
 
@@ -330,6 +331,16 @@ def test_normal_form_rejects_divisors_over_the_degree_cap():
     assert normal_form(x1 ** 3, [x1 ** MAX_ENGINE_DEGREE]) == x1 ** 3
     with pytest.raises(BudgetExhausted, match="input degree 9 over cap 5"):
         normal_form(x1 ** 3, [x1 ** 9], degree_cap=5)
+    # The largest lead degree is kept with a basis's prepared reducers;
+    # the message still names the first divisor over the cap.
+    r = ring2()
+    x1, x2 = r.var("x1"), r.var("x2")
+    divisors = [x2 ** 2, x2 ** 7, x1 ** 9]
+    gb = groebner.GroebnerBasis(divisors, groebner.GBStats())
+    for G in (divisors, gb, gb):
+        with pytest.raises(BudgetExhausted, match="input degree 7 over cap 5"):
+            normal_form(x1 ** 3, G, degree_cap=5)
+        assert normal_form(x1 ** 3, G, degree_cap=9) == x1 ** 3
 
 
 def test_stats_are_reported():
@@ -351,10 +362,42 @@ def _to_sympy(f, symbols):
     return expr
 
 
+def _symplectic_gens(ring):
+    """Entries on and above the diagonal of X^T*J*X - J, J = [[0, I],
+    [-I, 0]] of size 4: the symplectic group Sp(4)."""
+    n = 4
+    J = [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]]
+    X = [[ring.var(f"x{n * i + j + 1}") for j in range(n)] for i in range(n)]
+    gens = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            e = sum((ring.from_int(J[k][l]) * X[k][i] * X[l][j]
+                     for k in range(n) for l in range(n) if J[k][l]),
+                    ring.zero())
+            gens.append(e - ring.from_int(J[i][j]))
+    return gens
+
+
+def _assert_basis_matches_sympy(sympy, gens, ring, rng=None, samples=0):
+    """buchberger(gens) equals sympy's reduced grevlex basis over QQ, and
+    the normal forms of `samples` random polynomials agree."""
+    symbols = sympy.symbols(ring.names)
+    gb = buchberger(gens, ring=ring)
+    mine = {sympy.expand(_to_sympy(g, symbols)) for g in gb.basis}
+    theirs = sympy.groebner([_to_sympy(g, symbols) for g in gens],
+                            *symbols, order="grevlex", domain="QQ")
+    assert mine == {sympy.expand(e) for e in theirs.exprs}, gens
+    for _ in range(samples):
+        f = _random_q_poly(rng, ring, range(ring.arity), max_terms=4,
+                           max_degree=3)
+        want = theirs.reduce(_to_sympy(f, symbols))[1]
+        got = normal_form(f, gb)
+        assert sympy.expand(_to_sympy(got, symbols) - want) == 0, (gens, f)
+
+
 def test_cross_check_against_sympy():
     sympy = pytest.importorskip("sympy")
     r = ring2()
-    symbols = sympy.symbols("x1 x2 x3 x4")
     fixtures = [
         [parse_poly("x1^2 + x2^2 - 1", r), parse_poly("x1*x2 - 1", r)],
         [parse_poly("x1*x4 - x2*x3 - 1", r), parse_poly("x1 + x2 + x3", r)],
@@ -369,16 +412,16 @@ def test_cross_check_against_sympy():
     fixtures += [[_random_q_poly(rng, r, range(3), max_terms=4)
                   for _ in range(3)] for _ in range(12)]
     for gens in fixtures:
-        gb = buchberger(gens)
-        mine = {sympy.expand(_to_sympy(g, symbols)) for g in gb.basis}
-        theirs = sympy.groebner([_to_sympy(g, symbols) for g in gens],
-                                *symbols, order="grevlex", domain="QQ")
-        assert mine == {sympy.expand(e) for e in theirs.exprs}, gens
-        for _ in range(3):
-            f = _random_q_poly(rng, r, range(4), max_terms=4, max_degree=3)
-            want = theirs.reduce(_to_sympy(f, symbols))[1]
-            got = normal_form(f, gb)
-            assert sympy.expand(_to_sympy(got, symbols) - want) == 0, (gens, f)
+        _assert_basis_matches_sympy(sympy, gens, r, rng, samples=3)
+    # The problem ideals of O(3) (X^T*X - I) and Sp(4), and each one's hat
+    # ideal I + (x0*det(x) - 1), whose det has 6 and 24 terms.
+    for n, make in ((3, lambda ring: _orthogonal_group_gens(ring, 3)),
+                    (4, _symplectic_gens)):
+        ring = VarRing.matrix_ring(n, QQ)
+        gens = make(ring)
+        _assert_basis_matches_sympy(sympy, gens, ring)
+        hat, hat_gens = build_hat_ideal(ProblemSpec(n, QQ, gens, ring))
+        _assert_basis_matches_sympy(sympy, hat_gens, hat)
 
 
 def _naive_division(f, divisors):
@@ -498,7 +541,8 @@ def _random_monomial(rng, arity):
 
 
 def test_word_parallel_lcm_is_exact():
-    # Arities 1 to 101; the largest is the doubled ring with both
+    # Pairs and batches at arities 1 to 101, exponents up to
+    # MAX_ENGINE_DEGREE; the largest is the doubled ring with both
     # witnesses at n=7 plus the radical-membership variable t.
     doubled = VarRing.matrix_ring(7, QQ, x0=True, y=True, y0=True, t=True)
     assert doubled.arity == 101
@@ -517,6 +561,10 @@ def test_word_parallel_lcm_is_exact():
                 got = codec.lcm(codec.pack(a), codec.pack(b))
                 assert got == codec.pack(want), (ring.arity, a, b)
                 assert codec.degree(got) == sum(want)
+        # The batch form, one monomial against a list, agrees term by term.
+        packed = [codec.pack(a) for a in samples]
+        for b in rng.sample(packed, 3):
+            assert codec.lcms(packed, b) == [codec.lcm(a, b) for a in packed]
 
 
 @pytest.mark.parametrize("caps", [{"pair_cap": -5}, {"degree_cap": -1},
