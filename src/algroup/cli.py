@@ -30,11 +30,6 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("path", help="problem file in the .alg format")
     dec.add_argument("--check", action="append", choices=CHECK_CHOICES,
                      help="check to run (repeatable; default: group)")
-    dec.add_argument("--alt", action="store_true",
-                     help="use the fused division form of the group check")
-    dec.add_argument("--fast-path", action="store_true",
-                     help="when V(I) = V*(I), drop the invertibility "
-                          "witnesses from the closure checks")
     dec.add_argument("--field-equations", type=int, metavar="Q",
                      help="restrict to matrices over the field with Q "
                           "elements (Q a power of the characteristic)")
@@ -121,7 +116,12 @@ def _oracle_comparison(problem, report: decide.DecisionReport):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the help (code 0) or the usage error (code
+        # 2, which here means undecided) and would end the process.
+        return 1 if exc.code else 0
     try:
         problem = load_problem(args.path)
     except OSError as exc:
@@ -130,8 +130,6 @@ def main(argv=None) -> int:
         return _fail(f"{args.path}: {exc}")
 
     checks = list(dict.fromkeys(args.check or ["group"]))
-    if args.alt and "group" in checks:
-        checks = ["group-alt" if c == "group" else c for c in checks]
 
     if args.field_equations is not None:
         try:
@@ -152,8 +150,7 @@ def main(argv=None) -> int:
         return _fail(f"--degree-cap must be between 0 and {MAX_ENGINE_DEGREE}")
 
     budget = Budget(pair_cap=args.pair_cap, degree_cap=args.degree_cap)
-    report = decide.run_checks(problem, checks, budget=budget,
-                               fast_path=args.fast_path)
+    report = decide.run_checks(problem, checks, budget=budget)
     exit_code = 2 if any(res.verdict is None
                          for res in report.checks.values()) else 0
     show_group = "group" in checks

@@ -21,8 +21,6 @@ in the base ideal.  `_CLOSURE_CHECKS` holds one row per check:
   generator at the product X*Y;
 - `division`: the doubled hat ideal; the generator at X*Y^-1.
 
-On the fast path, taken only when V(I) = V*(I), the first three use I in
-place of the hat ideal and the numerator in place of the padded image.
 The doubled ideal's basis is one block's basis joined with its copy in
 the other block, since the two blocks share no variable.
 
@@ -32,12 +30,12 @@ I's reduced basis G, det is reduced to r = NF_G(det), which the
 inversion images of I share, and the hat basis is Buchberger's on G
 (moved to the ring with x0) plus x0*r - 1, with the pairs inside G
 skipped because G is already a Groebner basis; I + (det(x)) is the
-triviality test of G plus r, likewise.  Before G exists (`group-alt`,
-or the fast path's first test), r is det reduced by the generators as a
-plain list of divisors.  Either way det - r lies in I, so I + (x0*r - 1)
-= I + (x0*det - 1) and I + (r) = I + (det): the ideals, and hence their
-reduced bases, verdicts and witnesses, are those of the raw generators
-and the expanded det, with fewer pairs.
+triviality test of G plus r, likewise.  Before G exists (on
+`group-alt`, for example), r is det reduced by the generators as a
+plain list of divisors.  Either way det - r lies in I, so
+I + (x0*r - 1) = I + (x0*det - 1) and I + (r) = I + (det): the ideals,
+and hence their reduced bases, verdicts and witnesses, are those of the
+raw generators and the expanded det, with fewer pairs.
 
 Every image is built in the quotient ring R/J of the check's base ideal
 J.  Whether an image lies in rad(J) depends only on its class modulo J,
@@ -92,10 +90,10 @@ criteria hold for its basis exactly when they hold for J's.
 
 `run_checks` is the one entry point, for the library and the CLI alike:
 it runs a list of check names against one `_Run` into one report.  A
-`_Run` holds the problem, its budget and options, and the one Groebner
-computation of each base ideal; the report's checks are the only memo
-of results.  The single-check functions and `is_group`/`is_group_alt`
-are one-line calls to `run_checks`.
+`_Run` holds the problem, its budget, and the one Groebner computation
+of each base ideal; the report's checks are the only memo of results.
+The single-check functions and `is_group`/`is_group_alt` are one-line
+calls to `run_checks`.
 """
 
 from __future__ import annotations
@@ -145,7 +143,6 @@ class DecisionReport:
     closure: str
     num_generators: int
     mode: str = "standard"
-    fast_path: bool = False
     field_equations_q: int | None = None
     checks: dict[str, CheckResult] = dataclass_field(default_factory=dict)
     group: bool | None = None
@@ -169,15 +166,13 @@ def closure_statement(problem: ProblemSpec) -> str:
     return "the algebraic closure of Q"
 
 
-def new_report(problem: ProblemSpec, mode: str = "standard",
-               fast_path: bool = False) -> DecisionReport:
+def new_report(problem: ProblemSpec, mode: str = "standard") -> DecisionReport:
     return DecisionReport(
         n=problem.n,
         field=problem.field.name,
         closure=closure_statement(problem),
         num_generators=len(problem.generators),
         mode=mode,
-        fast_path=fast_path,
         field_equations_q=problem.field_equations_q,
     )
 
@@ -225,19 +220,15 @@ _ImageFactory = Callable[[VarRing, GroebnerBasis, Polynomial | None],
 
 @dataclass(frozen=True)
 class _ClosureCheck:
-    """One closure check: the base ideal ("I" or "hat", doubled onto the
-    x and y blocks or not) and the image of a generator in the base
-    ring.  An image is made by a factory of the base ring and basis,
-    which builds the pieces every generator's image shares and returns
-    the map from a generator to its reduced image.  A row with a fast
-    image has a fast path, which takes the base ideal I and the fast
-    image when V(I) = V*(I)."""
+    """One closure check: the base ideal ("I" or "hat"; the hat ideal
+    may be doubled onto the x and y blocks) and the image of a generator
+    in the base ring.  An image is made by a factory of the base ring
+    and basis, which builds the pieces every generator's image shares
+    and returns the map from a generator to its reduced image."""
 
     ideal: str
     doubled: bool
     image: _ImageFactory
-    fast_image: _ImageFactory | None = None
-    fast_note: str | None = None
 
 
 # The factories look up the matrices functions in this module's globals
@@ -281,16 +272,10 @@ def _quotient_image(ring: VarRing, base: GroebnerBasis,
     return lambda f: subst_x_times_inverse_y(f, ring, base, images=images)
 
 
-_NUMERATORS_NOTE = "fast path: testing numerators in the plain ideal"
-
 _CLOSURE_CHECKS = {
-    "inversion": _ClosureCheck("I", False, _padded_inverse_image,
-                               _inverse_numerator_image, _NUMERATORS_NOTE),
-    "inversion_alt": _ClosureCheck("hat", False, _inverse_numerator_image,
-                                   _inverse_numerator_image, _NUMERATORS_NOTE),
-    "multiplication": _ClosureCheck(
-        "hat", True, _product_image, _product_image,
-        "fast path: doubled ideal without invertibility witnesses"),
+    "inversion": _ClosureCheck("I", False, _padded_inverse_image),
+    "inversion_alt": _ClosureCheck("hat", False, _inverse_numerator_image),
+    "multiplication": _ClosureCheck("hat", True, _product_image),
     "division": _ClosureCheck("hat", True, _quotient_image),
 }
 
@@ -303,9 +288,9 @@ def _result(verdict, start: float, stats: GBStats, **fields) -> CheckResult:
 
 @dataclass
 class _Run:
-    """One decision run: the problem, its budget and options, and
-    `bases`, the run's one Groebner computation for each ideal of the
-    problem, under the ideal's name:
+    """One decision run: the problem, its budget, and `bases`, the run's
+    one Groebner computation for each ideal of the problem, under the
+    ideal's name:
 
     - "I": (ring, reduced basis) of the problem ideal;
     - "hat": (ring, reduced basis) of I + (x0*det(x) - 1), whose zero set
@@ -325,7 +310,6 @@ class _Run:
 
     problem: ProblemSpec
     budget: Budget
-    fast_path: bool
     bases: dict = dataclass_field(default_factory=dict)
     dets: dict = dataclass_field(default_factory=dict)
     radical: bool = dataclass_field(init=False)
@@ -383,10 +367,10 @@ class _Run:
             self.dets[name] = det_poly(ring, "x", base)
         return self.dets[name]
 
-    def product_base(self, hats: bool, stats: GBStats):
-        """Reduced basis of the doubled ideal J(x) + J(y), where J is the
-        problem ideal, with the witness x0*det(x) - 1 when hats, and J(y)
-        is its copy in the y block.
+    def product_base(self, stats: GBStats):
+        """Reduced basis of the doubled hat ideal J(x) + J(y), where J is
+        the problem ideal with the witness x0*det(x) - 1, and J(y) is its
+        copy in the y block.
 
         The blocks share no variable, so the union of J's reduced basis
         and its renamed copy is already reduced: every cross pair has
@@ -400,9 +384,9 @@ class _Run:
         exactly when they hold for J's, so otherwise it decides alike.
         """
         problem = self.problem
-        ring = VarRing.matrix_ring(problem.n, problem.field, x0=hats, y=True,
-                                   y0=hats)
-        _, block = self.ideal("hat" if hats else "I", stats)
+        ring = VarRing.matrix_ring(problem.n, problem.field, x0=True, y=True,
+                                   y0=True)
+        _, block = self.ideal("hat", stats)
         if block.is_trivial:
             return ring, GroebnerBasis([ring.one()], GBStats())
         basis = [change_ring(g, ring) for g in block.basis]
@@ -441,42 +425,33 @@ class _Run:
         if not gens:
             return CheckResult(True, time.perf_counter() - start)
         stats = GBStats()
-        note = None
         try:
-            use_fast = False
-            if self.fast_path and check.fast_image is not None:
-                use_fast = self.ideal("I+det", stats)
-                note = check.fast_note if use_fast \
-                    else "fast path requested but V(I) != V*(I)"
-            ideal = "I" if use_fast else check.ideal
             if check.doubled:
-                ring, base = self.product_base(ideal == "hat", stats)
+                ring, base = self.product_base(stats)
             else:
-                ring, base = self.ideal(ideal, stats)
+                ring, base = self.ideal(check.ideal, stats)
         except BudgetExhausted as exc:
-            return _result(None, start, stats, undecided_reason=str(exc),
-                           note=note)
-        det = None if check.doubled else self.reduced_det(ideal)
-        image = (check.fast_image if use_fast else check.image)(ring, base,
-                                                                det)
+            return _result(None, start, stats, undecided_reason=str(exc))
+        det = None if check.doubled else self.reduced_det(check.ideal)
+        image = check.image(ring, base, det)
         for idx, f in gens:
             try:
                 f = image(f)
             except OverflowError as exc:
                 return _result(None, start, stats, witness_index=idx,
                                undecided_reason=f"undecided: image of the "
-                                                f"generator: {exc}", note=note)
+                                                f"generator: {exc}")
             try:
                 ok = radical_membership(f, base.basis, self.budget,
                                         base_gb=base, stats=stats)
             except BudgetExhausted as exc:
                 return _result(None, start, stats, witness_index=idx,
                                witness=_render_witness(f),
-                               undecided_reason=str(exc), note=note)
+                               undecided_reason=str(exc))
             if not ok:
                 return _result(False, start, stats, witness_index=idx,
-                               witness=_render_witness(f), note=note)
-        return _result(True, start, stats, note=note)
+                               witness=_render_witness(f))
+        return _result(True, start, stats)
 
 
 # Group checks by command-line name: the report field of the verdict and
@@ -490,8 +465,8 @@ _GROUP_CHECKS = {
 _REPORT_NAMES = {"vstar-eq": "variety_equals_vstar"}
 
 
-def run_checks(problem: ProblemSpec, checks, *, budget: Budget | None = None,
-               fast_path: bool = False) -> DecisionReport:
+def run_checks(problem: ProblemSpec, checks, *,
+               budget: Budget | None = None) -> DecisionReport:
     """Run checks, in order, into one report.
 
     A check is a command-line name (`identity`, `inversion`,
@@ -499,13 +474,12 @@ def run_checks(problem: ProblemSpec, checks, *, budget: Budget | None = None,
     name of a single check (`inversion_alt`, `division`,
     `variety_equals_vstar`).  Each report check runs once, and each base
     ideal's basis is computed once for all of them.  The report is in
-    "alt" mode exactly when `group-alt` is the only check; the fast path
-    applies to the standard closure checks only.
+    "alt" mode exactly when `group-alt` is the only check.
     """
     checks = list(checks)
-    run = _Run(problem, budget or Budget(), fast_path)
+    run = _Run(problem, budget or Budget())
     report = new_report(problem, "alt" if checks == ["group-alt"]
-                        else "standard", fast_path)
+                        else "standard")
 
     def result(name: str) -> CheckResult:
         if name not in report.checks:
@@ -525,8 +499,6 @@ def run_checks(problem: ProblemSpec, checks, *, budget: Budget | None = None,
         note = report.checks["identity"].note
         if note and note not in report.notes:
             report.notes.append(note)
-    if fast_path and "group-alt" in checks:
-        report.notes.append("fast path applies to the standard checks only")
     return report
 
 
@@ -538,30 +510,30 @@ def variety_equals_vstar(problem: ProblemSpec, *,
                       budget=budget).checks["variety_equals_vstar"]
 
 
-def check_inversion(problem: ProblemSpec, *, budget: Budget | None = None,
-                    fast_path: bool = False) -> CheckResult:
+def check_inversion(problem: ProblemSpec, *,
+                    budget: Budget | None = None) -> CheckResult:
     """Closure under inversion: for each generator f, the determinant
     padding k of f at the formal inverse must lie in the radical of the
     problem ideal."""
-    return run_checks(problem, ["inversion"], budget=budget,
-                      fast_path=fast_path).checks["inversion"]
+    return run_checks(problem, ["inversion"],
+                      budget=budget).checks["inversion"]
 
 
-def check_inversion_alt(problem: ProblemSpec, *, budget: Budget | None = None,
-                        fast_path: bool = False) -> CheckResult:
+def check_inversion_alt(problem: ProblemSpec, *,
+                        budget: Budget | None = None) -> CheckResult:
     """Closure under inversion, alternative form: the formal-inverse
     numerators must lie in the radical of the witness-extended ideal."""
-    return run_checks(problem, ["inversion_alt"], budget=budget,
-                      fast_path=fast_path).checks["inversion_alt"]
+    return run_checks(problem, ["inversion_alt"],
+                      budget=budget).checks["inversion_alt"]
 
 
-def check_multiplication(problem: ProblemSpec, *, budget: Budget | None = None,
-                         fast_path: bool = False) -> CheckResult:
+def check_multiplication(problem: ProblemSpec, *,
+                         budget: Budget | None = None) -> CheckResult:
     """Closure under multiplication: each generator, rewritten at the
     product of the two generic matrices, must lie in the radical of the
     doubled ideal with both invertibility witnesses."""
-    return run_checks(problem, ["multiplication"], budget=budget,
-                      fast_path=fast_path).checks["multiplication"]
+    return run_checks(problem, ["multiplication"],
+                      budget=budget).checks["multiplication"]
 
 
 def check_division(problem: ProblemSpec, *,
@@ -573,13 +545,13 @@ def check_division(problem: ProblemSpec, *,
     return run_checks(problem, ["division"], budget=budget).checks["division"]
 
 
-def is_group(problem: ProblemSpec, *, budget: Budget | None = None,
-             fast_path: bool = False) -> DecisionReport:
+def is_group(problem: ProblemSpec, *,
+             budget: Budget | None = None) -> DecisionReport:
     """Identity, then inversion, then multiplication, short-circuiting at
     the first check that is not decidedly true.  An empty generator list
     yields true: the invertible part is then the whole general linear
     group."""
-    return run_checks(problem, ["group"], budget=budget, fast_path=fast_path)
+    return run_checks(problem, ["group"], budget=budget)
 
 
 def is_group_alt(problem: ProblemSpec, *,

@@ -120,12 +120,6 @@ class _Parser:
         tok = tok or self.peek()
         raise ParseError(message, tok.line, tok.col)
 
-    def expect_op(self, op: str):
-        tok = self.peek()
-        if tok.kind != "OP" or tok.value != op:
-            self.error(f"expected {op!r}")
-        return self.advance()
-
     def parse(self) -> Polynomial:
         poly = self.expr()
         tok = self.peek()

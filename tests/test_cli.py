@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import pathlib
@@ -5,11 +6,12 @@ import subprocess
 import sys
 
 import algroup
-from algroup import (QQ, DecisionReport, VarRing, decide, is_group,
-                     is_group_alt, load_problem)
+from algroup import (QQ, CheckResult, DecisionReport, VarRing, decide,
+                     is_group, is_group_alt, load_problem)
 from algroup.cli import main
 
 SRC = pathlib.Path(algroup.__file__).resolve().parents[1]
+SCHEMA = SRC.parent / "docs" / "report-schema.md"
 
 
 def run_cli(capsys, *argv):
@@ -82,23 +84,6 @@ def test_single_checks(problems_dir, capsys):
     assert "identity: true" in out
 
 
-def test_alt_mode(problems_dir, capsys):
-    code, out, _ = run_cli(capsys, "decide", str(problems_dir / "sl2.alg"),
-                           "--alt")
-    assert code == 0
-    assert "division" in out
-    assert "group (division form): true" in out
-
-
-def test_fast_path_flag(problems_dir, capsys):
-    code, out, _ = run_cli(capsys, "decide",
-                           str(problems_dir / "fourth-roots.alg"),
-                           "--fast-path")
-    assert code == 0
-    assert "group: false" in out
-    assert "fast path" in out
-
-
 def test_undecided_exit_code(problems_dir, capsys):
     code, out, _ = run_cli(capsys, "decide",
                            str(problems_dir / "fourth-roots.alg"),
@@ -135,6 +120,22 @@ def test_usage_errors(problems_dir, capsys, tmp_path):
                                  str(problems_dir / "sl2.alg"), flag, value)
         assert code == 1 and flag in err and out == "", (flag, value)
 
+    # argparse's own errors: exit 1 as well, not its 2, which here means
+    # undecided.
+    for args, message in ((("--check", "nope"), "invalid choice"),
+                          (("--pair-cap", "abc"), "invalid int value"),
+                          (("--no-such-flag",), "unrecognized arguments"),
+                          (("--fast-path",), "unrecognized arguments"),
+                          (("--alt",), "unrecognized arguments")):
+        code, out, err = run_cli(capsys, "decide",
+                                 str(problems_dir / "sl2.alg"), *args)
+        assert code == 1 and message in err and out == "", args
+
+
+def test_help_exits_zero(capsys):
+    code, out, err = run_cli(capsys, "decide", "--help")
+    assert code == 0 and out.startswith("usage: algroup decide") and err == ""
+
 
 def test_oversized_exponent_is_an_input_error(tmp_path):
     prob = tmp_path / "big.alg"
@@ -169,12 +170,32 @@ def test_oracle_mismatch_aborts(tmp_path, capsys):
 
 def test_json_report_includes_mode_flags(problems_dir, capsys):
     code, out, _ = run_cli(capsys, "decide", str(problems_dir / "torus2.alg"),
-                           "--format", "json", "--fast-path")
+                           "--format", "json")
     assert code == 0
     data = json.loads(out)
-    assert data["fast_path"] is True
+    assert data["mode"] == "standard"
     assert data["field_equations_q"] is None
     assert data["group"] is True
+
+
+def _schema_table(heading: str) -> list[str]:
+    """The field names in the first column of the table under `heading`
+    in the report schema document."""
+    lines = SCHEMA.read_text(encoding="utf-8").splitlines()
+    rows = []
+    for line in lines[lines.index(heading) + 1:]:
+        if rows and not line.startswith("|"):
+            break
+        if line.startswith("| `"):
+            rows.append(line.split("`")[1])
+    return rows
+
+
+def test_report_schema_lists_every_report_field():
+    for heading, cls in (("Top-level fields:", DecisionReport),
+                         ("Each check object:", CheckResult)):
+        want = [f.name for f in dataclasses.fields(cls)]
+        assert _schema_table(heading) == want, heading
 
 
 def test_jobs_flag(problems_dir, capsys):

@@ -129,25 +129,6 @@ def test_constant_generator_means_empty_variety():
     assert "empty variety" in report.notes
 
 
-def test_fast_path_agrees_when_variety_is_invertible(problem):
-    for name in ("sl2.alg", "fourth-roots.alg"):
-        spec = problem(name)
-        assert variety_equals_vstar(spec).verdict is True
-        assert check_inversion(spec, fast_path=True).verdict == \
-            check_inversion(spec).verdict, name
-        assert check_multiplication(spec, fast_path=True).verdict == \
-            check_multiplication(spec).verdict, name
-        assert is_group(spec, fast_path=True).group == is_group(spec).group
-
-
-def test_fast_path_falls_back_when_variety_has_singular_points(problem):
-    spec = problem("torus2.alg")
-    assert variety_equals_vstar(spec).verdict is False
-    res = check_inversion(spec, fast_path=True)
-    assert res.verdict is True
-    assert "V(I) != V*(I)" in res.note
-
-
 def test_field_equation_restriction():
     spec = parse_problem("n 1\nfield F 5\n(x1-1)*(x1^2-2)\n")
     assert is_group(add_field_equations(spec, 5)).group is True
@@ -265,25 +246,24 @@ def test_engine_matches_bruteforce_oracle(seed):
         assert report.group == brute.group, spec.generators
 
 
-def _doubled_basis_reference(spec, hats):
-    """Buchberger on the doubled generators, built on the product ring."""
-    ring = VarRing.matrix_ring(spec.n, spec.field, x0=hats, y=True, y0=hats)
+def _doubled_basis_reference(spec):
+    """Buchberger on the doubled hat generators, built on the product
+    ring."""
+    ring = VarRing.matrix_ring(spec.n, spec.field, x0=True, y=True, y0=True)
     gens = [change_ring(f, ring) for f in spec.generators if f]
     gens.extend(to_y_block(f, ring) for f in spec.generators if f)
-    if hats:
-        gens.append(build_f0(ring, "x"))
-        gens.append(build_f0(ring, "y"))
+    gens.append(build_f0(ring, "x"))
+    gens.append(build_f0(ring, "y"))
     return ring, buchberger(gens, ring=ring).basis
 
 
 def _assert_product_base_matches_reference(spec):
-    for hats in (False, True):
-        ring, gb = _Run(spec, Budget(), False).product_base(hats, GBStats())
-        ref_ring, ref = _doubled_basis_reference(spec, hats)
-        assert ring == ref_ring
-        assert set(gb.basis) == set(ref), (spec.generators, hats)
-        # Same order as well, so the membership tests see the same input.
-        assert gb.basis == ref, (spec.generators, hats)
+    ring, gb = _Run(spec, Budget()).product_base(GBStats())
+    ref_ring, ref = _doubled_basis_reference(spec)
+    assert ring == ref_ring
+    assert set(gb.basis) == set(ref), spec.generators
+    # Same order as well, so the membership tests see the same input.
+    assert gb.basis == ref, spec.generators
 
 
 def test_product_base_matches_doubled_buchberger_on_q_fixtures(problems_dir):
@@ -306,7 +286,7 @@ def test_product_base_matches_doubled_buchberger_on_field_equations():
 def test_product_base_of_a_trivial_block():
     # det(x) = 0 leaves no invertible point: the hat ideal is (1).
     spec = parse_problem("n 2\nfield Q\nx1*x4 - x2*x3\n")
-    ring, gb = _Run(spec, Budget(), False).product_base(True, GBStats())
+    ring, gb = _Run(spec, Budget()).product_base(GBStats())
     assert gb.basis == [ring.one()]
     _assert_product_base_matches_reference(spec)
 
@@ -327,7 +307,7 @@ def test_long_witnesses_are_cut_to_their_leading_terms():
 
 @pytest.mark.parametrize("name", ["sl2.alg", "torus2.alg"])
 def test_one_run_computes_each_base_ideal_once(problem, monkeypatch, name):
-    # sl2 takes the fast path (V = V*); torus2 falls back from it.
+    # sl2 has V = V*; torus2 does not.
     calls = []
     for engine in ("buchberger", "contains_one"):
         real = getattr(decide, engine)
@@ -338,15 +318,15 @@ def test_one_run_computes_each_base_ideal_once(problem, monkeypatch, name):
 
         monkeypatch.setattr(decide, engine, counting)
     report = run_checks(problem(name), ["group", "group-alt", "inversion_alt",
-                                        "vstar-eq"], fast_path=True)
+                                        "vstar-eq"])
     assert report.group is True and report.group_alt is True
     assert set(report.checks) == {"identity", "inversion", "multiplication",
                                   "division", "inversion_alt",
                                   "variety_equals_vstar"}
     plain = VarRing.matrix_ring(2, QQ)
     hat = VarRing.matrix_ring(2, QQ, x0=True)
-    assert calls == [("contains_one", plain), ("buchberger", plain),
-                     ("buchberger", hat)]
+    assert calls == [("buchberger", plain), ("buchberger", hat),
+                     ("contains_one", plain)]
 
 
 CLOSURE_CHECKS = ["inversion", "inversion_alt", "multiplication", "division"]
@@ -392,21 +372,21 @@ def _field_equation_fixtures(problems_dir):
 def test_field_equation_shortcut_matches_the_general_path(problems_dir,
                                                           t_runs,
                                                           no_certificate):
-    cases = [(spec, False) for spec in _field_equation_corpus(101)]
+    cases = list(_field_equation_corpus(101))
     fixtures = list(_field_equation_fixtures(problems_dir))
     assert len(fixtures) == 4
-    cases += [(spec, fast) for spec in fixtures for fast in (False, True)]
+    cases += fixtures
     false_checks = 0
-    for spec, fast in cases:
+    for spec in cases:
         t_runs.clear()
-        shortcut = run_checks(spec, CLOSURE_CHECKS, fast_path=fast)
+        shortcut = run_checks(spec, CLOSURE_CHECKS)
         assert t_runs == [], spec.generators
         general = run_checks(replace(spec, field_equations_q=None),
-                             CLOSURE_CHECKS, fast_path=fast)
+                             CLOSURE_CHECKS)
         assert _closure_outcomes(shortcut) == _closure_outcomes(general), \
-            (spec.generators, fast)
+            spec.generators
         falses = sum(res.verdict is False for res in general.checks.values())
-        assert len(t_runs) >= falses, (spec.generators, fast)
+        assert len(t_runs) >= falses, spec.generators
         false_checks += falses
     assert false_checks >= 16
 
@@ -449,29 +429,26 @@ def test_certified_base_ideals_run_no_t_times_f_minus_one(problem, t_runs):
 
 
 def _differential_corpus(problems_dir):
-    """(problem, fast path) pairs: the fixtures, the Q metamorphic set,
-    and the F_p fuzz corpus of seed 101 with its field equations but not
-    flagged, so that the criteria, not the flag, decide."""
+    """The fixtures, the Q metamorphic set, and the F_p fuzz corpus of
+    seed 101 with its field equations but not flagged, so that the
+    criteria, not the flag, decide."""
     for path in sorted(problems_dir.glob("*.alg")):
-        for fast in (False, True):
-            yield load_problem(path), fast
+        yield load_problem(path)
     for _, moved in _q_metamorphic_cases(problems_dir):
-        yield moved, False
+        yield moved
     for spec in _field_equation_corpus(101):
-        yield replace(spec, field_equations_q=None), False
+        yield replace(spec, field_equations_q=None)
 
 
 def test_radical_certificates_match_the_general_path(problems_dir, t_runs,
                                                      monkeypatch):
     cases = list(_differential_corpus(problems_dir))
-    certified = [_closure_outcomes(run_checks(spec, CLOSURE_CHECKS,
-                                              fast_path=fast))
-                 for spec, fast in cases]
+    certified = [_closure_outcomes(run_checks(spec, CLOSURE_CHECKS))
+                 for spec in cases]
     runs_with = len(t_runs)
     monkeypatch.setattr(groebner, "_certify_radical", lambda *args: False)
-    general = [_closure_outcomes(run_checks(spec, CLOSURE_CHECKS,
-                                            fast_path=fast))
-               for spec, fast in cases]
+    general = [_closure_outcomes(run_checks(spec, CLOSURE_CHECKS))
+               for spec in cases]
     for case, got, want in zip(cases, certified, general):
         assert got == want, case
     assert runs_with < len(t_runs) - runs_with
@@ -539,27 +516,21 @@ def test_reduced_images_equal_the_normal_forms_of_the_expanded_ones(
     assert {spec.field.characteristic for spec in specs} == {0, 2, 3, 5}
     compared = Counter()
     for spec in specs:
-        run = _Run(spec, Budget(), False)
+        run = _Run(spec, Budget())
         gens = [f for f in spec.generators if f]
         for name, check in decide._CLOSURE_CHECKS.items():
-            for fast in (False, True):
-                # A fast image is built modulo the plain ideal I.
-                factory = check.fast_image if fast else check.image
-                ideal = "I" if fast else check.ideal
-                if factory is None:
-                    continue
-                if check.doubled:
-                    ring, base = run.product_base(ideal == "hat", GBStats())
-                else:
-                    ring, base = run.ideal(ideal, GBStats())
-                # One factory call per check: every generator's image
-                # reuses its pieces, as in a decision.
-                image = factory(ring, base)
-                for f in gens:
-                    want = normal_form(EXPANDED_IMAGES[factory](f, ring), base)
-                    assert image(f) == want, (spec.generators, name, fast, f)
-                    compared[name, fast] += 1
-    assert len(compared) == 7 and min(compared.values()) >= 50
+            if check.doubled:
+                ring, base = run.product_base(GBStats())
+            else:
+                ring, base = run.ideal(check.ideal, GBStats())
+            # One factory call per check: every generator's image reuses
+            # its pieces, as in a decision.
+            image = check.image(ring, base)
+            for f in gens:
+                want = normal_form(EXPANDED_IMAGES[check.image](f, ring), base)
+                assert image(f) == want, (spec.generators, name, f)
+                compared[name] += 1
+    assert len(compared) == 4 and min(compared.values()) >= 50
 
 
 def test_closure_checks_build_the_determinant_and_adjugate_once(monkeypatch):
@@ -709,7 +680,7 @@ def test_base_bases_built_on_i_match_the_raw_generators(problems_dir,
         want_vstar = contains_one(list(spec.generators)
                                   + [det_poly(spec.ring, "x")],
                                   ring=spec.ring)
-        before, after = (_Run(spec, Budget(), False) for _ in range(2))
+        before, after = (_Run(spec, Budget()) for _ in range(2))
         after.ideal("I", GBStats())
         for run in (before, after):
             hat_ring, hat = run.ideal("hat", GBStats())

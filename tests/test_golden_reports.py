@@ -26,7 +26,7 @@ PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "problems"
 GOLDEN = pathlib.Path(__file__).with_name("golden") / "reports.json"
 
 VARIANTS = (("--check", "group"), ("--check", "group-alt"),
-            ("--check", "vstar-eq"), ("--fast-path",), ("--pair-cap", "3"),
+            ("--check", "vstar-eq"), ("--pair-cap", "3"),
             ("--degree-cap", "3"))
 FIELD_EQUATIONS = {"cubic-roots-f5.alg": "5", "diag-antidiag-f3.alg": "3"}
 
