@@ -84,6 +84,16 @@ def test_single_checks(problems_dir, capsys):
     assert "identity: true" in out
 
 
+def test_alt_mode(problems_dir, capsys):
+    # The division form is asked for by --check group-alt; the old --alt
+    # spelling is a usage error (see test_usage_errors).
+    code, out, _ = run_cli(capsys, "decide", str(problems_dir / "sl2.alg"),
+                           "--check", "group-alt")
+    assert code == 0
+    assert "division" in out
+    assert "group (division form): true" in out
+
+
 def test_undecided_exit_code(problems_dir, capsys):
     code, out, _ = run_cli(capsys, "decide",
                            str(problems_dir / "fourth-roots.alg"),
