@@ -45,7 +45,11 @@ Varieties, and Algorithms, ch. 2 section 6).  So the pieces of an image
 (the adjugate and the determinant with its powers, or the entries of
 X*Y or y0*X*adj(Y)) are reduced modulo the base basis as they are
 built, and the image is their normal form.  The pieces depend on the
-base basis only, so a check builds them once for all of its generators.
+base basis only, so a run keeps them in one `matrices.CofactorTable` per
+base, "I", "hat" or "doubled", for every generator of every check on
+that base.  A piece is built on first use: an image builds only the
+entry images, adjugate entries and cofactors of the variables its
+generator mentions, and the minors of det(x) serve the adjugate too.
 The normal form modulo a reduced basis is canonical, so the membership
 test, and its `t*f - 1` input, see the same polynomial as with the
 expanded image: verdicts and pair counts are those of the expanded
@@ -107,9 +111,9 @@ from .fields import PrimeField
 from .groebner import (Budget, BudgetExhausted, GBStats, GroebnerBasis,
                        buchberger, contains_one, normal_form,
                        radical_membership)
-from .matrices import (adjugate, build_f0, det_poly, eval_at_formal_inverse,
-                       make_k, subst_product, subst_x_times_inverse_y,
-                       to_y_block)
+from .matrices import (CofactorTable, build_f0, det_poly,
+                       eval_at_formal_inverse, make_k, subst_product,
+                       subst_x_times_inverse_y, to_y_block)
 from .parsing import ProblemSpec
 from .poly import MAX_ENGINE_DEGREE, Polynomial, VarRing, change_ring
 
@@ -214,69 +218,54 @@ def check_identity(problem: ProblemSpec) -> CheckResult:
     return CheckResult(True, time.perf_counter() - start)
 
 
-_ImageFactory = Callable[[VarRing, GroebnerBasis, Polynomial | None],
-                         Callable[[Polynomial], Polynomial]]
+_ImageFactory = Callable[[CofactorTable], Callable[[Polynomial], Polynomial]]
 
 
 @dataclass(frozen=True)
 class _ClosureCheck:
-    """One closure check: the base ideal ("I" or "hat"; the hat ideal
-    may be doubled onto the x and y blocks) and the image of a generator
-    in the base ring.  An image is made by a factory of the base ring
-    and basis, which builds the pieces every generator's image shares
-    and returns the map from a generator to its reduced image."""
+    """One closure check: the base ideal ("I", "hat", or "doubled", the
+    hat ideal on the x and y blocks) and the image of a generator in the
+    base ring.  An image is made by a factory of the base's
+    CofactorTable, which builds and keeps the pieces the generators'
+    images share, and returns the map from a generator to its reduced
+    image."""
 
     ideal: str
-    doubled: bool
     image: _ImageFactory
 
 
 # The factories look up the matrices functions in this module's globals
 # at call time, so a wrapper or stub bound to those names later is
-# called.  Every piece is reduced modulo the base basis as it is built.
-# A factory also takes det(X) reduced modulo the base basis when the run
-# holds it, and builds it otherwise.
+# called.  Every piece is built in the matrices functions, on first use,
+# and reduced modulo the base basis.
 
-def _inverse_pieces(ring: VarRing, base: GroebnerBasis,
-                    det: Polynomial | None):
-    """adj(X) and the list [1, det(X)], which the images extend with the
-    higher determinant powers they need."""
-    if det is None:
-        det = det_poly(ring, "x", base)
-    return adjugate(ring, "x", base), [ring.one(), det]
+def _padded_inverse_image(table: CofactorTable):
+    ring, base = table.ring, table.modulo
+    det = det_poly(ring, "x", base, table=table)
+    return lambda f: make_k(eval_at_formal_inverse(f, base, table=table),
+                            base, det=det)
 
 
-def _padded_inverse_image(ring: VarRing, base: GroebnerBasis,
-                          det: Polynomial | None = None):
-    adj, powers = _inverse_pieces(ring, base, det)
-    return lambda f: make_k(eval_at_formal_inverse(
-        f, base, adj=adj, det_powers=powers), base, det=powers[1])
-
-
-def _inverse_numerator_image(ring: VarRing, base: GroebnerBasis,
-                             det: Polynomial | None = None):
-    adj, powers = _inverse_pieces(ring, base, det)
+def _inverse_numerator_image(table: CofactorTable):
+    ring, base = table.ring, table.modulo
     return lambda f: eval_at_formal_inverse(
-        change_ring(f, ring), base, adj=adj, det_powers=powers).numerator
+        change_ring(f, ring), base, table=table).numerator
 
 
-def _product_image(ring: VarRing, base: GroebnerBasis,
-                   det: Polynomial | None = None):
-    images: dict = {}  # the reduced entries of X*Y, filled by the first call
-    return lambda f: subst_product(f, ring, base, images=images)
+def _product_image(table: CofactorTable):
+    return lambda f: subst_product(f, table.ring, table.modulo, table=table)
 
 
-def _quotient_image(ring: VarRing, base: GroebnerBasis,
-                    det: Polynomial | None = None):
-    images: dict = {}  # the reduced entries of y0*X*adj(Y), likewise
-    return lambda f: subst_x_times_inverse_y(f, ring, base, images=images)
+def _quotient_image(table: CofactorTable):
+    return lambda f: subst_x_times_inverse_y(f, table.ring, table.modulo,
+                                             table=table)
 
 
 _CLOSURE_CHECKS = {
-    "inversion": _ClosureCheck("I", False, _padded_inverse_image),
-    "inversion_alt": _ClosureCheck("hat", False, _inverse_numerator_image),
-    "multiplication": _ClosureCheck("hat", True, _product_image),
-    "division": _ClosureCheck("hat", True, _quotient_image),
+    "inversion": _ClosureCheck("I", _padded_inverse_image),
+    "inversion_alt": _ClosureCheck("hat", _inverse_numerator_image),
+    "multiplication": _ClosureCheck("doubled", _product_image),
+    "division": _ClosureCheck("doubled", _quotient_image),
 }
 
 
@@ -295,12 +284,16 @@ class _Run:
     - "I": (ring, reduced basis) of the problem ideal;
     - "hat": (ring, reduced basis) of I + (x0*det(x) - 1), whose zero set
       is V*(I);
-    - "I+det": whether 1 lies in I + (det(x)), that is, V(I) = V*(I).
+    - "I+det": whether 1 lies in I + (det(x)), that is, V(I) = V*(I);
+    - "doubled": (ring, reduced basis) of the hat ideal on the x and y
+      blocks (`product_base`).
 
-    The last two are built on I as the run holds it (`seed`; see the
-    module docstring).  `dets` keeps det reduced modulo the basis of "I"
-    or "hat", built once per run and shared by the inversion images of
-    that base and, for "I", by the other two ideals.
+    "hat" and "I+det" are built on I as the run holds it (`seed`; see
+    the module docstring).  `tables` keeps one CofactorTable per base,
+    "I", "hat" or "doubled", made once per run: its minors serve det
+    reduced modulo the base (for "I", also the seed of the other
+    ideals) and the inversion images alike, and its entry images serve
+    every generator of every check on that base.
 
     A computation's pairs count in the check that runs it.  `radical`
     records whether every base ideal is radical because the generators
@@ -311,7 +304,7 @@ class _Run:
     problem: ProblemSpec
     budget: Budget
     bases: dict = dataclass_field(default_factory=dict)
-    dets: dict = dataclass_field(default_factory=dict)
+    tables: dict = dataclass_field(default_factory=dict)
     radical: bool = dataclass_field(init=False)
 
     def __post_init__(self):
@@ -327,6 +320,9 @@ class _Run:
         if name in self.bases:
             return self.bases[name]
         problem = self.problem
+        if name == "doubled":
+            self.bases[name] = self.product_base(stats)
+            return self.bases[name]
         if name == "I":
             ring, prefix = problem.ring, 0
             gens = [f for f in problem.generators if f]
@@ -362,10 +358,15 @@ class _Run:
     def reduced_det(self, name: str) -> Polynomial:
         """det(x) reduced modulo the run's basis of the ideal `name`,
         "I" or "hat", which must already be computed; built once."""
-        if name not in self.dets:
-            ring, base = self.bases[name]
-            self.dets[name] = det_poly(ring, "x", base)
-        return self.dets[name]
+        table = self.table(name)
+        return det_poly(table.ring, "x", table.modulo, table=table)
+
+    def table(self, name: str) -> CofactorTable:
+        """The CofactorTable of the base `name`, which must already be
+        computed; made once."""
+        if name not in self.tables:
+            self.tables[name] = CofactorTable(*self.bases[name])
+        return self.tables[name]
 
     def product_base(self, stats: GBStats):
         """Reduced basis of the doubled hat ideal J(x) + J(y), where J is
@@ -413,9 +414,10 @@ class _Run:
     def closure_check(self, name: str) -> CheckResult:
         """Run the closure check `name` of `_CLOSURE_CHECKS`: one
         radical-membership test of each generator's image, in generator
-        order, up to the first that fails or runs out of budget.  The
-        pieces the images share are built once, modulo the base basis,
-        before the first test.  When the base ideal is proven radical,
+        order, up to the first that fails or runs out of budget.  An
+        image builds only the pieces its generator needs, modulo the
+        base basis, and the base's CofactorTable keeps them for the
+        later generators and checks on that base.  When the base ideal is proven radical,
         each test is one normal form.  Only the reported generator's
         image is rendered."""
         check = _CLOSURE_CHECKS[name]
@@ -426,14 +428,10 @@ class _Run:
             return CheckResult(True, time.perf_counter() - start)
         stats = GBStats()
         try:
-            if check.doubled:
-                ring, base = self.product_base(stats)
-            else:
-                ring, base = self.ideal(check.ideal, stats)
+            _, base = self.ideal(check.ideal, stats)
         except BudgetExhausted as exc:
             return _result(None, start, stats, undecided_reason=str(exc))
-        det = None if check.doubled else self.reduced_det(check.ideal)
-        image = check.image(ring, base, det)
+        image = check.image(self.table(check.ideal))
         for idx, f in gens:
             try:
                 f = image(f)

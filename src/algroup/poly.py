@@ -89,6 +89,15 @@ class _Codec:
     def degree(self, packed: int) -> int:
         return packed >> self.deg_shift
 
+    def support_mask(self, packed: int) -> int:
+        """Every bit of the exponent field of each variable of the
+        monomial; a monomial m has no variable outside it exactly when
+        m & low_mask & ~mask is 0."""
+        mask = 0
+        for i, _ in self.factors(packed):
+            mask |= _FIELD_MASK << (_BITS * i)
+        return mask
+
     def divides(self, a: int, b: int) -> bool:
         return ((b | self.guard) - a) & self.guard == self.guard
 

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import pathlib
+import resource
 import subprocess
 import sys
 
@@ -20,11 +21,16 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_python(*argv):
-    """Run a fresh interpreter that imports algroup from this source tree."""
+def run_python(*argv, address_space=None):
+    """Run a fresh interpreter that imports algroup from this source tree;
+    `address_space`, in bytes, limits that interpreter's memory."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
     return subprocess.run([sys.executable, *argv], capture_output=True,
                           text=True, timeout=60,
-                          env=dict(os.environ, PYTHONPATH=str(SRC)))
+                          env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          preexec_fn=None if address_space is None else limit)
 
 
 def test_decide_sl2_text(problems_dir, capsys):
@@ -163,6 +169,22 @@ def test_oversized_coefficient_is_an_input_error(tmp_path):
     assert run.returncode == 1
     assert "Traceback" not in run.stderr
     assert run.stderr.startswith(f"algroup: error: {prob}: line 3, column 1:")
+
+
+def test_x2_division_at_n8_ends_with_a_report_in_1_gb(tmp_path):
+    # The image of x2 under X -> X*Y^-1 is one entry of y0*X*adj(Y), and
+    # that entry takes seven cofactors of Y (x2 is zero): only those are
+    # built, not all 64 entries of about 40,000 terms each.
+    prob = tmp_path / "x2n8.alg"
+    prob.write_text("n 8\nfield Q\nx2\n")
+    run = run_python("-m", "algroup.cli", "decide", str(prob), "--check",
+                     "group-alt", "--format", "json",
+                     address_space=1 << 30)
+    assert run.returncode == 0, run.stderr[-2000:]
+    report = json.loads(run.stdout)
+    assert report["group_alt"] is False
+    assert report["checks"]["division"]["verdict"] is False
+    assert report["checks"]["division"]["witness_index"] == 1
 
 
 def test_oracle_mismatch_aborts(tmp_path, capsys):

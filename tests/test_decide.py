@@ -19,6 +19,7 @@ from algroup import (QQ, Budget, DecisionReport, GBStats, Polynomial,
 from algroup import groebner, matrices
 from algroup.poly import MAX_ENGINE_DEGREE
 from algroup.decide import _Run
+from algroup.matrices import CofactorTable
 
 SUITE = ["sl2.alg", "gl2.alg", "torus2.alg", "diag-antidiag.alg",
          "cubic-roots.alg", "fourth-roots.alg", "linear-forms-3x3.alg",
@@ -512,53 +513,76 @@ def test_reduced_images_equal_the_normal_forms_of_the_expanded_ones(
         problems_dir):
     specs = list(_field_equation_corpus(101))
     specs += [_over_q(spec) for spec in specs]
+    specs += [spec for spec, _ in _random_corpus(101)]
     specs += [load_problem(p) for p in sorted(problems_dir.glob("*.alg"))]
+    # Linear leads whose normal forms have several terms, and a zero
+    # entry that drops out of every cofactor.
+    specs += [moved for _, moved in _q_metamorphic_cases(problems_dir)]
+    specs += [parse_problem(f"n {n}\nfield Q\nx2\n") for n in (4, 5)]
     assert {spec.field.characteristic for spec in specs} == {0, 2, 3, 5}
     compared = Counter()
     for spec in specs:
         run = _Run(spec, Budget())
         gens = [f for f in spec.generators if f]
         for name, check in decide._CLOSURE_CHECKS.items():
-            if check.doubled:
-                ring, base = run.product_base(GBStats())
-            else:
-                ring, base = run.ideal(check.ideal, GBStats())
-            # One factory call per check: every generator's image reuses
-            # its pieces, as in a decision.
-            image = check.image(ring, base)
+            ring, base = run.ideal(check.ideal, GBStats())
+            # One table per check: every generator's image reuses its
+            # pieces, as in a decision.
+            image = check.image(CofactorTable(ring, base))
             for f in gens:
                 want = normal_form(EXPANDED_IMAGES[check.image](f, ring), base)
                 assert image(f) == want, (spec.generators, name, f)
                 compared[name] += 1
-    assert len(compared) == 4 and min(compared.values()) >= 50
+    assert len(compared) == 4 and min(compared.values()) >= 200
 
 
-def test_closure_checks_build_the_determinant_and_adjugate_once(monkeypatch):
-    # The 3x3 torus: six generators, every one tested by every check.
-    spec = parse_problem("n 3\nfield Q\nx2\nx3\nx4\nx6\nx7\nx8\n")
-    checks, calls = [], []
+def test_x2_division_builds_at_most_n_cofactors():
+    # x2 at n=5: the image of x2 is y0 times entry (1, 2) of X*adj(Y),
+    # which takes the cofactors of Y that meet the nonzero entries of
+    # X's first row, four of them.
+    n = 5
+    run = _Run(parse_problem(f"n {n}\nfield Q\nx2\n"), Budget())
+    assert run.check("division").verdict is False
+    table = run.tables["doubled"]
+    cofactors = [key for key in table.minors
+                 if key[0] == "y" and len(key[1]) == n - 1]
+    assert len(cofactors) == n - 1
+    assert [key for key in table.images] == [("quotient", 0, 1)]
+
+
+def test_closure_checks_build_the_determinant_and_adjugate_once(problem,
+                                                                 monkeypatch):
+    # Two linear forms in all nine entries: a group, so every generator
+    # is tested by every check, and the images need cofactors that share
+    # their minors with each other and with det.
+    spec = problem("linear-forms-3x3.alg")
+    checks, built = [], []
     real_check = _Run.closure_check
+    real_build = matrices.CofactorTable._build_minor
 
     def tracking(self, name):
         checks.append(name)
         return real_check(self, name)
 
-    monkeypatch.setattr(_Run, "closure_check", tracking)
-    for module in (decide, matrices):
-        for name in ("adjugate", "det_poly"):
-            def counting(ring, block="x", *args, real=getattr(matrices, name),
-                         name=name, **kwargs):
-                calls.append((checks[-1] if checks else None, name, ring,
-                              block))
-                return real(ring, block, *args, **kwargs)
+    def counting(self, block, rows, cols):
+        built.append((checks[-1] if checks else None, self, block, rows,
+                      cols))
+        return real_build(self, block, rows, cols)
 
-            monkeypatch.setattr(module, name, counting, raising=False)
-    report = run_checks(spec, ["group", "group-alt"])
+    monkeypatch.setattr(_Run, "closure_check", tracking)
+    monkeypatch.setattr(matrices.CofactorTable, "_build_minor", counting)
+    report = run_checks(spec, ["group", "group-alt", "inversion_alt"])
     assert report.group is True and report.group_alt is True
-    per_check = Counter(calls)
-    assert {(check, name) for check, name, _, _ in per_check} >= {
-        ("inversion", "adjugate"), ("inversion", "det_poly"),
-        ("division", "adjugate")}
+    # At most one table builds the minors of a block within a check.
+    tables = {}
+    for check, table, block, _, _ in built:
+        tables.setdefault((check, block), set()).add(id(table))
+    assert {("inversion", "x"), ("inversion_alt", "x"),
+            ("division", "y")} <= tables.keys()
+    assert max(map(len, tables.values())) == 1, tables
+    # No minor is built twice within a check.
+    per_check = Counter((check, block, rows, cols)
+                        for check, _, block, rows, cols in built)
     assert max(per_check.values()) == 1, per_check
 
 

@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from algroup import (QQ, VarRing, adjugate, build_f0, build_hat_ideal,
-                     change_ring, det_poly, eval_at_formal_inverse, make_k,
-                     parse_poly, parse_problem, subst_product,
-                     subst_x_times_inverse_y, to_y_block)
+from algroup import (QQ, VarRing, adjugate, buchberger, build_f0,
+                     build_hat_ideal, change_ring, det_poly,
+                     eval_at_formal_inverse, make_k, normal_form, parse_poly,
+                     parse_problem, subst_product, subst_x_times_inverse_y,
+                     to_y_block)
+from algroup.matrices import CofactorTable
 
 
 def xring(n):
@@ -310,3 +312,20 @@ def test_x_block_only_guard():
     with pytest.raises(ValueError, match="x0"):
         eval_at_formal_inverse(change_ring(target.var("x0"),
                                            VarRing.matrix_ring(2, QQ, x0=True)))
+
+
+def test_a_cofactor_table_serves_only_its_ring_and_basis():
+    ring = xring(3)
+    base = buchberger([ring.var("x2"), ring.var("x4") - ring.var("x7")],
+                      ring=ring)
+    table = CofactorTable(ring, base)
+    assert det_poly(ring, "x", base, table=table) == \
+        normal_form(det_poly(ring), base)
+    # x2 is zero modulo the basis, and x4 is congruent to x7: the
+    # entries are their one-term normal forms.
+    entries = table.entries("x")
+    assert entries[0][1] == ring.zero() and entries[1][0] == ring.var("x7")
+    with pytest.raises(ValueError, match="another ring or basis"):
+        det_poly(ring, "x", None, table=table)
+    with pytest.raises(ValueError, match="another ring or basis"):
+        det_poly(xring(2), "x", base, table=table)
