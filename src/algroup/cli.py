@@ -9,6 +9,7 @@ disagreed with the engine.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -20,7 +21,10 @@ CHECK_CHOICES = ("identity", "inversion", "multiplication", "group",
                  "group-alt", "vstar-eq")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing reads it
+    and changes nothing in it."""
     parser = argparse.ArgumentParser(
         prog="algroup",
         description="Decide whether the invertible part of a matrix variety "

@@ -2,10 +2,10 @@
 
 The x block identifies the variable x_{(i-1)n+j} with matrix entry
 (i, j), row major; the y block does the same with y variables.  This
-module provides the determinant and adjugate of a block, the
-invertibility witness x0*det(x) - 1, the matrix-product substitution,
-and the formal-inverse image of a polynomial with its denominator
-exponent.
+module provides the determinant and the adjugate entries of a block
+(`CofactorTable`), the invertibility witness x0*det(x) - 1, the
+matrix-product substitution, and the formal-inverse image of a
+polynomial with its denominator exponent.
 
 Each closure-check construction takes an optional `modulo`, a Groebner
 basis of its target ring.  Normal form modulo a Groebner basis of J is a
@@ -201,26 +201,10 @@ def _table(ring: VarRing, modulo: GroebnerBasis | None,
 
 
 def det_poly(ring: VarRing, block: str = "x",
-             modulo: GroebnerBasis | None = None, *,
-             table: CofactorTable | None = None) -> Polynomial:
+             modulo: GroebnerBasis | None = None) -> Polynomial:
     """Determinant of the generic block, by cofactor expansion; with
-    `modulo`, its normal form, each minor reduced as it is built.
-    `table`, when given, is the CofactorTable of ring and `modulo` whose
-    minors the expansion uses and fills."""
-    return _table(ring, modulo, table).det(block)
-
-
-def adjugate(ring: VarRing, block: str = "x",
-             modulo: GroebnerBasis | None = None) -> list[list[Polynomial]]:
-    """Classical adjoint of the generic block: adj[i][j] = cofactor(j, i).
-
-    Satisfies X * adj(X) = adj(X) * X = det(X) * identity as polynomial
-    identities.  Indices in the result are 0-based.  With `modulo`, each
-    entry is its normal form, each minor reduced as it is built.
-    """
-    table = CofactorTable(ring, modulo)
-    n = ring.n
-    return [[table.adj(block, i, j) for j in range(n)] for i in range(n)]
+    `modulo`, its normal form, each minor reduced as it is built."""
+    return CofactorTable(ring, modulo).det(block)
 
 
 def build_f0(ring: VarRing, block: str = "x",
@@ -360,17 +344,6 @@ def eval_at_formal_inverse(f: Polynomial,
     if degree != 1:  # else a linear combination of adj entries and det
         acc = table.reduce(acc)
     return FormalInverseImage(acc, degree)
-
-
-def make_k(img: FormalInverseImage, modulo: GroebnerBasis | None = None, *,
-           det: Polynomial | None = None) -> Polynomial:
-    """Multiply the formal-inverse numerator by one more det factor,
-    making it vanish on singular points as well.  With `modulo`, the
-    result is a normal form; `det`, when given, is det(X), reduced
-    modulo `modulo` when it is given."""
-    if det is None:
-        det = det_poly(img.numerator.ring, "x", modulo)
-    return _reduction(modulo)(img.numerator * det)
 
 
 def subst_x_times_inverse_y(f: Polynomial, target: VarRing,

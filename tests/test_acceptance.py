@@ -9,16 +9,15 @@ problem's coefficient field.
 import random
 import time
 
-from conftest import random_matrix_problem
-from test_matrices import (_random_x_poly, flatten, frac_det, frac_inverse,
-                           random_invertible)
+from conftest import padded_inverse_reference, random_matrix_problem
+from test_matrices import (_random_x_poly, adjugate, flatten, frac_det,
+                           frac_inverse, random_invertible)
 
-from algroup import (Budget, QQ, VarRing, add_field_equations, adjugate,
-                     buchberger, check_multiplication, det_poly,
-                     enumerate_variety, eval_at_formal_inverse, is_group,
-                     is_group_bruteforce, multiplication_closed, normal_form,
-                     parse_poly, run_checks, s_polynomial,
-                     variety_equals_vstar)
+from algroup import (Budget, QQ, VarRing, add_field_equations, buchberger,
+                     check_multiplication, det_poly, enumerate_variety,
+                     eval_at_formal_inverse, is_group, is_group_bruteforce,
+                     multiplication_closed, normal_form, parse_poly,
+                     run_checks, s_polynomial, variety_equals_vstar)
 
 
 class Timer:
@@ -136,28 +135,22 @@ EQUIV_FIXTURES = ["sl2.alg", "gl2.alg", "torus2.alg", "diag-antidiag.alg",
 
 
 def test_criterion_9_equivalence_battery(problem):
-    pairs = 0
-    for name in EQUIV_FIXTURES:
-        spec = problem(name)
-        rep = run_checks(spec, ["group", "group-alt", "inversion",
-                                "inversion_alt"])
-        if rep.group is not None and rep.group_alt is not None:
-            assert rep.group == rep.group_alt, name
-            pairs += 1
-        inv = rep.checks["inversion"]
-        inv_alt = rep.checks["inversion_alt"]
-        if inv.verdict is not None and inv_alt.verdict is not None:
-            assert inv.verdict == inv_alt.verdict, name
+    # The standard and division forms agree on the group property, and
+    # the inversion check, on the hat ideal, agrees with the padded form
+    # det*h in rad(I) on the raw generators.
     f5 = problem("cubic-roots-f5.alg")
-    for q in (5, 25):
-        spec = add_field_equations(f5, q)
-        rep = run_checks(spec, ["group", "group-alt", "inversion",
-                                "inversion_alt"])
-        assert rep.group == rep.group_alt, q
-        assert rep.checks["inversion"].verdict == \
-            rep.checks["inversion_alt"].verdict, q
+    specs = [problem(name) for name in EQUIV_FIXTURES]
+    specs += [add_field_equations(f5, q) for q in (5, 25)]
+    pairs = 0
+    for spec in specs:
+        rep = run_checks(spec, ["group", "group-alt", "inversion"])
+        assert rep.group is not None and rep.group == rep.group_alt, \
+            spec.source
+        inv = rep.checks["inversion"]
+        assert (inv.verdict, inv.witness_index) == \
+            padded_inverse_reference(spec), spec.source
         pairs += 1
-    assert pairs >= 8
+    assert pairs == 11
     report(9, f"both algorithm variants agree on {pairs} decided fixtures")
 
 

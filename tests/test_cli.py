@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import os
@@ -9,6 +10,7 @@ import sys
 import algroup
 from algroup import (QQ, CheckResult, DecisionReport, VarRing, decide,
                      is_group, is_group_alt, load_problem)
+from algroup import cli
 from algroup.cli import main
 
 SRC = pathlib.Path(algroup.__file__).resolve().parents[1]
@@ -185,6 +187,39 @@ def test_x2_division_at_n8_ends_with_a_report_in_1_gb(tmp_path):
     assert report["group_alt"] is False
     assert report["checks"]["division"]["verdict"] is False
     assert report["checks"]["division"]["witness_index"] == 1
+
+
+def test_x2_group_at_n8_ends_with_a_report_in_1_gb(tmp_path):
+    # The inversion image of x2 is the numerator of entry (1, 2) of the
+    # formal inverse, one cofactor of X, reduced modulo the hat basis;
+    # padded by det, as det*h against I, it has millions of terms.
+    prob = tmp_path / "x2n8.alg"
+    prob.write_text("n 8\nfield Q\nx2\n")
+    run = run_python("-m", "algroup.cli", "decide", str(prob), "--check",
+                     "group", "--format", "json", address_space=1 << 30)
+    assert run.returncode == 0, run.stderr[-2000:]
+    report = json.loads(run.stdout)
+    assert report["group"] is False
+    assert report["checks"]["inversion"]["verdict"] is False
+    assert report["checks"]["inversion"]["witness_index"] == 1
+
+
+def test_the_parser_is_built_once_per_process(problems_dir, capsys,
+                                              monkeypatch):
+    built = []
+    real = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real(self, *args, **kwargs)
+
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for _ in range(2):
+        code, out, _ = run_cli(capsys, "decide",
+                               str(problems_dir / "sl2.alg"))
+        assert code == 0 and "group: true" in out
+    assert built.count("algroup") == 1, built
 
 
 def test_oracle_mismatch_aborts(tmp_path, capsys):
