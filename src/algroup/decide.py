@@ -57,35 +57,33 @@ images, and the reported witness is the reduced image.
 A membership test is one normal form when its base ideal J is
 radical: radical membership is then plain membership, and a nonzero
 normal form modulo the reduced basis decides false.  Otherwise it takes
-the `t*f - 1` run.  Three certificates prove J radical; the answer is
-kept on J's basis (`GroebnerBasis.radical`), decided once, when the
-first test of that basis meets a nonzero normal form, so a check whose
-tests all hold pays nothing for it:
+the `t*f - 1` run.  Two certificates prove J radical, both decided in
+`groebner` on J's basis (`GroebnerBasis.certified_radical`), once, when
+the first test of that basis meets a nonzero normal form, so a check
+whose tests all hold pays nothing for them:
 
-- field equations (`add_field_equations`, which records q on the
-  problem).  Over a perfect field, an ideal that contains a squarefree
-  univariate polynomial in each of its variables is radical
-  (Seidenberg's lemma; Kreuzer-Robbiano, Computational Commutative
-  Algebra 1, section 3.7).  Every base ideal qualifies: `x^q - x` has
-  derivative -1, so it is squarefree, and F_p is perfect; the hat ideal
-  contains `x0^q - x0`, because the coefficients lie in F_p and q is a
-  power of p, so det^q = det modulo the field equations, x0*det = 1 in
-  the hat ideal, and hence x0^q - x0 = x0*(x0^q*det - x0*det) = 0.  The
-  runner does not infer this: only when the problem records q and
-  every `x_k^q - x_k` is among its generators, checked once per run,
-  does it mark each basis radical as it makes it.
-- squarefree leads (`groebner` criterion (a)).  If every lead of a
-  Groebner basis of J is squarefree, in(J) is a squarefree monomial
-  ideal, hence radical.  For f in rad(J) with normal form r, r^k lies
-  in J, so lm(r)^k and then lm(r) lie in in(J); as no term of r is
-  divisible by a lead, r = 0.
-- zero-dimensional with squarefree minimal polynomials (`groebner`
-  criterion (b)).  The minimal polynomial mu_k of each variable x_k in
-  R/J generates J meet k[x_k]; if every mu_k is coprime to its
-  derivative, J contains a squarefree univariate polynomial in each
-  variable and is radical by the same lemma, and over a perfect field
-  the converse holds too.  The field-equation certificate is the case
-  where mu_k divides x^q - x.
+- squarefree leads (criterion (a)).  If every lead of a Groebner basis
+  of J is squarefree, in(J) is a squarefree monomial ideal, hence
+  radical.  For f in rad(J) with normal form r, r^k lies in J, so
+  lm(r)^k and then lm(r) lie in in(J); as no term of r is divisible by
+  a lead, r = 0.
+- zero-dimensional with squarefree minimal polynomials (criterion (b)).
+  The minimal polynomial mu_k of each variable x_k in R/J generates J
+  meet k[x_k]; if every mu_k is coprime to its derivative, J contains a
+  squarefree univariate polynomial in each variable, and over a perfect
+  field such an ideal is radical (Seidenberg's lemma; Kreuzer-Robbiano,
+  Computational Commutative Algebra 1, section 3.7); the converse holds
+  too.
+
+Field equations (`add_field_equations`, which records q on the problem
+for the report) are a case of (b).  `x^q - x` has derivative -1, so it
+is squarefree, and F_p is perfect.  Every base ideal contains it in
+each variable: the hat ideal contains `x0^q - x0`, because the
+coefficients lie in F_p and q is a power of p, so det^q = det modulo the
+field equations, x0*det = 1 in the hat ideal, and hence x0^q - x0 =
+x0*(x0^q*det - x0*det) = 0.  So each mu_k divides x^q - x and is
+squarefree, of degree at most q, and (b) certifies the basis; a degree
+cap below q already rejects the field equations as input.
 
 A doubled ideal takes its block's answer: over a perfect field, J(x) +
 J(y) is radical when J is (Bourbaki, Algebra V section 15), and both
@@ -104,7 +102,6 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import asdict, dataclass, field as dataclass_field, replace
-from typing import Callable
 
 from .fields import PrimeField
 from .groebner import (Budget, BudgetExhausted, GBStats, GroebnerBasis,
@@ -216,46 +213,15 @@ def check_identity(problem: ProblemSpec) -> CheckResult:
     return CheckResult(True, time.perf_counter() - start)
 
 
-_ImageFactory = Callable[[CofactorTable], Callable[[Polynomial], Polynomial]]
-
-
-@dataclass(frozen=True)
-class _ClosureCheck:
-    """One closure check: the base ideal ("hat", or "doubled", the hat
-    ideal on the x and y blocks) and the image of a generator in the
-    base ring.  An image is made by a factory of the base's
-    CofactorTable, which builds and keeps the pieces the generators'
-    images share, and returns the map from a generator to its reduced
-    image."""
-
-    ideal: str
-    image: _ImageFactory
-
-
-# The factories look up the matrices functions in this module's globals
-# at call time, so a wrapper or stub bound to those names later is
-# called.  Every piece is built in the matrices functions, on first use,
-# and reduced modulo the base basis.
-
-def _inverse_numerator_image(table: CofactorTable):
-    ring, base = table.ring, table.modulo
-    return lambda f: eval_at_formal_inverse(
-        change_ring(f, ring), base, table=table).numerator
-
-
-def _product_image(table: CofactorTable):
-    return lambda f: subst_product(f, table.ring, table.modulo, table=table)
-
-
-def _quotient_image(table: CofactorTable):
-    return lambda f: subst_x_times_inverse_y(f, table.ring, table.modulo,
-                                             table=table)
-
-
+# One closure check per name: its base ideal ("hat", or "doubled", the
+# hat ideal on the x and y blocks) and the reduced image of a generator,
+# built on the base's CofactorTable.  The lambdas look the matrices
+# functions up in this module's globals at call time, so a wrapper or
+# stub bound to those names later is called.
 _CLOSURE_CHECKS = {
-    "inversion": _ClosureCheck("hat", _inverse_numerator_image),
-    "multiplication": _ClosureCheck("doubled", _product_image),
-    "division": _ClosureCheck("doubled", _quotient_image),
+    "inversion": ("hat", lambda f, t: eval_at_formal_inverse(f, t)),
+    "multiplication": ("doubled", lambda f, t: subst_product(f, t)),
+    "division": ("doubled", lambda f, t: subst_x_times_inverse_y(f, t)),
 }
 
 
@@ -284,26 +250,16 @@ class _Run:
     inversion images, and its entry images serve every generator of
     every check on that base.
 
-    A computation's pairs count in the check that runs it.  `radical`
-    records whether every base ideal is radical because the generators
-    hold the field equations the problem records; then every basis of
-    the run is marked radical as it is made.
+    A computation's pairs count in the check that runs it.  Whether a
+    basis is radical is decided by `groebner`, on the basis, when a
+    membership test first needs it; the doubled basis takes the hat
+    basis's answer when it has one.
     """
 
     problem: ProblemSpec
     budget: Budget
     bases: dict = dataclass_field(default_factory=dict)
     tables: dict = dataclass_field(default_factory=dict)
-    radical: bool = dataclass_field(init=False)
-
-    def __post_init__(self):
-        q = self.problem.field_equations_q
-        try:
-            equations = None if q is None else _field_equations(self.problem, q)
-        except ValueError:
-            equations = None
-        self.radical = equations is not None \
-            and set(equations) <= set(self.problem.generators)
 
     def ideal(self, name: str, stats: GBStats):
         if name in self.bases:
@@ -325,11 +281,9 @@ class _Run:
             ring = VarRing.matrix_ring(problem.n, problem.field, x0=True)
             gens = [change_ring(g, ring) for g in gens]
             gens.append(build_f0(ring, "x", change_ring(det, ring)))
-        gb = buchberger(gens, self.budget, ring=ring, assume_gb_prefix=prefix,
-                        stats=stats)
-        if self.radical:
-            gb.radical = True
-        self.bases[name] = ring, gb
+        self.bases[name] = ring, buchberger(gens, self.budget, ring=ring,
+                                            assume_gb_prefix=prefix,
+                                            stats=stats)
         return self.bases[name]
 
     def seed(self, stats: GBStats) -> tuple[list[Polynomial], int,
@@ -401,7 +355,7 @@ class _Run:
         later generators and checks on that base.  When the base ideal is proven radical,
         each test is one normal form.  Only the reported generator's
         image is rendered."""
-        check = _CLOSURE_CHECKS[name]
+        ideal, image = _CLOSURE_CHECKS[name]
         start = time.perf_counter()
         gens = [(idx, f) for idx, f in enumerate(self.problem.generators,
                                                  start=1) if f]
@@ -409,13 +363,13 @@ class _Run:
             return CheckResult(True, time.perf_counter() - start)
         stats = GBStats()
         try:
-            _, base = self.ideal(check.ideal, stats)
+            _, base = self.ideal(ideal, stats)
         except BudgetExhausted as exc:
             return _result(None, start, stats, undecided_reason=str(exc))
-        image = check.image(self.table(check.ideal))
+        table = self.table(ideal)
         for idx, f in gens:
             try:
-                f = image(f)
+                f = image(f, table)
             except OverflowError as exc:
                 return _result(None, start, stats, witness_index=idx,
                                undecided_reason=f"undecided: image of the "
@@ -537,14 +491,8 @@ def is_group_alt(problem: ProblemSpec, *,
 def add_field_equations(problem: ProblemSpec, q: int) -> ProblemSpec:
     """Restrict the variety to matrices over the field with q elements by
     adjoining x_k^q - x_k for every entry variable; q must be a power of
-    the coefficient characteristic."""
-    return replace(problem, generators=list(problem.generators)
-                   + _field_equations(problem, q), field_equations_q=q)
-
-
-def _field_equations(problem: ProblemSpec, q: int) -> list[Polynomial]:
-    """x_k^q - x_k for every entry variable; ValueError unless q is a
-    power of the coefficient characteristic."""
+    the coefficient characteristic, else ValueError.  The report records
+    q; the engine does not read it."""
     p = problem.field.characteristic
     if p == 0:
         raise ValueError("field equations require a prime coefficient field")
@@ -560,4 +508,7 @@ def _field_equations(problem: ProblemSpec, q: int) -> list[Polynomial]:
     ring, neg_one = problem.ring, problem.field.neg(1)
     xs = (ring.var(f"x{k}").terms for k in range(1, problem.n**2 + 1))
     # Packed, x^q is q times x.
-    return [Polynomial._make(ring, {q * m: 1, m: neg_one}) for (m,) in xs]
+    equations = [Polynomial._make(ring, {q * m: 1, m: neg_one})
+                 for (m,) in xs]
+    return replace(problem, generators=list(problem.generators) + equations,
+                   field_equations_q=q)

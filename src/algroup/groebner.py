@@ -104,8 +104,8 @@ class GBStats:
 class GroebnerBasis:
     basis: list[Polynomial]
     stats: GBStats
-    # Whether the ideal is proven radical; None until first asked.  A
-    # caller that knows the answer may set it.
+    # Whether the ideal is proven radical; None until first asked.  The
+    # doubled hat basis is given its block basis's answer.
     radical: bool | None = dataclass_field(default=None, repr=False,
                                            compare=False)
     _prepared: tuple | None = dataclass_field(default=None, init=False,

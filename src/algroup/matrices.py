@@ -4,35 +4,35 @@ The x block identifies the variable x_{(i-1)n+j} with matrix entry
 (i, j), row major; the y block does the same with y variables.  This
 module provides the determinant and the adjugate entries of a block
 (`CofactorTable`), the invertibility witness x0*det(x) - 1, the
-matrix-product substitution, and the formal-inverse image of a
-polynomial with its denominator exponent.
+matrix-product substitution, and the numerator of a polynomial at the
+formal inverse.
 
-Each closure-check construction takes an optional `modulo`, a Groebner
-basis of its target ring.  Normal form modulo a Groebner basis of J is a
-ring map onto R/J: NF(a*b) = NF(NF(a)*NF(b)) and NF(a + b) = NF(a) +
-NF(b).  So with `modulo` a construction reduces its pieces as it builds
-them (each minor of the cofactor expansion, each determinant power,
-each entry image) and returns NF(image), the same polynomial as the
-normal form of the expanded image, without ever expanding it.  The
-products inside a substitution are not reduced one by one: a reduction
-per partial product costs more than it saves.  Without `modulo` each
-construction returns the expanded polynomial.
-
-The pieces that do not depend on the polynomial being mapped live in a
-CofactorTable of the target ring and `modulo`, which a caller passes to
-every construction on that base: the block entries, each entry variable
+Each closure-check construction takes one argument besides the
+polynomial: a CofactorTable, whose ring is the target ring and whose
+optional `modulo` is a Groebner basis of it.  The table holds the
+pieces that do not depend on the polynomial being mapped, for every
+construction on that base: the block entries, each entry variable
 replaced by its normal form when that has at most one term; the minors,
 which the determinant and every adjugate entry share; the determinant
 powers; and the entry images of the two substitutions.  Each piece is
 built on first use, so an image builds only the entry images, adjugate
 entries and cofactors of the variables its polynomial mentions, and a
 zero entry drops out of every product it meets.
+
+Normal form modulo a Groebner basis of J is a ring map onto R/J:
+NF(a*b) = NF(NF(a)*NF(b)) and NF(a + b) = NF(a) + NF(b).  So on a table
+with `modulo` a construction reduces its pieces as it builds them (each
+minor of the cofactor expansion, each determinant power, each entry
+image) and returns NF(image), the same polynomial as the normal form of
+the expanded image, without ever expanding it.  The products inside a
+substitution are not reduced one by one: a reduction per partial
+product costs more than it saves.  On `CofactorTable(ring)`, with no
+basis, each construction returns the expanded polynomial.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import groebner
 from .groebner import GroebnerBasis
@@ -191,15 +191,6 @@ class CofactorTable:
         return powers[e]
 
 
-def _table(ring: VarRing, modulo: GroebnerBasis | None,
-           table: CofactorTable | None) -> CofactorTable:
-    if table is None:
-        return CofactorTable(ring, modulo)
-    if table.ring != ring or table.modulo is not modulo:
-        raise ValueError("cofactor table of another ring or basis")
-    return table
-
-
 def det_poly(ring: VarRing, block: str = "x",
              modulo: GroebnerBasis | None = None) -> Polynomial:
     """Determinant of the generic block, by cofactor expansion; with
@@ -267,17 +258,14 @@ def _substitute(f: Polynomial, table: CofactorTable, kind: str,
     return out if linear_form else table.reduce(out)
 
 
-def subst_product(f: Polynomial, target: VarRing,
-                  modulo: GroebnerBasis | None = None, *,
-                  table: CofactorTable | None = None) -> Polynomial:
+def subst_product(f: Polynomial, table: CofactorTable) -> Polynomial:
     """f with each entry variable replaced by the matrix-product entry:
-    x_{(i-1)n+j} maps to the (i, j) entry of X*Y in the target ring.
+    x_{(i-1)n+j} maps to the (i, j) entry of X*Y in the table's ring.
 
-    With `modulo`, the entries of X*Y and the result are normal forms.
-    `table`, when given, is the CofactorTable of target and `modulo`
-    that keeps the entry images for every call.
+    Modulo the table's basis, the entries of X*Y and the result are
+    normal forms, and the table keeps the entry images for every call.
     """
-    table = _table(target, modulo, table)
+    target = table.ring
     x, y = table.entries("x"), table.entries("y")
 
     def entry(i: int, j: int) -> Polynomial:
@@ -297,35 +285,25 @@ def to_y_block(f: Polynomial, target: VarRing) -> Polynomial:
     return change_ring(f, target, rename=lambda name: "y" + name[1:])
 
 
-@dataclass(frozen=True)
-class FormalInverseImage:
-    """numerator / det(x)^denom_exponent equals f at the formal inverse."""
-
-    numerator: Polynomial
-    denom_exponent: int
-
-
 def eval_at_formal_inverse(f: Polynomial,
-                           modulo: GroebnerBasis | None = None, *,
-                           table: CofactorTable | None = None
-                           ) -> FormalInverseImage:
-    """Clear denominators out of f evaluated at the formal inverse.
+                           table: CofactorTable) -> Polynomial:
+    """The numerator h of f at the formal inverse, in the table's ring,
+    into which f is moved.
 
     With L the total degree of f, a term of degree m contributes its
     coefficient times the matching adjugate entries times det^(L-m), so
-    the numerator h satisfies h(v) = det(v)^L * f(v^-1) for every
-    invertible v.  The denominator exponent is fixed at L.
+    h(v) = det(v)^L * f(v^-1) for every invertible v: the denominator
+    exponent is f.total_degree().
 
-    With `modulo`, the numerator is the normal form of h.  Only the
-    adjugate entries of the variables f mentions, and the determinant
-    powers its terms need, are built.  `table`, when given, is the
-    CofactorTable of f's ring and `modulo` that keeps them for every f.
+    Modulo the table's basis, h is a normal form.  Only the adjugate
+    entries of the variables f mentions, and the determinant powers its
+    terms need, are built, and the table keeps them for every f.
     """
     names = _x_block_names(f)
-    ring = f.ring
+    ring = table.ring
+    f = change_ring(f, ring)
     if not f:
-        return FormalInverseImage(ring.zero(), 0)
-    table = _table(ring, modulo, table)
+        return ring.zero()
     n = ring.n
     adj = {ring.index(name): table.adj("x", *_position(name, n))
            for name in names}
@@ -343,24 +321,23 @@ def eval_at_formal_inverse(f: Polynomial,
         acc = acc + term
     if degree != 1:  # else a linear combination of adj entries and det
         acc = table.reduce(acc)
-    return FormalInverseImage(acc, degree)
+    return acc
 
 
-def subst_x_times_inverse_y(f: Polynomial, target: VarRing,
-                            modulo: GroebnerBasis | None = None, *,
-                            table: CofactorTable | None = None
-                            ) -> Polynomial:
+def subst_x_times_inverse_y(f: Polynomial,
+                            table: CofactorTable) -> Polynomial:
     """f with entry (i, j) replaced by y0 times the (i, j) entry of
-    X*adj(Y); modulo the y-block witness relation, y0 stands for
-    det(y)^-1, so this represents f at x times the formal inverse of y.
+    X*adj(Y) in the table's ring; modulo the y-block witness relation,
+    y0 stands for det(y)^-1, so this represents f at x times the formal
+    inverse of y.
 
-    With `modulo`, the cofactors of Y, the entry images and the result
-    are normal forms.  An entry image takes only the cofactors of Y that
-    meet a nonzero entry of X, and only the entries f mentions are
-    built.  `table`, when given, is the CofactorTable of target and
-    `modulo` that keeps the cofactors and entry images for every call.
+    Modulo the table's basis, the cofactors of Y, the entry images and
+    the result are normal forms.  An entry image takes only the
+    cofactors of Y that meet a nonzero entry of X, and only the entries
+    f mentions are built; the table keeps the cofactors and entry images
+    for every call.
     """
-    table = _table(target, modulo, table)
+    target = table.ring
     x, y0 = table.entries("x"), target.var("y0")
 
     def entry(i: int, j: int) -> Polynomial:

@@ -95,11 +95,10 @@ def enumerate_variety(problem: ProblemSpec,
     return VarietySet(n, p, points, invertible)
 
 
-def multiplication_closed(points, n: int, p: int,
-                          universe=None) -> tuple[bool, str | None]:
-    """Whether all pairwise products of points land back in universe
-    (defaulting to the points themselves)."""
-    member = set(universe if universe is not None else points)
+def multiplication_closed(points, n: int,
+                          p: int) -> tuple[bool, str | None]:
+    """Whether all pairwise products of points land back among them."""
+    member = set(points)
     for a in points:
         for b in points:
             if mat_mul(a, b, n, p) not in member:

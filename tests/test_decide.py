@@ -8,19 +8,18 @@ from conftest import padded_inverse_reference
 
 from algroup import (QQ, Budget, DecisionReport, GBStats, Polynomial,
                      ProblemSpec, VarRing, add_field_equations, buchberger,
-                     build_f0, build_hat_ideal, change_ring, check_division,
-                     check_identity, check_inversion, check_inversion_alt,
-                     check_multiplication, contains_one, decide, det_poly,
-                     enumerate_variety,
-                     eval_at_formal_inverse, is_group, is_group_alt,
-                     is_group_bruteforce, load_problem, normal_form,
-                     parse_problem, run_checks, subst_product,
-                     subst_x_times_inverse_y, to_y_block,
+                     build_hat_ideal, change_ring, check_division,
+                     check_identity, check_inversion, check_multiplication,
+                     contains_one, decide, det_poly, enumerate_variety,
+                     is_group, is_group_alt, is_group_bruteforce,
+                     load_problem, normal_form, parse_problem, run_checks,
                      variety_equals_vstar)
 from algroup import groebner, matrices
 from algroup.poly import MAX_ENGINE_DEGREE
-from algroup.decide import _Run
-from algroup.matrices import CofactorTable
+from algroup.decide import _Run, check_inversion_alt
+from algroup.matrices import (CofactorTable, build_f0,
+                              eval_at_formal_inverse, subst_product,
+                              subst_x_times_inverse_y, to_y_block)
 
 SUITE = ["sl2.alg", "gl2.alg", "torus2.alg", "diag-antidiag.alg",
          "cubic-roots.alg", "fourth-roots.alg", "linear-forms-3x3.alg",
@@ -362,8 +361,8 @@ def t_runs(monkeypatch):
 
 @pytest.fixture
 def no_certificate(monkeypatch):
-    """Forces the radical criteria of `groebner` off: a base ideal not
-    marked radical by field equations takes the t*f - 1 route."""
+    """Forces the radical criteria of `groebner` off: a membership test
+    whose normal form is not zero takes the t*f - 1 route."""
     monkeypatch.setattr(groebner, "_certify_radical", lambda *args: False)
 
 
@@ -381,22 +380,24 @@ def _field_equation_fixtures(problems_dir):
                 yield add_field_equations(spec, q)
 
 
-def test_field_equation_shortcut_matches_the_general_path(problems_dir,
-                                                          t_runs,
-                                                          no_certificate):
+def test_field_equation_bases_are_certified_by_the_engine(problems_dir,
+                                                          t_runs, request):
+    # x^q - x is squarefree, so criterion (b) of `groebner` proves every
+    # base ideal under field equations radical: no t*f - 1 run occurs,
+    # and the verdicts are those of the t*f - 1 route.
     cases = list(_field_equation_corpus(101))
     fixtures = list(_field_equation_fixtures(problems_dir))
     assert len(fixtures) == 4
     cases += fixtures
+    certified = [_closure_outcomes(run_checks(spec, CLOSURE_CHECKS))
+                 for spec in cases]
+    assert t_runs == []
+    request.getfixturevalue("no_certificate")
     false_checks = 0
-    for spec in cases:
+    for spec, got in zip(cases, certified):
         t_runs.clear()
-        shortcut = run_checks(spec, CLOSURE_CHECKS)
-        assert t_runs == [], spec.generators
-        general = run_checks(replace(spec, field_equations_q=None),
-                             CLOSURE_CHECKS)
-        assert _closure_outcomes(shortcut) == _closure_outcomes(general), \
-            spec.generators
+        general = run_checks(spec, CLOSURE_CHECKS)
+        assert got == _closure_outcomes(general), spec.generators
         falses = sum(res.verdict is False for res in general.checks.values())
         assert len(t_runs) >= falses, spec.generators
         false_checks += falses
@@ -442,14 +443,12 @@ def test_certified_base_ideals_run_no_t_times_f_minus_one(problem, t_runs):
 
 def _differential_corpus(problems_dir):
     """The fixtures, the Q metamorphic set, and the F_p fuzz corpus of
-    seed 101 with its field equations but not flagged, so that the
-    criteria, not the flag, decide."""
+    seed 101 with its field equations."""
     for path in sorted(problems_dir.glob("*.alg")):
         yield load_problem(path)
     for _, moved in _q_metamorphic_cases(problems_dir):
         yield moved
-    for spec in _field_equation_corpus(101):
-        yield replace(spec, field_equations_q=None)
+    yield from _field_equation_corpus(101)
 
 
 def test_radical_certificates_match_the_general_path(problems_dir, t_runs,
@@ -504,12 +503,12 @@ def test_field_equation_run_starts_no_process_pool():
     assert check_multiplication(restricted).verdict is True
 
 
-# The expanded construction of each image factory: no `modulo`.
+# The construction of each closure check's image, which builds the
+# expanded image on a table with no basis.
 EXPANDED_IMAGES = {
-    decide._inverse_numerator_image:
-        lambda f, ring: change_ring(eval_at_formal_inverse(f).numerator, ring),
-    decide._product_image: subst_product,
-    decide._quotient_image: subst_x_times_inverse_y,
+    "inversion": eval_at_formal_inverse,
+    "multiplication": subst_product,
+    "division": subst_x_times_inverse_y,
 }
 
 
@@ -535,14 +534,14 @@ def test_reduced_images_equal_the_normal_forms_of_the_expanded_ones(
     for spec in specs:
         run = _Run(spec, Budget())
         gens = [f for f in spec.generators if f]
-        for name, check in decide._CLOSURE_CHECKS.items():
-            ring, base = run.ideal(check.ideal, GBStats())
+        for name, (ideal, image) in decide._CLOSURE_CHECKS.items():
+            ring, base = run.ideal(ideal, GBStats())
             # One table per check: every generator's image reuses its
             # pieces, as in a decision.
-            image = check.image(CofactorTable(ring, base))
+            table, expanded = CofactorTable(ring, base), CofactorTable(ring)
             for f in gens:
-                want = normal_form(EXPANDED_IMAGES[check.image](f, ring), base)
-                assert image(f) == want, (spec.generators, name, f)
+                want = normal_form(EXPANDED_IMAGES[name](f, expanded), base)
+                assert image(f, table) == want, (spec.generators, name, f)
                 compared[name] += 1
     assert len(compared) == 3 and min(compared.values()) >= 200
 

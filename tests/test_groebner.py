@@ -6,10 +6,9 @@ import pytest
 
 from algroup import (Budget, BudgetExhausted, Polynomial, PrimeField,
                      ProblemSpec, QQ, VarRing, buchberger, contains_one,
-                     normal_form, parse_poly, radical_membership,
-                     s_polynomial)
+                     normal_form, parse_poly, radical_membership)
 from algroup import build_hat_ideal, groebner, parse_problem
-from algroup.groebner import MAX_ENGINE_DEGREE
+from algroup.groebner import MAX_ENGINE_DEGREE, s_polynomial
 
 # Coefficients with non-unit numerators and denominators, for the
 # fraction-free reduction over Q.
