@@ -85,9 +85,10 @@ x0*(x0^q*det - x0*det) = 0.  So each mu_k divides x^q - x and is
 squarefree, of degree at most q, and (b) certifies the basis; a degree
 cap below q already rejects the field equations as input.
 
-A doubled ideal takes its block's answer: over a perfect field, J(x) +
-J(y) is radical when J is (Bourbaki, Algebra V section 15), and both
-criteria hold for its basis exactly when they hold for J's.
+A doubled ideal takes its block's answer, decided on the block's basis
+in the hat ring: over a perfect field, J(x) + J(y) is radical when J is
+(Bourbaki, Algebra V section 15), and both criteria hold for its basis
+exactly when they hold for J's.
 
 `run_checks` is the one entry point, for the library and the CLI alike:
 it runs a list of check names against one `_Run` into one report.  A
@@ -101,7 +102,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import asdict, dataclass, field as dataclass_field, replace
+from dataclasses import dataclass, field as dataclass_field, replace
 
 from .fields import PrimeField
 from .groebner import (Budget, BudgetExhausted, GBStats, GroebnerBasis,
@@ -126,7 +127,10 @@ class CheckResult:
     note: str | None = None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # The dataclass __init__ sets the fields in order, so these are
+        # the keys of dataclasses.asdict in its order; every value is
+        # immutable, so the shallow copy is as good as its deep one.
+        return dict(vars(self))
 
     @classmethod
     def from_dict(cls, data: dict) -> "CheckResult":
@@ -149,7 +153,12 @@ class DecisionReport:
     notes: list[str] = dataclass_field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The report as `dataclasses.asdict` gives it, keys in order."""
+        data = dict(vars(self))
+        data["checks"] = {name: result.to_dict()
+                          for name, result in self.checks.items()}
+        data["notes"] = list(self.notes)
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "DecisionReport":
@@ -252,14 +261,18 @@ class _Run:
 
     A computation's pairs count in the check that runs it.  Whether a
     basis is radical is decided by `groebner`, on the basis, when a
-    membership test first needs it; the doubled basis takes the hat
-    basis's answer when it has one.
+    membership test first needs it; the doubled basis asks the hat
+    basis.  `seeded` holds the ideals built on I's basis, "hat" and
+    "I+det", that the run's checks may still build; det(x) reduced
+    modulo I is kept for the second of them only.
     """
 
     problem: ProblemSpec
     budget: Budget
+    seeded: set = dataclass_field(default_factory=set)
     bases: dict = dataclass_field(default_factory=dict)
     tables: dict = dataclass_field(default_factory=dict)
+    _det: Polynomial | None = None
 
     def ideal(self, name: str, stats: GBStats):
         if name in self.bases:
@@ -272,6 +285,7 @@ class _Run:
             ring, prefix = problem.ring, 0
             gens = [f for f in problem.generators if f]
         else:
+            self.seeded.discard(name)
             gens, prefix, det = self.seed(stats)
             if name == "I+det":
                 self.bases[name] = contains_one(
@@ -292,9 +306,13 @@ class _Run:
         a Groebner basis, and det(x) reduced modulo them.  These are I's
         reduced basis, computed on first use, and the normal form of
         det, built on a CofactorTable that is not kept: I is the base of
-        no check, so its minors serve nothing else."""
+        no check, so its minors serve nothing else.  det is kept only
+        while another ideal of `seeded` is still to be built: at n = 9
+        it can hold most of the run's memory."""
         ring, gb = self.ideal("I", stats)
-        return gb.basis, len(gb.basis), det_poly(ring, "x", gb)
+        det = self._det if self._det is not None else det_poly(ring, "x", gb)
+        self._det = det if self.seeded else None
+        return gb.basis, len(gb.basis), det
 
     def table(self, name: str) -> CofactorTable:
         """The CofactorTable of the base `name`, which must already be
@@ -315,14 +333,16 @@ class _Run:
         either block is degrevlex with the same relative ranking.
 
         The doubled ideal is radical when J is, over a perfect field
-        (Bourbaki, Algebra V section 15), so it takes J's answer when J
-        has one.  Both criteria of `groebner` hold for the doubled basis
-        exactly when they hold for J's, so otherwise it decides alike.
+        (Bourbaki, Algebra V section 15), and both criteria of `groebner`
+        hold for the doubled basis exactly when they hold for J's.  So
+        the doubled basis asks J's basis, on the hat ring with half the
+        variables, and the answer is kept on J's basis for the
+        inversion tests too.
         """
         problem = self.problem
         ring = VarRing.matrix_ring(problem.n, problem.field, x0=True, y=True,
                                    y0=True)
-        _, block = self.ideal("hat", stats)
+        block_ring, block = self.ideal("hat", stats)
         if block.is_trivial:
             return ring, GroebnerBasis([ring.one()], GBStats())
         basis = [change_ring(g, ring) for g in block.basis]
@@ -332,7 +352,8 @@ class _Run:
         # lead above every x lead of the same degree, so a stable sort by
         # degree interleaves the two copies.
         basis.sort(key=Polynomial.total_degree)
-        return ring, GroebnerBasis(basis, GBStats(), radical=block.radical)
+        return ring, GroebnerBasis(basis, GBStats(),
+                                   radical_as=(block_ring, block))
 
     def check(self, name: str) -> CheckResult:
         """Run one check by report name."""
@@ -409,7 +430,13 @@ def run_checks(problem: ProblemSpec, checks, *,
     "alt" mode exactly when `group-alt` is the only check.
     """
     checks = list(checks)
-    run = _Run(problem, budget or Budget())
+    names = [step for check in checks
+             for step in (_GROUP_CHECKS[check][1] if check in _GROUP_CHECKS
+                          else (_REPORT_NAMES.get(check, check),))]
+    seeded = {"hat" for name in names if name in _CLOSURE_CHECKS}
+    if "variety_equals_vstar" in names:
+        seeded.add("I+det")
+    run = _Run(problem, budget or Budget(), seeded)
     report = new_report(problem, "alt" if checks == ["group-alt"]
                         else "standard")
 

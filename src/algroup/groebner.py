@@ -1,16 +1,27 @@
 """Groebner-basis engine: Buchberger's algorithm, normal forms, ideal
 triviality, radical certificates, and radical membership.
 
-Pair selection follows the normal strategy (smallest lcm degree first);
-pair pruning follows the Gebauer-Moeller update (Gebauer and Moeller,
-JSC 1988; UPDATE in Becker and Weispfenning, Groebner Bases, 1993),
-which implements the coprime-lead and chain criteria.  A new element is
-paired only with the live elements, those whose lead no later lead
-divides; the others also leave the reducers.  Each lcm of the new lead
-with an earlier one is computed once, in one batch (`_Codec.lcms`), and
-serves both the new pairs and the chain criterion on the pending ones.
-Every run is bounded by an explicit Budget, and exhausting it raises
-BudgetExhausted instead of ever returning a possibly wrong verdict.
+Pair selection follows the sugar strategy (Giovini, Mora, Niesi,
+Robbiano and Traverso, "One sugar cube, please", ISSAC 1991).  Each
+element carries a sugar, the degree it would have if the generators were
+homogenized: a generator's is its total degree, and an element found by
+reducing a pair takes the pair's.  The sugar of a pair (i, j) with lcm l
+is max(s_i + deg l - deg lm_i, s_j + deg l - deg lm_j), and the pair of
+least (sugar, degrevlex key of l) goes first.  On inhomogeneous inputs,
+such as the hat ideals and the `t*f - 1` runs, the order then follows
+the degrees a run on the homogenized generators would reach, which the
+lcm degree of the normal strategy does not track.  Pair pruning follows
+the Gebauer-Moeller update (Gebauer and Moeller, JSC 1988; UPDATE in
+Becker and Weispfenning, Groebner Bases, 1993), which implements the
+coprime-lead and chain criteria.  A new element is paired only with the
+live elements, those whose lead no later lead divides; the others also
+leave the reducers.  Each lcm of the new lead with an earlier one is
+computed once, in one batch (`_Codec.lcms`), and serves both the new
+pairs and the chain criterion on the pending ones.  A generator whose
+lead is a variable no other generator mentions is never a reducer
+(`_inert_generators`), though it stays in the basis.  Every run is
+bounded by an explicit Budget, and exhausting it raises BudgetExhausted
+instead of ever returning a possibly wrong verdict.
 
 The engine works on `Polynomial.terms` as they are: packed monomials
 (see `poly`), whose products are integer additions and whose
@@ -19,6 +30,14 @@ integer operations, and coefficients in the field's canonical form.  A
 basis element is prepared for division once, as its packed lead, its
 lead coefficient and its tail, and a GroebnerBasis keeps its prepared
 reducers for every later normal form.
+
+Reduction (`_reduce_terms`) takes the pending terms largest first from
+a heap of plain ints, one entry per monomial: m enters as
+k = 2*(m & low_mask) - m = offs - key(m), so ascending k is descending
+degrevlex, and m = 2*(k & low_mask) - k.  The invariant is that the
+heap holds exactly the monomials of the work dict, each once; a term
+that cancels stays in the dict as 0 until it is popped, and every term
+a reduction step brings in is below the one it removes.
 
 Over F_p a prepared reducer is monic.  Over Q it is a primitive integer
 polynomial with a positive lead coefficient, and reduction is
@@ -104,10 +123,13 @@ class GBStats:
 class GroebnerBasis:
     basis: list[Polynomial]
     stats: GBStats
-    # Whether the ideal is proven radical; None until first asked.  The
-    # doubled hat basis is given its block basis's answer.
-    radical: bool | None = dataclass_field(default=None, repr=False,
-                                           compare=False)
+    # (ring, basis) of an ideal that is radical exactly when this one is,
+    # asked in place of this basis: the doubled hat basis names its block.
+    radical_as: tuple | None = dataclass_field(default=None, repr=False,
+                                               compare=False)
+    # Whether the ideal is proven radical; None until first asked.
+    radical: bool | None = dataclass_field(default=None, init=False,
+                                           repr=False, compare=False)
     _prepared: tuple | None = dataclass_field(default=None, init=False,
                                               repr=False, compare=False)
 
@@ -133,7 +155,11 @@ class GroebnerBasis:
         ideal radical, decided on the first call and kept.  False means
         not proven, not that the ideal is not radical."""
         if self.radical is None:
-            self.radical = _certify_radical(self, ring, degree_cap)
+            if self.radical_as is not None:
+                other_ring, other = self.radical_as
+                self.radical = other.certified_radical(other_ring, degree_cap)
+            else:
+                self.radical = _certify_radical(self, ring, degree_cap)
         return self.radical
 
 
@@ -206,37 +232,77 @@ def _reduce_terms(terms: dict, reducers, codec, p: int,
     Returns (rem, s): rem is s times the remainder, for a positive
     integer s that is 1 over F_p (p > 0) and after steps by monic
     reducers only.
+
+    Terms are taken largest first from the heap of the module
+    docstring, one plain int per monomial of the work dict.  Only the
+    input's degrees are checked against degree_cap: a multiple mt*x^u of
+    a tail term has degree at most that of the term m = lm*x^u it
+    replaces, since a lead has its polynomial's largest degree.
     """
-    work = dict(terms)
+    deg_shift = codec.deg_shift
+    low = codec.low_mask
+    for m in terms:
+        if m >> deg_shift > degree_cap:
+            raise BudgetExhausted(
+                f"monomial degree {m >> deg_shift} over cap {degree_cap}")
+    heap = [2 * (m & low) - m for m in terms]
+    heapq.heapify(heap)
+    if p:
+        return _reduce_fp(dict(terms), heap, reducers, codec, p), 1
+    return _reduce_q(dict(terms), heap, reducers, codec)
+
+
+def _reduce_fp(work: dict, heap: list, reducers, codec, p: int) -> dict:
+    """`_reduce_terms` over F_p, with monic reducers."""
+    low, guard = codec.low_mask, codec.guard
+    push, pop = heapq.heappush, heapq.heappop
+    rem: dict = {}
+    while heap:
+        k = pop(heap)
+        m = 2 * (k & low) - k
+        c = work.pop(m)
+        if not c:
+            continue
+        gm = m | guard
+        for lm, _, tail in reducers:
+            if (gm - lm) & guard == guard:
+                break
+        else:
+            rem[m] = c
+            continue
+        u = m - lm
+        for mt, ct in tail:
+            mm = mt + u
+            prev = work.get(mm)
+            if prev is None:
+                work[mm] = -c * ct % p
+                push(heap, 2 * (mm & low) - mm)
+            else:
+                work[mm] = (prev - c * ct) % p
+    return rem
+
+
+def _reduce_q(work: dict, heap: list, reducers, codec) -> tuple[dict, int]:
+    """`_reduce_terms` over Q, fraction-free."""
+    low, guard = codec.low_mask, codec.guard
+    push, pop = heapq.heappush, heapq.heappop
     rem: dict = {}
     scale = 1
     # (terms in rem, scale they left at) before each rescaling of work.
     marks: list[tuple[int, int]] = []
-    deg_shift = codec.deg_shift
-    guard = codec.guard
-    keyf = codec.key
-    heap = []
-    for m in work:
-        if m >> deg_shift > degree_cap:
-            raise BudgetExhausted(
-                f"monomial degree {m >> deg_shift} over cap {degree_cap}")
-        heap.append((-keyf(m), m))
-    heapq.heapify(heap)
-    push, pop = heapq.heappush, heapq.heappop
     while heap:
-        m = pop(heap)[1]
-        c = work.get(m)
-        if c is None:
+        k = pop(heap)
+        m = 2 * (k & low) - k
+        c = work.pop(m)
+        if not c:
             continue
         gm = m | guard
         for lm, lc, tail in reducers:
             if (gm - lm) & guard == guard:
                 break
         else:
-            del work[m]
             rem[m] = c
             continue
-        del work[m]
         if lc != 1:
             # With the work scaled by lc/g, the term (lc/g)*c*m cancels
             # against (c/g)*x^u times the reducer's lead term.
@@ -247,23 +313,16 @@ def _reduce_terms(terms: dict, reducers, codec, p: int,
                 if rem:
                     marks.append((len(rem), scale))
                 scale *= f
-                work = {k: v * f for k, v in work.items()}
+                work = {mw: v * f for mw, v in work.items()}
         u = m - lm
         for mt, ct in tail:
             mm = mt + u
             prev = work.get(mm)
             if prev is None:
-                if mm >> deg_shift > degree_cap:
-                    raise BudgetExhausted(
-                        f"monomial degree {mm >> deg_shift} over cap {degree_cap}")
-                work[mm] = -c * ct % p if p else -c * ct
-                push(heap, (-keyf(mm), mm))
+                work[mm] = -c * ct
+                push(heap, 2 * (mm & low) - mm)
             else:
-                v = (prev - c * ct) % p if p else prev - c * ct
-                if v:
-                    work[mm] = v
-                else:
-                    del work[mm]
+                work[mm] = prev - c * ct
     if marks:
         # Bring the terms that left before a rescaling to the final scale.
         items = iter(rem.items())
@@ -369,23 +428,43 @@ def _interreduce(G, ring, codec, p, degree_cap) -> list[Polynomial]:
     for prep in items:
         if not any(divides(other[0], prep[0]) for other in minimal):
             minimal.append(prep)
-    # Reduced basis: tails carry no monomial divisible by any lead.
-    changed = True
-    while changed:
-        changed = False
-        for idx, (lm, lc, tail) in enumerate(minimal):
-            if not tail:
-                continue
-            others = minimal[:idx] + minimal[idx + 1:]
-            if not others:
-                continue
-            terms = dict(tail)
-            reduced, scale = _reduce_terms(terms, others, codec, p, degree_cap)
-            if scale != 1 or reduced != terms:
-                reduced[lm] = lc * scale
-                minimal[idx] = _prepare(reduced, codec, p)
-                changed = True
+    # Reduced basis: tails carry no monomial divisible by any lead.  A
+    # lead divides only monomials at or above it, and reduction only
+    # brings in smaller ones, so in ascending lead order a tail needs
+    # only the elements before it, which are reduced already.
+    for idx, (lm, lc, tail) in enumerate(minimal):
+        if not tail or not idx:
+            continue
+        terms = dict(tail)
+        reduced, scale = _reduce_terms(terms, minimal[:idx], codec, p,
+                                       degree_cap)
+        if scale != 1 or reduced != terms:
+            reduced[lm] = lc * scale
+            minimal[idx] = _prepare(reduced, codec, p)
     return [_as_poly(prep, ring) for prep in minimal]
+
+
+def _inert_generators(preps, codec) -> set[int]:
+    """Indices of the generators whose lead is a single variable that no
+    other generator mentions.  No polynomial of the run ever holds that
+    variable: its pairs have coprime leads, so none is reduced, and no
+    other element or S-polynomial brings it in.  Such a lead divides
+    nothing the run reduces, so the element needs no place among the
+    reducers; it stays in the basis."""
+    low = codec.low_mask
+    supports = []
+    for lm, _, tail in preps:
+        mask = lm
+        for m, _ in tail:
+            mask |= m
+        supports.append(mask & low)
+    inert = set()
+    for j, (lm, _, _) in enumerate(preps):
+        if lm >> codec.deg_shift == 1:
+            var = codec.support_mask(lm)
+            if sum(1 for mask in supports if mask & var) == 1:
+                inert.add(j)
+    return inert
 
 
 def buchberger(gens, budget: Budget | None = None, *,
@@ -396,6 +475,10 @@ def buchberger(gens, budget: Budget | None = None, *,
 
     During the run the reducers are primitive integer polynomials with
     positive leads over Q and monic over F_p; the basis returned is monic.
+    Pairs are taken in sugar order, the least (sugar, degrevlex key of
+    the lcm, i, j) first, and pruned by the Gebauer-Moeller update; the
+    inert generators (`_inert_generators`) are no reducers.  The reduced
+    basis does not depend on the pair order; the pair counts do.
 
     assume_gb_prefix marks the first k generators as an already computed
     Groebner basis, so their internal S-pairs are skipped; `decide`
@@ -443,15 +526,18 @@ def buchberger(gens, budget: Budget | None = None, *,
     try:
         G: list = []
         lms: list[int] = []
+        sugars: list[int] = []
         # The live elements, whose lead no later lead divides, as indices
-        # into G and as the reducers they are; the others are redundant
-        # for division and for new pairs.
+        # into G; the others are redundant for division and for new pairs.
+        # The reducers are the live elements less the inert generators.
         live: list[int] = []
         active: list = []
         heap: list = []
         pending: dict[tuple[int, int], int] = {}
+        preps = [_prepare(g.terms, codec, p) for g in polys]
+        inert = _inert_generators(preps, codec)
 
-        def add_element(prep, make_pairs: bool) -> None:
+        def add_element(prep, sugar: int, make_pairs: bool) -> None:
             # Gebauer-Moeller update (UPDATE in Becker and Weispfenning):
             # the new element t is paired with the live elements only.
             # Among those candidates, classes whose lcm has a coprime-lead
@@ -493,25 +579,35 @@ def buchberger(gens, budget: Budget | None = None, *,
                 for pair, l in refined:
                     if ls[pair[0]] != l and ls[pair[1]] != l:
                         del pending[pair]
+                # The sugar of a pair: the larger of its elements' sugars,
+                # each raised by the degree its lead gains in the lcm.
+                excess_t = sugar - (lmt >> deg_shift)
                 for l, i in kept_out:
                     pending[(i, t)] = l
-                    heapq.heappush(heap, (l >> deg_shift, keyf(l), i, t))
+                    excess = sugars[i] - (lms[i] >> deg_shift)
+                    if excess < excess_t:
+                        excess = excess_t
+                    heapq.heappush(heap, (excess + (l >> deg_shift),
+                                          keyf(l), i, t))
             G.append(prep)
             lms.append(lmt)
-            kept_live = [k for k, i in enumerate(live)
+            sugars.append(sugar)
+            kept_live = [i for i in live
                          if ((lms[i] | guard) - lmt) & guard != guard]
             if len(kept_live) < len(live):
-                live[:] = [live[k] for k in kept_live]
-                active[:] = [active[k] for k in kept_live]
+                live[:] = kept_live
+                active[:] = [G[i] for i in live if i not in inert]
             live.append(t)
-            active.append(prep)
+            if t not in inert:
+                active.append(prep)
 
-        for j, g in enumerate(polys):
-            add_element(_prepare(g.terms, codec, p),
+        # A generator's sugar is its degree, the degree of its lead.
+        for j, prep in enumerate(preps):
+            add_element(prep, prep[0] >> deg_shift,
                         make_pairs=j >= assume_gb_prefix)
 
         while heap:
-            _, _, i, j = heapq.heappop(heap)
+            sugar, _, i, j = heapq.heappop(heap)
             l = pending.pop((i, j), None)
             if l is None:
                 continue  # pruned by a later update
@@ -527,7 +623,7 @@ def buchberger(gens, budget: Budget | None = None, *,
             if prep[0] >> deg_shift == 0:
                 # A nonzero constant: the ideal is the whole ring.
                 return finish([ring.one()])
-            add_element(prep, make_pairs=True)
+            add_element(prep, sugar, make_pairs=True)
 
         if not reduce_basis:
             return finish([Polynomial._make(ring, dict([(lm, lc), *tail]))

@@ -767,3 +767,84 @@ def test_base_bases_built_on_i_match_the_raw_generators(problems_dir,
             assert pairs[0] <= pairs[1], spec
             fewer += pairs[0] < pairs[1]
     assert fewer >= 15
+
+
+def test_the_doubled_basis_asks_the_hat_basis_whether_it_is_radical(
+        problems_dir, monkeypatch):
+    # The doubled ideal is radical exactly when the hat ideal is, so its
+    # first certificate is decided on the hat basis, over half the
+    # variables, even on a group-alt run that never tests inversion.
+    calls = []
+    real = groebner._certify_radical
+
+    def counting(gb, ring, degree_cap):
+        calls.append(ring.arity)
+        return real(gb, ring, degree_cap)
+
+    monkeypatch.setattr(groebner, "_certify_radical", counting)
+    false = 0
+    for path in sorted(problems_dir.glob("*.alg")):
+        spec = load_problem(path)
+        calls.clear()
+        checks = run_checks(spec, ["group-alt"]).checks
+        assert 2 * spec.n ** 2 + 2 not in calls, path.name
+        if checks["identity"].verdict and checks["division"].verdict is False:
+            assert calls == [spec.n ** 2 + 1], path.name
+            false += 1
+    assert false >= 3
+
+
+def test_det_is_built_once_for_the_hat_ideal_and_i_plus_det(problem,
+                                                            monkeypatch):
+    calls = []
+    real = decide.det_poly
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(decide, "det_poly", counting)
+    spec = add_field_equations(problem("diag-antidiag-f3.alg"), 3)
+    run_checks(spec, ["group", "vstar-eq"])
+    assert len(calls) == 1
+    # A run that builds one of the two keeps no det once it is built.
+    run = _Run(spec, Budget(), {"hat"})
+    run.ideal("hat", GBStats())
+    assert run._det is None
+
+
+def test_seed_101_problem_13_decides_division_in_few_pairs():
+    # Without field equations no certificate holds, so the false
+    # division runs t*f - 1 on the doubled hat ideal: 1,398 pairs under
+    # the normal strategy, 685 under sugar.
+    spec, _ = list(_random_corpus(101))[13]
+    res = run_checks(spec, ["division"]).checks["division"]
+    assert res.verdict is False and res.gb_pairs <= 800
+
+
+def test_inert_generators_change_no_basis_or_pair_count(problems_dir,
+                                                        monkeypatch):
+    # A generator whose lead is a variable no other generator mentions
+    # is left out of the reducers; the bases of I and of the hat ideal,
+    # their pairs and their zero reductions are those with it kept in.
+    specs = [load_problem(path) for path in sorted(problems_dir.glob("*.alg"))]
+    specs += [spec for spec, _ in _random_corpus(101)]
+    fired = []
+    real = groebner._inert_generators
+
+    def recording(*args):
+        inert = real(*args)
+        fired.append(len(inert))
+        return inert
+
+    def bases(spec):
+        run = _Run(spec, Budget())
+        run.ideal("hat", GBStats())
+        return [(gb.basis, gb.stats)
+                for gb in (run.bases["I"][1], run.bases["hat"][1])]
+
+    monkeypatch.setattr(groebner, "_inert_generators", recording)
+    want = [bases(spec) for spec in specs]
+    assert sum(1 for count in fired if count) >= 10
+    monkeypatch.setattr(groebner, "_inert_generators", lambda *args: set())
+    assert [bases(spec) for spec in specs] == want

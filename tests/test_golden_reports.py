@@ -14,13 +14,14 @@ After a deliberate change to the reports, regenerate the file with
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import json
 import pathlib
 
 import pytest
 
-from algroup import cli
+from algroup import DecisionReport, cli, decide
 
 PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "problems"
 GOLDEN = pathlib.Path(__file__).with_name("golden") / "reports.json"
@@ -72,6 +73,28 @@ def test_report_matches_the_stored_one(name, extra):
     want = _golden()[case_id(name, extra)]
     got = run_case(name, extra)
     assert json.dumps(got, indent=2) == json.dumps(want, indent=2)
+
+
+def test_to_dict_equals_asdict_and_round_trips(monkeypatch):
+    # to_dict builds the report's dict field by field; it must give what
+    # dataclasses.asdict gives, key order included.
+    reports = []
+    real = decide.run_checks
+
+    def keeping(*args, **kwargs):
+        reports.append(real(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(decide, "run_checks", keeping)
+    for name, extra in cases():
+        run_case(name, extra)
+    assert len(reports) == len(cases())
+    for report in reports:
+        data = report.to_dict()
+        want = dataclasses.asdict(report)
+        assert data == want
+        assert json.dumps(data) == json.dumps(want)
+        assert DecisionReport.from_dict(data) == report
 
 
 if __name__ == "__main__":
