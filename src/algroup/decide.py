@@ -23,7 +23,9 @@ in the base ideal.  `_CLOSURE_CHECKS` holds one row per check:
 - `division`: the doubled hat ideal; the generator at X*Y^-1.
 
 The doubled ideal's basis is one block's basis joined with its copy in
-the other block, since the two blocks share no variable.
+the other block, since the two blocks share no variable.  Both copies,
+and their reducers, are the hat basis's packed monomials shifted into
+the doubled ring (`_Run.product_base`); nothing is prepared again.
 
 I itself is the base of no check: its reduced basis G is the seed of
 the hat ideal and of I + (det(x)), which decides V(I) = V*(I).  Both
@@ -109,7 +111,7 @@ from .groebner import (Budget, BudgetExhausted, GBStats, GroebnerBasis,
                        buchberger, contains_one, radical_membership)
 from .matrices import (CofactorTable, build_f0, det_poly,
                        eval_at_formal_inverse, subst_product,
-                       subst_x_times_inverse_y, to_y_block)
+                       subst_x_times_inverse_y)
 from .parsing import ProblemSpec
 from .poly import MAX_ENGINE_DEGREE, Polynomial, VarRing, change_ring
 
@@ -332,6 +334,14 @@ class _Run:
         block divides a term of the other, and degrevlex restricted to
         either block is degrevlex with the same relative ranking.
 
+        Both copies are made by shifting packed monomials, of the basis
+        and of J's prepared reducers alike: the x copy of m is
+        m << 16*(n*n + 1), and the y copy keeps the exponent fields and
+        moves the degree field from bit 16*(n*n + 1) to 32*(n*n + 1).
+        A shift keeps the degrevlex order within a block, so the shifted
+        reducers are those `groebner` would prepare from the doubled
+        basis, and none is prepared on the doubled ring.
+
         The doubled ideal is radical when J is, over a perfect field
         (Bourbaki, Algebra V section 15), and both criteria of `groebner`
         hold for the doubled basis exactly when they hold for J's.  So
@@ -345,15 +355,31 @@ class _Run:
         block_ring, block = self.ideal("hat", stats)
         if block.is_trivial:
             return ring, GroebnerBasis([ring.one()], GBStats())
-        basis = [change_ring(g, ring) for g in block.basis]
-        basis.extend(to_y_block(g, ring) for g in block.basis)
+        # The hat ring holds x1..x_{n*n}, x0 in its fields 0..n*n and the
+        # degree above them, at bit s.  The doubled ring holds y1..y_{n*n},
+        # y0 in those fields, then x1..x_{n*n}, x0, then the degree, at
+        # bit 2s.  So the x copy of a packed monomial m is m << s, and its
+        # y copy, m plus (degree << 2s) - (degree << s), keeps the
+        # exponent fields and moves the degree up by s.
+        s = block_ring.codec.deg_shift
+        lift = (1 << 2 * s) - (1 << s)
+        pieces = list(zip(block.basis, block.reducers(block_ring)))
+        copies = [({m << s: c for m, c in g.terms.items()},
+                   (lm << s, lc, [(m << s, c) for m, c in tail]))
+                  for g, (lm, lc, tail) in pieces]
+        copies += [({m + (m >> s) * lift: c for m, c in g.terms.items()},
+                    (lm + (lm >> s) * lift, lc,
+                     [(m + (m >> s) * lift, c) for m, c in tail]))
+                   for g, (lm, lc, tail) in pieces]
         # Ascending leads, the order buchberger returns a reduced basis
         # in: the block basis already ascends, and degrevlex ranks every y
         # lead above every x lead of the same degree, so a stable sort by
         # degree interleaves the two copies.
-        basis.sort(key=Polynomial.total_degree)
-        return ring, GroebnerBasis(basis, GBStats(),
-                                   radical_as=(block_ring, block))
+        copies.sort(key=lambda copy: copy[1][0] >> 2 * s)
+        basis = [Polynomial._make(ring, terms) for terms, _ in copies]
+        return ring, GroebnerBasis.with_reducers(
+            basis, ring, [prep for _, prep in copies],
+            radical_as=(block_ring, block))
 
     def check(self, name: str) -> CheckResult:
         """Run one check by report name."""

@@ -15,13 +15,17 @@ the Gebauer-Moeller update (Gebauer and Moeller, JSC 1988; UPDATE in
 Becker and Weispfenning, Groebner Bases, 1993), which implements the
 coprime-lead and chain criteria.  A new element is paired only with the
 live elements, those whose lead no later lead divides; the others also
-leave the reducers.  Each lcm of the new lead with an earlier one is
-computed once, in one batch (`_Codec.lcms`), and serves both the new
-pairs and the chain criterion on the pending ones.  A generator whose
-lead is a variable no other generator mentions is never a reducer
-(`_inert_generators`), though it stays in the basis.  Every run is
-bounded by an explicit Budget, and exhausting it raises BudgetExhausted
-instead of ever returning a possibly wrong verdict.
+leave the reducers.  The update makes one pass over the live elements,
+which gives for each the lcm with the new lead, whether the two leads
+are coprime, the lcm's class, and whether the new lead divides the live
+one; the pending pairs are scanned for the chain criterion only when
+some are pending.  A generator whose lead is a variable no other
+generator mentions is never a reducer (`_inert_generators`), though it
+stays in the basis, and it is appended without the update: its pairs
+all have coprime leads, and its lead divides no pending lcm and no live
+lead, so the update would change nothing.  Every run is bounded by an
+explicit Budget, and exhausting it raises BudgetExhausted instead of
+ever returning a possibly wrong verdict.
 
 The engine works on `Polynomial.terms` as they are: packed monomials
 (see `poly`), whose products are integer additions and whose
@@ -136,6 +140,15 @@ class GroebnerBasis:
     @property
     def is_trivial(self) -> bool:
         return len(self.basis) == 1 and self.basis[0].is_constant and bool(self.basis[0])
+
+    @classmethod
+    def with_reducers(cls, basis: list[Polynomial], ring: VarRing,
+                      reducers: list, **fields) -> "GroebnerBasis":
+        """A basis whose reducers in ring are made elsewhere, reducers[i]
+        being basis[i] as `_prepare` makes it; no statistics."""
+        gb = cls(basis, GBStats(), **fields)
+        gb._prepared = (ring, reducers, _top_degree(reducers, ring))
+        return gb
 
     def reducers(self, ring: VarRing) -> list:
         """The basis prepared for division in ring, once per basis."""
@@ -450,7 +463,8 @@ def _inert_generators(preps, codec) -> set[int]:
     variable: its pairs have coprime leads, so none is reduced, and no
     other element or S-polynomial brings it in.  Such a lead divides
     nothing the run reduces, so the element needs no place among the
-    reducers; it stays in the basis."""
+    reducers; it stays in the basis, and `buchberger` appends it without
+    the pair update, which would change nothing."""
     low = codec.low_mask
     supports = []
     for lm, _, tail in preps:
@@ -477,8 +491,9 @@ def buchberger(gens, budget: Budget | None = None, *,
     positive leads over Q and monic over F_p; the basis returned is monic.
     Pairs are taken in sugar order, the least (sugar, degrevlex key of
     the lcm, i, j) first, and pruned by the Gebauer-Moeller update; the
-    inert generators (`_inert_generators`) are no reducers.  The reduced
-    basis does not depend on the pair order; the pair counts do.
+    inert generators (`_inert_generators`) skip the update and are no
+    reducers.  The reduced basis does not depend on the pair order; the
+    pair counts do.
 
     assume_gb_prefix marks the first k generators as an already computed
     Groebner basis, so their internal S-pairs are skipped; `decide`
@@ -518,10 +533,10 @@ def buchberger(gens, budget: Budget | None = None, *,
             raise BudgetExhausted(
                 f"input degree {g.total_degree()} over cap {degree_cap}")
 
-    lcms = codec.lcms
     keyf = codec.key
+    lcm = codec.lcm
     deg_shift = codec.deg_shift
-    guard = codec.guard
+    guard, low, low_guard = codec.guard, codec.low_mask, codec.low_guard
 
     try:
         G: list = []
@@ -548,63 +563,83 @@ def buchberger(gens, budget: Budget | None = None, *,
             # Then the live elements whose lead the new lead divides leave.
             t = len(G)
             lmt = prep[0]
+            b = lmt & low
             if make_pairs:
-                # lcm(lm_i, lm_t), computed once for each i that needs it.
-                # Divisibility tests are codec.divides, inlined.
-                ls = dict(zip(live, lcms([lms[i] for i in live], lmt)))
-                refined = [(pair, l) for pair, l in pending.items()
-                           if ((l | guard) - lmt) & guard == guard]
-                rest = {i for pair, _ in refined for i in pair
-                        if i not in ls}
-                ls.update(zip(rest, lcms([lms[i] for i in rest], lmt)))
-                by_lcm: dict[int, tuple[int, bool]] = {}
+                # One pass over the live elements: per field, bit 15 of
+                # ge says lm_i >= lm_t there, which gives both whether
+                # lm_t divides lm_i and lcm(lm_i, lm_t) (codec.lcm,
+                # inlined).  An lcm class maps to its first member, or to
+                # -1 once a member has a lead coprime to lm_t.
+                shed = False
+                classes: dict[int, int] = {}
                 for i in live:
-                    l = ls[i]
-                    coprime = l == lms[i] + lmt  # lcm equals the product
-                    seen = by_lcm.get(l)
-                    if seen is None or (coprime and not seen[1]):
-                        by_lcm[l] = (i, coprime)
-                reps = sorted((keyf(l), l, i, coprime)
-                              for l, (i, coprime) in by_lcm.items())
-                kept: list[int] = []
-                kept_out: list[tuple[int, int]] = []
-                for _, l, i, coprime in reps:
-                    lg = l | guard
-                    if not coprime and any((lg - l2) & guard == guard
-                                           for l2 in kept):
-                        continue
-                    kept.append(l)
-                    if not coprime:
-                        kept_out.append((l, i))
-                for pair, l in refined:
-                    if ls[pair[0]] != l and ls[pair[1]] != l:
+                    a = lms[i]
+                    ge = ((a | guard) - b) & low_guard
+                    if ge == low_guard:
+                        shed = True
+                    m = b ^ ((a ^ b) & (ge >> 15) * 0x7FFF)
+                    l = m | (m % 0xFFFF) << deg_shift
+                    if l == a + lmt:  # the lcm is the product: coprime
+                        classes[l] = -1
+                    elif l not in classes:
+                        classes[l] = i
+                if pending:
+                    # Divisibility tests are codec.divides, inlined.
+                    chained = [pair for pair, l in pending.items()
+                               if ((l | guard) - lmt) & guard == guard
+                               and lcm(lms[pair[0]], lmt) != l
+                               and lcm(lms[pair[1]], lmt) != l]
+                    for pair in chained:
                         del pending[pair]
+                # An lcm is kept unless the lcm of another class divides
+                # it.  A proper divisor has a lower degree, so in order of
+                # degree it is met first, and it is kept itself or has a
+                # kept divisor of its own.
+                reps = sorted((l >> deg_shift, l, i)
+                              for l, i in classes.items())
                 # The sugar of a pair: the larger of its elements' sugars,
                 # each raised by the degree its lead gains in the lcm.
                 excess_t = sugar - (lmt >> deg_shift)
-                for l, i in kept_out:
-                    pending[(i, t)] = l
-                    excess = sugars[i] - (lms[i] >> deg_shift)
-                    if excess < excess_t:
-                        excess = excess_t
-                    heapq.heappush(heap, (excess + (l >> deg_shift),
-                                          keyf(l), i, t))
+                kept: list[int] = []
+                for degree, l, i in reps:
+                    if i >= 0:
+                        lg = l | guard
+                        if kept and any((lg - l2) & guard == guard
+                                        for l2 in kept):
+                            continue
+                        pending[(i, t)] = l
+                        excess = sugars[i] - (lms[i] >> deg_shift)
+                        if excess < excess_t:
+                            excess = excess_t
+                        heapq.heappush(heap, (excess + degree, keyf(l),
+                                              i, t))
+                    kept.append(l)
+            else:
+                shed = any(((lms[i] | guard) - lmt) & guard == guard
+                           for i in live)
             G.append(prep)
             lms.append(lmt)
             sugars.append(sugar)
-            kept_live = [i for i in live
-                         if ((lms[i] | guard) - lmt) & guard != guard]
-            if len(kept_live) < len(live):
-                live[:] = kept_live
+            if shed:
+                live[:] = [i for i in live
+                           if ((lms[i] | guard) - lmt) & guard != guard]
                 active[:] = [G[i] for i in live if i not in inert]
             live.append(t)
-            if t not in inert:
-                active.append(prep)
+            active.append(prep)
 
-        # A generator's sugar is its degree, the degree of its lead.
+        # A generator's sugar is its degree, the degree of its lead.  An
+        # inert generator's pairs all have coprime leads, and its lead, a
+        # variable no other generator mentions, divides no pending lcm
+        # and no live lead: the update would change nothing.
         for j, prep in enumerate(preps):
-            add_element(prep, prep[0] >> deg_shift,
-                        make_pairs=j >= assume_gb_prefix)
+            sugar = prep[0] >> deg_shift
+            if j in inert:
+                G.append(prep)
+                lms.append(prep[0])
+                sugars.append(sugar)
+                live.append(j)
+            else:
+                add_element(prep, sugar, make_pairs=j >= assume_gb_prefix)
 
         while heap:
             sugar, _, i, j = heapq.heappop(heap)

@@ -13,6 +13,12 @@ literals):
 Problem files are line oriented: a header line ``n <int>``, a header
 line ``field Q`` or ``field F <p>``, then one generator polynomial per
 non-empty line.  ``#`` starts a comment running to the end of the line.
+
+The grammar is ASCII: INT is ``[0-9]+``, NAME is
+``[A-Za-z_][A-Za-z_0-9]*``, lines end at ``\n`` only, and space, tab and
+``\r`` are the only whitespace.  Any other character, a superscript
+digit, a non-ASCII letter or digit, or another line separator such as
+``\v`` or U+2028, is a ParseError at its position.
 """
 
 from __future__ import annotations
@@ -70,26 +76,34 @@ class _Token:
     col: int
 
 
-_INT_RE = re.compile(r"\d+")
+_INT_RE = re.compile(r"[0-9]+")
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+_SPACE = " \t\r"
+
+
+def _lines(text: str) -> list[str]:
+    """The lines of text, split at "\n" only; a final "\n" ends the last
+    line and starts none."""
+    lines = text.split("\n")
+    if len(lines) > 1 and not lines[-1]:
+        lines.pop()
+    return lines
 
 
 def _tokenize(text: str, line_offset: int = 0) -> list[_Token]:
     tokens: list[_Token] = []
-    lines = text.splitlines() or [""]
+    lines = _lines(text)
     for li, line in enumerate(lines):
         col = 0
         while col < len(line):
             ch = line[col]
-            if ch in " \t\r":
+            if ch in _SPACE:
                 col += 1
                 continue
-            if ch.isdigit():
-                m = _INT_RE.match(line, col)
+            if m := _INT_RE.match(line, col):
                 tokens.append(_Token("INT", m.group(0), li + 1 + line_offset, col + 1))
                 col = m.end()
-            elif ch.isalpha() or ch == "_":
-                m = _NAME_RE.match(line, col)
+            elif m := _NAME_RE.match(line, col):
                 tokens.append(_Token("NAME", m.group(0), li + 1 + line_offset, col + 1))
                 col = m.end()
             elif ch in "+-*^()":
@@ -200,7 +214,7 @@ class _Parser:
         name = tok.value
         if self.ring.has(name):
             return self.ring.var(name)
-        m = re.fullmatch(r"([xy])(\d+)", name)
+        m = re.fullmatch(r"([xy])([0-9]+)", name)
         if m and self.ring.n is not None:
             lo, hi = (0, self.ring.n**2) if self.ring.has(f"{m.group(1)}0") \
                 else (1, self.ring.n**2)
@@ -220,13 +234,13 @@ def parse_problem(text: str, source: str | None = None) -> ProblemSpec:
     fld: Field | None = None
     ring: VarRing | None = None
     generators: list[Polynomial] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+    for lineno, raw in enumerate(_lines(text), start=1):
+        line = raw.split("#", 1)[0].strip(_SPACE)
         if not line:
             continue
-        indent = len(raw) - len(raw.lstrip())
+        indent = len(raw) - len(raw.lstrip(_SPACE))
         if n is None:
-            m = re.fullmatch(r"n\s+(\d+)", line)
+            m = re.fullmatch(r"n[ \t\r]+([0-9]+)", line)
             if not m:
                 raise ParseError("expected header 'n <int>'", lineno, 1)
             n = _literal(m.group(1), lineno, indent + m.start(1) + 1)
@@ -234,7 +248,7 @@ def parse_problem(text: str, source: str | None = None) -> ProblemSpec:
                 raise ParseError("n must be a positive integer", lineno, 1)
             continue
         if fld is None:
-            m = re.fullmatch(r"field\s+(Q|F\s+(\d+))", line)
+            m = re.fullmatch(r"field[ \t\r]+(Q|F[ \t\r]+([0-9]+))", line)
             if not m:
                 raise ParseError("expected header 'field Q' or 'field F <p>'",
                                  lineno, 1)

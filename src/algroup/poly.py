@@ -37,7 +37,7 @@ def _degree_error(degree: int) -> OverflowError:
 class _Codec:
     """Arithmetic on the packed monomials of a ring of `arity` variables."""
 
-    __slots__ = ("arity", "deg_shift", "guard", "low_mask", "_low_guard",
+    __slots__ = ("arity", "deg_shift", "guard", "low_mask", "low_guard",
                  "_offs")
 
     def __init__(self, arity: int):
@@ -50,7 +50,7 @@ class _Codec:
         for i in range(arity):
             offs |= _FIELD_CAP << (_BITS * i)
         self.low_mask = (1 << self.deg_shift) - 1
-        self._low_guard = self.guard & self.low_mask
+        self.low_guard = self.guard & self.low_mask
         self._offs = offs
 
     def pack(self, exps) -> int:
@@ -71,20 +71,22 @@ class _Codec:
         return tuple((packed >> (_BITS * i)) & _FIELD_CAP
                      for i in range(self.arity))
 
-    @staticmethod
-    def factors(packed: int) -> list[tuple[int, int]]:
-        """(variable index, exponent) for every variable of the monomial;
-        the degree field, the highest nonzero one, is skipped."""
+    def factors(self, packed: int) -> list[tuple[int, int]]:
+        """(variable index, exponent) for every variable of the monomial,
+        in ascending index order, without the degree field.
+
+        The loop visits only the nonzero exponent fields: the lowest set
+        bit of what is left lies in the next one, so its cost follows the
+        variables the monomial holds, not the width of the ring."""
         out = []
-        i = 0
-        while True:
-            e = packed & _FIELD_MASK
-            packed >>= _BITS
-            if not packed:
-                return out
-            if e:
-                out.append((i, e))
-            i += 1
+        rest = packed & self.low_mask
+        while rest:
+            # The start bit of the field that holds the lowest set bit.
+            shift = ((rest & -rest).bit_length() - 1) & -_BITS
+            e = (rest >> shift) & _FIELD_MASK
+            out.append((shift // _BITS, e))
+            rest ^= e << shift
+        return out
 
     def degree(self, packed: int) -> int:
         return packed >> self.deg_shift
@@ -102,28 +104,19 @@ class _Codec:
         return ((b | self.guard) - a) & self.guard == self.guard
 
     def lcm(self, a: int, b: int) -> int:
-        return self.lcms((a,), b)[0]
-
-    def lcms(self, ms, b: int) -> list[int]:
-        """lcm(m, b) for every m of ms, in order."""
-        # Per field, (m_i | 0x8000) - b_i keeps bit 15 exactly when
-        # m_i >= b_i and never borrows from the next field; spreading
-        # that bit over the field selects the larger exponent.
-        low, guard, low_guard = self.low_mask, self.guard, self._low_guard
-        shift = self.deg_shift
-        b &= low
-        out = []
-        for a in ms:
-            a &= low
-            larger = ((((a | guard) - b) & low_guard) >> (_BITS - 1)) \
-                * _FIELD_CAP
-            m = b ^ ((a ^ b) & larger)
-            # The fields sum to the degree, and 2^16 = 1 mod 0xFFFF; the
-            # remainder is exact because an lcm of two monomials of
-            # degree at most MAX_ENGINE_DEGREE has degree at most
-            # 2 * MAX_ENGINE_DEGREE, below 0xFFFF.
-            out.append(m | (m % 0xFFFF) << shift)
-        return out
+        # Per field, (a_i | 0x8000) - b_i keeps bit 15 exactly when
+        # a_i >= b_i and never borrows from the next field; spreading
+        # that bit over the field selects the larger exponent.  The
+        # degree field of a is left out by the low masks.
+        b &= self.low_mask
+        larger = ((((a | self.guard) - b) & self.low_guard)
+                  >> (_BITS - 1)) * _FIELD_CAP
+        m = b ^ ((a ^ b) & larger)
+        # The fields sum to the degree, and 2^16 = 1 mod 0xFFFF; the
+        # remainder is exact because an lcm of two monomials of degree at
+        # most MAX_ENGINE_DEGREE has degree at most 2 * MAX_ENGINE_DEGREE,
+        # below 0xFFFF.
+        return m | (m % 0xFFFF) << self.deg_shift
 
     def key(self, packed: int) -> int:
         """Integer key: ascending key order equals ascending degrevlex."""

@@ -66,6 +66,43 @@ def test_parse_poly_errors_are_positioned():
         parse_poly("z + 1", ring)
 
 
+@pytest.mark.parametrize("text, col, char", [
+    ("x1\u00b2", 3, "\u00b2"),           # superscript two: isdigit, not [0-9]
+    ("\u00e9", 1, "\u00e9"),             # e acute: isalpha, not [A-Za-z_]
+    ("x1 + \u0663", 6, "\u0663"),        # Arabic-Indic three, once read as 3
+    ("x\u0661", 2, "\u0661"),            # nor does it continue a name
+    ("x1 - 1\vx1 + 1", 7, "\x0b"),       # line separators other than \n
+    ("x1 - 1\fx1 + 1", 7, "\x0c"),
+    ("x1 - 1\x1cx1 + 1", 7, "\x1c"),
+    ("x1 - 1\x1ex1 + 1", 7, "\x1e"),
+    ("x1 - 1\x85x1 + 1", 7, "\x85"),
+    ("x1 - 1\u2028x1 + 1", 7, "\u2028"),
+    ("x1 - 1\u2029x1 + 1", 7, "\u2029"),
+])
+def test_only_ascii_characters_are_read(text, col, char):
+    ring = VarRing.matrix_ring(2, QQ)
+    with pytest.raises(ParseError, match="unexpected character") as err:
+        parse_poly(text, ring)
+    assert (err.value.line, err.value.col) == (1, col)
+    assert repr(char) in err.value.reason
+    # In a problem file the generator sits on line 3.
+    with pytest.raises(ParseError, match="unexpected character") as err:
+        parse_problem(f"n 2\nfield Q\n{text}\n")
+    assert (err.value.line, err.value.col) == (3, col)
+
+
+def test_lines_end_at_newline_only():
+    # \r is whitespace, so CRLF files read as before; a generator line
+    # is never split at another separator.
+    spec = parse_problem("n 2\r\nfield F 3\r\nx1 - 1\r\n\r\nx2\r\n")
+    assert spec.generators == [parse_poly("x1 - 1", spec.ring),
+                               parse_poly("x2", spec.ring)]
+    with pytest.raises(ParseError, match="header"):
+        parse_problem("n \u0662\nfield Q\n")
+    with pytest.raises(ParseError, match="header"):
+        parse_problem("n 2\nfield F \u0663\n")
+
+
 def test_oversized_degrees_are_positioned_parse_errors():
     # Column of the exponent, then of the '*' whose product is too large.
     for text, col in (("x1^99999999999 - 1", 4), ("x1^10000 * x1^1000", 10)):

@@ -21,6 +21,43 @@ def test_ring_construction_and_order_of_significance():
         VarRing(("a", "a"), QQ)
 
 
+def _factors_reference(codec, packed):
+    """(index, exponent) of every nonzero field below the degree, read
+    one 16-bit field at a time."""
+    fields = [(packed >> (16 * i)) & 0xFFFF for i in range(codec.arity)]
+    return [(i, e) for i, e in enumerate(fields) if e]
+
+
+def test_factors_match_a_field_by_field_reference():
+    # Every arity up to the widest ring a decision builds: the doubled
+    # ring at n = 5 with the radical-membership variable t.  The highest
+    # variable is always set, and exponents reach MAX_ENGINE_DEGREE, so
+    # a field may hold any of the bits 0..13.
+    widest = VarRing.matrix_ring(5, QQ, x0=True, y=True, y0=True, t=True)
+    assert widest.arity == 53
+    rng = random.Random(53)
+    for arity in range(1, 54):
+        codec = VarRing([f"v{i}" for i in range(arity)], QQ).codec
+        top = [0] * (arity - 1) + [MAX_ENGINE_DEGREE]
+        samples = [top, [1] * arity]
+        for _ in range(60):
+            exps = [0] * arity
+            left = MAX_ENGINE_DEGREE
+            density = rng.choice([0.05, 0.3, 1.0])
+            for i in [arity - 1] + rng.sample(range(arity - 1), arity - 1):
+                if left and (i == arity - 1 or rng.random() < density):
+                    e = rng.choice([1, 2, 1 << rng.randrange(14),
+                                    rng.randint(1, MAX_ENGINE_DEGREE)])
+                    exps[i] = min(e, left)
+                    left -= exps[i]
+            samples.append(exps)
+        for exps in samples:
+            packed = codec.pack(tuple(exps))
+            assert codec.factors(packed) == _factors_reference(codec, packed)
+            assert codec.factors(packed)[-1] == (arity - 1, exps[-1])
+        assert codec.factors(0) == []
+
+
 def test_basic_arithmetic():
     ring = ring2()
     x1, x2 = ring.var("x1"), ring.var("x2")
