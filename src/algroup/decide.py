@@ -189,11 +189,9 @@ def new_report(problem: ProblemSpec, mode: str = "standard") -> DecisionReport:
 
 def identity_point(problem: ProblemSpec) -> list:
     """Coordinates of the identity matrix in ring variable order."""
-    field = problem.field
     n = problem.n
     diagonal = {(i - 1) * n + i for i in range(1, n + 1)}
-    return [field.one() if k in diagonal else field.zero()
-            for k in range(1, n * n + 1)]
+    return [1 if k in diagonal else 0 for k in range(1, n * n + 1)]
 
 
 _WITNESS_TERMS = 64
@@ -422,8 +420,7 @@ class _Run:
                                undecided_reason=f"undecided: image of the "
                                                 f"generator: {exc}")
             try:
-                ok = radical_membership(f, base.basis, self.budget,
-                                        base_gb=base, stats=stats)
+                ok = radical_membership(f, base, self.budget, stats=stats)
             except BudgetExhausted as exc:
                 return _result(None, start, stats, witness_index=idx,
                                witness=_render_witness(f),
@@ -558,7 +555,7 @@ def add_field_equations(problem: ProblemSpec, q: int) -> ProblemSpec:
     if q > MAX_ENGINE_DEGREE:
         raise ValueError(f"field equations of degree {q} exceed the "
                          f"supported degree {MAX_ENGINE_DEGREE}")
-    ring, neg_one = problem.ring, problem.field.neg(1)
+    ring, neg_one = problem.ring, problem.field.canonical(-1)
     xs = (ring.var(f"x{k}").terms for k in range(1, problem.n**2 + 1))
     # Packed, x^q is q times x.
     equations = [Polynomial._make(ring, {q * m: 1, m: neg_one})

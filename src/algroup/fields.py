@@ -1,20 +1,17 @@
 """Exact coefficient arithmetic for the two supported fields.
 
-A rational value is an int when it is integral and an exact fraction in
-lowest terms otherwise (gmpy2.mpq when installed, fractions.Fraction
-otherwise); every operation returns an int for a result of denominator
-1, and str() of a value does not depend on its form.  Prime-field values
-are ints in [0, p).  A field's `canonical` brings the raw result of
-Python arithmetic on its values to that form.  Polynomials record their
+Values are canonical.  A rational value is an int when it is integral
+and a `fractions.Fraction` in lowest terms otherwise; a prime-field
+value is an int in [0, p).  0 and 1 are canonical in both fields.
+There is one way to compute with values: Python's operators on
+canonical values, then the field's `canonical` on the result.  Division
+goes through `inv`, or `from_ratio` over Q.  Polynomials record their
 field, so values of different fields never mix.
 """
 
 from __future__ import annotations
 
-try:
-    from gmpy2 import mpq as rational
-except ImportError:  # pragma: no cover - gmpy2 is an optional speedup
-    from fractions import Fraction as rational
+from fractions import Fraction as rational
 
 # Witnesses making Miller-Rabin deterministic for all p < 2**64.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -71,49 +68,15 @@ class RationalField:
     def __hash__(self) -> int:
         return hash("RationalField")
 
-    def from_int(self, k: int) -> int:
-        return int(k)
-
     def from_ratio(self, num: int, den: int):
         if den == 0:
             raise ZeroDivisionError("rational with zero denominator")
         return _canonical(rational(num, den))
 
-    def coerce(self, v):
-        return _canonical(v)
-
-    def zero(self) -> int:
-        return 0
-
-    def one(self) -> int:
-        return 1
-
-    def add(self, a, b):
-        return _canonical(a + b)
-
-    def sub(self, a, b):
-        return _canonical(a - b)
-
-    def mul(self, a, b):
-        return _canonical(a * b)
-
-    def neg(self, a):
-        return -a
-
     def inv(self, a):
         if not a:
             raise ZeroDivisionError("inverse of zero")
         return _canonical(rational(1) / a)
-
-    def div(self, a, b):
-        if not b:
-            raise ZeroDivisionError("division by zero")
-        return _canonical(rational(a) / b)
-
-    def pow(self, a, e: int):
-        if e < 0:
-            return _canonical(rational(a) ** e)
-        return _canonical(a**e)
 
 
 class PrimeField:
@@ -145,43 +108,13 @@ class PrimeField:
     def __hash__(self) -> int:
         return hash(("PrimeField", self.p))
 
-    def from_int(self, k: int) -> int:
-        return k % self.p
-
     def canonical(self, v) -> int:
         return v % self.p
-
-    def coerce(self, v) -> int:
-        return v % self.p
-
-    def zero(self) -> int:
-        return 0
-
-    def one(self) -> int:
-        return 1
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.p
-
-    def neg(self, a: int) -> int:
-        return -a % self.p
 
     def inv(self, a: int) -> int:
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.p - 2, self.p)
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
-    def pow(self, a: int, e: int) -> int:
-        return pow(a, e, self.p)
 
 
 QQ = RationalField()

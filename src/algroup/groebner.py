@@ -188,8 +188,7 @@ def _clear_denominators(terms: dict) -> tuple[dict, int]:
     den = lcm(*map(_denominator, terms.values()))
     if den == 1:
         return terms, 1
-    # int() keeps gmpy2's integers out of the engine.
-    return {m: int(c.numerator * (den // c.denominator))
+    return {m: c.numerator * (den // c.denominator)
             for m, c in terms.items()}, den
 
 
@@ -685,39 +684,38 @@ def contains_one(gens, budget: Budget | None = None, *,
     return gb.is_trivial
 
 
-def radical_membership(f: Polynomial, gens, budget: Budget | None = None, *,
-                       base_gb: GroebnerBasis | None = None,
+def radical_membership(f: Polynomial, G, budget: Budget | None = None, *,
                        stats: GBStats | None = None) -> bool:
-    """Whether f lies in the radical of the ideal generated by gens.
+    """Whether f lies in the radical of the ideal generated by G.
 
+    G is a list of generators or a GroebnerBasis, as for `normal_form`.
     Plain ideal membership of f is tried first since it already implies
-    radical membership.  When base_gb, a Groebner basis of the ideal, is
-    supplied, it is used in place of gens; a nonzero normal form then
-    decides false when `base_gb.certified_radical` holds.  Otherwise the
-    test is 1 in (gens, t*f - 1) with a fresh variable t ranked highest,
-    skipping the internal S-pairs of base_gb.
+    radical membership.  When G is a GroebnerBasis, a nonzero normal form
+    decides false when `G.certified_radical` holds.  Otherwise the test
+    is 1 in (G, t*f - 1) with a fresh variable t ranked highest, skipping
+    the internal S-pairs of a GroebnerBasis.
     """
     ring = f.ring
     if ring.has("t"):
         raise ValueError("ring already uses the auxiliary variable t")
     budget = budget or DEFAULT_BUDGET
-    base = base_gb.basis if base_gb is not None else [g for g in gens if g]
-    reduced = normal_form(f, base_gb if base_gb is not None else base,
-                          degree_cap=budget.degree_cap)
+    is_gb = isinstance(G, GroebnerBasis)
+    if not is_gb:
+        G = [g for g in G if g]
+    reduced = normal_form(f, G, degree_cap=budget.degree_cap)
     if not reduced:
         return True
-    if base_gb is not None and base_gb.certified_radical(ring,
-                                                         budget.degree_cap):
+    if is_gb and G.certified_radical(ring, budget.degree_cap):
         return False
     if reduced.total_degree() >= budget.degree_cap:
         # t*reduced - 1 is over the cap, and may be over the degree limit.
         raise BudgetExhausted(f"input degree {reduced.total_degree() + 1} "
                               f"over cap {budget.degree_cap}")
     ring_t = ring.extend_front("t")
-    lifted = [change_ring(g, ring_t) for g in base]
+    lifted = [change_ring(g, ring_t) for g in (G.basis if is_gb else G)]
     helper = ring_t.var("t") * change_ring(reduced, ring_t) - ring_t.one()
     return contains_one(lifted + [helper], budget, ring=ring_t,
-                        assume_gb_prefix=len(lifted) if base_gb is not None else 0,
+                        assume_gb_prefix=len(lifted) if is_gb else 0,
                         stats=stats)
 
 
@@ -755,7 +753,7 @@ def _minimal_polynomial(gb: GroebnerBasis, x: Polynomial,
     among NF(1), NF(x), NF(x^2), ...  None when there is none up to
     x^degree_cap."""
     field = x.ring.field
-    mul, sub = field.mul, field.sub
+    canonical = field.canonical
     # Echelon rows (pivot monomial, normal-form vector with 1 at the
     # pivot, the same vector as a combination of the powers of x); each
     # row is zero at the pivots of the rows before it.
@@ -768,21 +766,21 @@ def _minimal_polynomial(gb: GroebnerBasis, x: Polynomial,
         for pivot, row, row_combo in rows:
             c = vec.get(pivot)
             if c:
-                _subtract(vec, row, c, mul, sub)
-                _subtract(combo, row_combo, c, mul, sub)
+                _subtract(vec, row, c, canonical)
+                _subtract(combo, row_combo, c, canonical)
         if not vec:
             return [combo.get(i, 0) for i in range(k + 1)]
         pivot, c = next(iter(vec.items()))
         s = field.inv(c)
-        rows.append((pivot, {m: mul(v, s) for m, v in vec.items()},
-                     {i: mul(v, s) for i, v in combo.items()}))
+        rows.append((pivot, {m: canonical(v * s) for m, v in vec.items()},
+                     {i: canonical(v * s) for i, v in combo.items()}))
     return None
 
 
-def _subtract(vec: dict, row: dict, c, mul, sub) -> None:
+def _subtract(vec: dict, row: dict, c, canonical) -> None:
     """vec -= c*row, in place, dropping the zeros."""
     for m, v in row.items():
-        w = sub(vec.get(m, 0), mul(c, v))
+        w = canonical(vec.get(m, 0) - c * v)
         if w:
             vec[m] = w
         else:
@@ -794,8 +792,7 @@ def _squarefree(mu: list, field) -> bool:
     first) is coprime to its derivative.  Over F_p the derivative of
     x^p - a is 0, so the gcd is mu itself."""
     a = mu
-    b = _trimmed([field.mul(field.from_int(i), c)
-                  for i, c in enumerate(mu) if i])
+    b = _trimmed([field.canonical(i * c) for i, c in enumerate(mu) if i])
     while b:
         a, b = b, _remainder(a, b, field)
     return len(a) == 1
@@ -810,12 +807,13 @@ def _trimmed(a: list) -> list:
 def _remainder(a: list, b: list, field) -> list:
     """a mod b for univariate coefficient lists, b with a nonzero lead."""
     a = list(a)
+    canonical = field.canonical
     s = field.inv(b[-1])
     while len(a) >= len(b):
-        c = field.mul(a[-1], s)
+        c = canonical(a[-1] * s)
         off = len(a) - len(b)
         for i, v in enumerate(b):
-            a[off + i] = field.sub(a[off + i], field.mul(c, v))
+            a[off + i] = canonical(a[off + i] - c * v)
         a.pop()  # the lead, now zero
         _trimmed(a)
     return a

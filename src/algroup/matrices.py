@@ -104,8 +104,9 @@ class CofactorTable:
                 if len(g.terms) > 2 or g.total_degree() != 1:
                     continue
                 lm, lc = g.leading()
+                s = field.inv(lc)
                 forms[lm] = Polynomial._make(ring, {
-                    m: field.neg(field.div(c, lc))
+                    m: field.canonical(-c * s)
                     for m, c in g.terms.items() if m != lm})
         return forms
 

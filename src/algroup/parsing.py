@@ -194,7 +194,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "INT":
             self.advance()
-            return self.ring.from_int(_literal(tok.value, tok.line, tok.col))
+            return self.ring.const(_literal(tok.value, tok.line, tok.col))
         if tok.kind == "NAME":
             self.advance()
             return self._variable(tok)
@@ -215,11 +215,12 @@ class _Parser:
         if self.ring.has(name):
             return self.ring.var(name)
         m = re.fullmatch(r"([xy])([0-9]+)", name)
-        if m and self.ring.n is not None:
-            lo, hi = (0, self.ring.n**2) if self.ring.has(f"{m.group(1)}0") \
-                else (1, self.ring.n**2)
-            self.error(f"variable {name} out of range [{lo}, {hi}] "
-                       f"for n={self.ring.n}", tok)
+        n = self.ring.n
+        # A range is reported only for a block the ring has.
+        if m and n is not None and self.ring.has(f"{m.group(1)}1"):
+            lo = 0 if self.ring.has(f"{m.group(1)}0") else 1
+            self.error(f"variable {name} out of range [{lo}, {n * n}] "
+                       f"for n={n}", tok)
         self.error(f"unknown variable {name}", tok)
 
 

@@ -191,14 +191,11 @@ class VarRing:
 
     def var(self, name: str) -> "Polynomial":
         packed = (1 << (_BITS * self.index(name))) | (1 << self.codec.deg_shift)
-        return Polynomial._make(self, {packed: self.field.one()})
+        return Polynomial._make(self, {packed: 1})
 
     def const(self, value) -> "Polynomial":
-        v = self.field.coerce(value)
+        v = self.field.canonical(value)
         return Polynomial._make(self, {0: v} if v else {})
-
-    def from_int(self, k: int) -> "Polynomial":
-        return self.const(self.field.from_int(k))
 
     def zero(self) -> "Polynomial":
         return Polynomial._make(self, {})
@@ -226,10 +223,10 @@ class Polynomial:
 
     def __init__(self, ring: VarRing, terms: dict):
         """The polynomial of {exponent tuple: coefficient}, zeros dropped."""
-        pack, coerce = ring.codec.pack, ring.field.coerce
+        pack, canonical = ring.codec.pack, ring.field.canonical
         out = {}
         for exps, c in terms.items():
-            c = coerce(c)
+            c = canonical(c)
             if c:
                 out[pack(exps)] = c
         if out and max(out) >> ring.codec.deg_shift > MAX_ENGINE_DEGREE:
@@ -275,14 +272,14 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        fadd = self.ring.field.add
+        canonical = self.ring.field.canonical
         out = dict(self.terms)
         for m, c in other.terms.items():
             prev = out.get(m)
             if prev is None:
                 out[m] = c
             else:
-                v = fadd(prev, c)
+                v = canonical(prev + c)
                 if v:
                     out[m] = v
                 else:
@@ -292,9 +289,9 @@ class Polynomial:
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        neg = self.ring.field.neg
-        return Polynomial._make(self.ring,
-                                {m: neg(c) for m, c in self.terms.items()})
+        canonical = self.ring.field.canonical
+        return Polynomial._make(self.ring, {m: canonical(-c)
+                                            for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
         other = self._coerce(other)
@@ -376,21 +373,20 @@ class Polynomial:
         """Exact value at a point given in ring variable order."""
         if len(point) != self.ring.arity:
             raise ValueError(f"expected {self.ring.arity} values, got {len(point)}")
-        field = self.ring.field
-        values = [field.coerce(v) for v in point]
-        fmul, fadd, fpow = field.mul, field.add, field.pow
+        canonical = self.ring.field.canonical
+        values = [canonical(v) for v in point]
         factors = self.ring.codec.factors
-        acc = field.zero()
+        acc = 0
         powers: dict = {}
         for m, c in self.terms.items():
             term = c
             for key in factors(m):
                 v = powers.get(key)
                 if v is None:
-                    v = fpow(values[key[0]], key[1])
+                    v = canonical(values[key[0]] ** key[1])
                     powers[key] = v
-                term = fmul(term, v)
-            acc = fadd(acc, term)
+                term = canonical(term * v)
+            acc = canonical(acc + term)
         return acc
 
     def substitute(self, images: dict, target: VarRing | None = None) -> "Polynomial":

@@ -333,3 +333,14 @@ def test_cli_import_loads_no_process_pool():
                      "set(sys.modules)))")
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_only_the_standard_library():
+    # The core has no runtime dependencies: importing the CLI loads only
+    # modules of the standard library and of algroup itself.
+    run = run_python("-c", "import sys; before = set(sys.modules); "
+                     "import algroup.cli; print(sorted("
+                     "m for m in set(sys.modules) - before if m.split('.')[0] "
+                     "not in sys.stdlib_module_names | {'algroup'}))")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"

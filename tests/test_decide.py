@@ -665,7 +665,7 @@ def _q_metamorphic_cases(problems_dir):
               for j in range(n)] for i in range(n)]
         g, ginv = _random_sl_z(rng, n)
         images = {matrices.entry_name("x", i + 1, j + 1, n):
-                  sum((ring.from_int(ginv[i][k] * g[l][j]) * X[k][l]
+                  sum((ring.const(ginv[i][k] * g[l][j]) * X[k][l]
                        for k in range(n) for l in range(n)), ring.zero())
                   for i in range(n) for j in range(n)}
         yield spec, replace(spec, generators=[

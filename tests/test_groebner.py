@@ -79,12 +79,12 @@ def univariate_gcd(f, g):
 
     def shift(k):
         return Polynomial(ring, {tuple(k if i == idx else 0
-                                       for i in range(ring.arity)): QQ.one()})
+                                       for i in range(ring.arity)): 1})
 
     a, b = f, g
     while b:
         while degree(a) >= degree(b) and a:
-            factor = ring.const(QQ.div(lead_coeff(a), lead_coeff(b)))
+            factor = ring.const(lead_coeff(a) * QQ.inv(lead_coeff(b)))
             a = a - factor * shift(degree(a) - degree(b)) * b
         a, b = b, a
     if not a:
@@ -124,7 +124,7 @@ def test_basis_is_reduced_and_monic():
     unpack = r.codec.unpack
     leads = [unpack(max(g.terms, key=key)) for g in gb.basis]
     for i, g in enumerate(gb.basis):
-        assert g.exponents()[leads[i]] == QQ.one()
+        assert g.exponents()[leads[i]] == 1
         for j, lead in enumerate(leads):
             if i == j:
                 continue
@@ -167,7 +167,7 @@ def test_membership_soundness_random():
                     exps = [0] * 4
                     for _ in range(rng.randint(0, 2)):
                         exps[rng.randrange(4)] += 1
-                    c = field.from_int(rng.randint(-4, 4))
+                    c = field.canonical(rng.randint(-4, 4))
                     if c:
                         coeff_terms[tuple(exps)] = c
                 combo = combo + Polynomial(r, coeff_terms) * g
@@ -183,7 +183,7 @@ def test_contains_one_examples():
     assert contains_one([sl2, det])
     assert not contains_one([det])
     assert not contains_one([])
-    assert contains_one([r.from_int(3)])
+    assert contains_one([r.const(3)])
 
 
 def test_radical_membership_examples():
@@ -248,13 +248,13 @@ def test_uncertified_ideals_still_run_t_times_f_minus_one(monkeypatch):
     monkeypatch.setattr(groebner, "contains_one", counting)
     x1, x2 = r.var("x1"), r.var("x2")
     prime = buchberger([x1 * x1 - x2])
-    assert not radical_membership(x1, prime.basis, base_gb=prime)
+    assert not radical_membership(x1, prime)
     assert prime.radical is False and len(calls) == 1
     # A certified basis decides a nonzero normal form by itself, and its
     # answer is kept for the next test.
     certified = buchberger([x1 * x1 - 1, x2])
     for f in (x1, x1 - 2):
-        assert not radical_membership(f, certified.basis, base_gb=certified)
+        assert not radical_membership(f, certified)
     assert certified.radical is True and len(calls) == 1
     # Without a basis there is no answer to keep: t*f - 1 runs.
     assert not radical_membership(x1, certified.basis)
@@ -370,10 +370,10 @@ def _symplectic_gens(ring):
     gens = []
     for i in range(n):
         for j in range(i + 1, n):
-            e = sum((ring.from_int(J[k][l]) * X[k][i] * X[l][j]
+            e = sum((ring.const(J[k][l]) * X[k][i] * X[l][j]
                      for k in range(n) for l in range(n) if J[k][l]),
                     ring.zero())
-            gens.append(e - ring.from_int(J[i][j]))
+            gens.append(e - ring.const(J[i][j]))
     return gens
 
 
@@ -435,7 +435,8 @@ def _naive_division(f, divisors):
         for g in divisors:
             lm, lc = g.leading()
             if divides(lm, m):
-                factor = Polynomial._make(ring, {m - lm: QQ.div(c, lc)})
+                factor = Polynomial._make(
+                    ring, {m - lm: QQ.canonical(c * QQ.inv(lc))})
                 rest = rest - factor * g
                 break
         else:
@@ -488,7 +489,7 @@ def _orthogonal_group_gens(ring, n, g=None):
     X = [[ring.var(f"x{n * i + j + 1}") for j in range(n)] for i in range(n)]
     if g is not None:
         g, ginv = g
-        X = [[sum((ring.from_int(ginv[i][k] * g[l][j]) * X[k][l]
+        X = [[sum((ring.const(ginv[i][k] * g[l][j]) * X[k][l]
                    for k in range(n) for l in range(n)), ring.zero())
               for j in range(n)] for i in range(n)]
     gens = []

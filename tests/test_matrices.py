@@ -206,7 +206,7 @@ def _random_x_poly(rng, ring, maxdeg=3, terms=4):
         exps = [0] * ring.arity
         for _ in range(rng.randint(0, maxdeg)):
             exps[rng.randrange(ring.arity)] += 1
-        c = QQ.from_int(rng.randint(-5, 5))
+        c = QQ.canonical(rng.randint(-5, 5))
         if c:
             out[tuple(exps)] = c
     return Polynomial(ring, out)

@@ -26,6 +26,11 @@ def test_parse_problem_prime_field_and_comments():
 def test_variable_out_of_range():
     with pytest.raises(ParseError, match=r"x5 out of range \[1, 4\] for n=2"):
         parse_problem("n 2\nfield F 5\nx5 - x1\n")
+    with pytest.raises(ParseError, match=r"y5 out of range \[1, 4\] for n=2"):
+        parse_poly("y5", VarRing.matrix_ring(2, QQ, y=True))
+    # A problem ring has no y block, so y1 has no range to be out of.
+    with pytest.raises(ParseError, match=r"unknown variable y1$"):
+        parse_problem("n 2\nfield Q\ny1 - 1\n")
 
 
 def test_problem_errors_carry_line_numbers():
@@ -49,7 +54,7 @@ def test_parse_poly_examples():
         parse_poly("x2^2*x4 - x2", ring)
     assert parse_poly("-(x1 - 1)", ring) == parse_poly("-x1 + 1", ring)
     assert parse_poly("x1^0", ring) == ring.one()
-    assert parse_poly("2^3", ring) == ring.from_int(8)
+    assert parse_poly("2^3", ring) == ring.const(8)
     assert parse_poly("-x1^2", ring) == -(ring.var("x1") ** 2)
 
 
@@ -178,7 +183,7 @@ def test_round_trip_integer_polynomials():
                 exps = [0] * 4
                 for _ in range(rng.randint(0, 4)):
                     exps[rng.randrange(4)] += 1
-                c = field.from_int(rng.randint(-9, 9))
+                c = field.canonical(rng.randint(-9, 9))
                 if c:
                     terms[tuple(exps)] = c
             f = Polynomial(ring, terms)

@@ -107,20 +107,18 @@ def test_substitute_missing_image():
 def test_eval_examples():
     ring = ring2()
     det = parse_poly("x1*x4 - x2*x3", ring)
-    one = QQ.one()
-    zero = QQ.zero()
-    assert det.evaluate([one, zero, zero, one]) == one
+    assert det.evaluate([1, 0, 0, 1]) == 1
 
     ring3 = VarRing.matrix_ring(3, QQ)
     f_no_id = parse_poly("22*x1+77*x2-6*x4-21*x5+48*x7+168*x8", ring3)
-    identity3 = [one, zero, zero, zero, one, zero, zero, zero, one]
-    assert f_no_id.evaluate(identity3) == one
+    identity3 = [1, 0, 0, 0, 1, 0, 0, 0, 1]
+    assert f_no_id.evaluate(identity3) == 1
 
     f_id = parse_poly("-3*x1+x3-9*x7+3*x9", ring3)
-    assert f_id.evaluate(identity3) == zero
+    assert f_id.evaluate(identity3) == 0
 
     with pytest.raises(ValueError):
-        det.evaluate([one, zero])
+        det.evaluate([1, 0])
 
 
 def test_compare_examples():
@@ -144,7 +142,7 @@ def random_poly(rng, ring, maxdeg=3, terms=4, coeff_span=9):
         exps = [0] * ring.arity
         for _ in range(rng.randint(0, maxdeg)):
             exps[rng.randrange(ring.arity)] += 1
-        c = field.from_int(rng.randint(-coeff_span, coeff_span))
+        c = field.canonical(rng.randint(-coeff_span, coeff_span))
         if c:
             out[tuple(exps)] = c
     return Polynomial(ring, out)
@@ -192,7 +190,7 @@ def test_eval_after_substitute_composes():
         f = random_poly(rng, ring)
         images = {name: random_poly(rng, target, maxdeg=2, terms=3)
                   for name in ring.names}
-        point = [QQ.from_int(rng.randint(-4, 4)) for _ in range(target.arity)]
+        point = [QQ.canonical(rng.randint(-4, 4)) for _ in range(target.arity)]
         direct = f.substitute(images, target).evaluate(point)
         via_images = f.evaluate([images[name].evaluate(point)
                                  for name in ring.names])
@@ -226,7 +224,7 @@ def test_compare_properties_random():
 
 def test_degree_overflow_aborts():
     ring = VarRing(("v",), QQ)
-    huge = Polynomial(ring, {(MAX_ENGINE_DEGREE,): QQ.one()})
+    huge = Polynomial(ring, {(MAX_ENGINE_DEGREE,): 1})
     with pytest.raises(OverflowError):
         huge * huge
     with pytest.raises(OverflowError):
@@ -238,7 +236,7 @@ def test_render_canonical_form():
     f = parse_poly("x1^2*x4 - 2*x2", ring)
     assert render(f) == "x1^2*x4 - 2*x2"
     assert render(ring.zero()) == "0"
-    assert render(ring.from_int(-7)) == "-7"
+    assert render(ring.const(-7)) == "-7"
     assert render(parse_poly("-x1 + 1", ring)) == "-x1 + 1"
     assert str(QQ.from_ratio(5, 6)) in render(
         Polynomial(ring, {(1, 0, 0, 0): QQ.from_ratio(5, 6)}))
@@ -249,7 +247,7 @@ def test_leading_term_and_degree():
     f = parse_poly("x1*x4 - x2*x3 - 1", ring)
     mono, coeff = f.leading()
     assert ring.codec.unpack(mono) == (0, 1, 1, 0)  # degrevlex prefers x2*x3 over x1*x4
-    assert coeff == QQ.from_int(-1)
+    assert coeff == QQ.canonical(-1)
     assert f.total_degree() == 2
     assert ring.zero().total_degree() == 0
     assert ring.one().is_constant and ring.zero().is_constant
