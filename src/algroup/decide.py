@@ -249,15 +249,16 @@ class _Run:
     - "I": (ring, reduced basis) of the problem ideal;
     - "hat": (ring, reduced basis) of I + (x0*det(x) - 1), whose zero set
       is V*(I);
-    - "I+det": whether 1 lies in I + (det(x)), that is, V(I) = V*(I);
     - "doubled": (ring, reduced basis) of the hat ideal on the x and y
       blocks (`product_base`).
 
     "hat" and "I+det" are built on I's reduced basis (`seed`; see the
-    module docstring).  `tables` keeps one CofactorTable per base,
-    "hat" or "doubled", made once per run: its minors serve the
-    inversion images, and its entry images serve every generator of
-    every check on that base.
+    module docstring).  "I+det" is I + (det(x)): the check
+    "variety_equals_vstar" decides once whether it is the whole ring,
+    that is, whether V(I) = V*(I), and keeps no basis of it.  `tables`
+    keeps one CofactorTable per base, "hat" or "doubled", made once per
+    run: its minors serve the inversion images, and its entry images
+    serve every generator of every check on that base.
 
     A computation's pairs count in the check that runs it.  Whether a
     basis is radical is decided by `groebner`, on the basis, when a
@@ -285,13 +286,7 @@ class _Run:
             ring, prefix = problem.ring, 0
             gens = [f for f in problem.generators if f]
         else:
-            self.seeded.discard(name)
-            gens, prefix, det = self.seed(stats)
-            if name == "I+det":
-                self.bases[name] = contains_one(
-                    gens + [det], self.budget, ring=problem.ring,
-                    assume_gb_prefix=prefix, stats=stats)
-                return self.bases[name]
+            gens, prefix, det = self.seed(name, stats)
             ring = VarRing.matrix_ring(problem.n, problem.field, x0=True)
             gens = [change_ring(g, ring) for g in gens]
             gens.append(build_f0(ring, "x", change_ring(det, ring)))
@@ -300,15 +295,17 @@ class _Run:
                                             stats=stats)
         return self.bases[name]
 
-    def seed(self, stats: GBStats) -> tuple[list[Polynomial], int,
-                                            Polynomial]:
-        """(gens, prefix, det): generators of I whose first `prefix` are
+    def seed(self, name: str, stats: GBStats) -> tuple[list[Polynomial],
+                                                       int, Polynomial]:
+        """(gens, prefix, det) for building the ideal `name` of `seeded`,
+        which leaves `seeded`: generators of I whose first `prefix` are
         a Groebner basis, and det(x) reduced modulo them.  These are I's
         reduced basis, computed on first use, and the normal form of
         det, built on a CofactorTable that is not kept: I is the base of
         no check, so its minors serve nothing else.  det is kept only
         while another ideal of `seeded` is still to be built: at n = 9
         it can hold most of the run's memory."""
+        self.seeded.discard(name)
         ring, gb = self.ideal("I", stats)
         det = self._det if self._det is not None else det_poly(ring, "x", gb)
         self._det = det if self.seeded else None
@@ -386,7 +383,11 @@ class _Run:
         if name == "variety_equals_vstar":
             start, stats = time.perf_counter(), GBStats()
             try:
-                return _result(self.ideal("I+det", stats), start, stats)
+                gens, prefix, det = self.seed("I+det", stats)
+                return _result(contains_one(gens + [det], self.budget,
+                                            ring=self.problem.ring,
+                                            assume_gb_prefix=prefix,
+                                            stats=stats), start, stats)
             except BudgetExhausted as exc:
                 return _result(None, start, stats, undecided_reason=str(exc))
         return self.closure_check(name)

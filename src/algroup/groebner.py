@@ -35,18 +35,21 @@ basis element is prepared for division once, as its packed lead, its
 lead coefficient and its tail, and a GroebnerBasis keeps its prepared
 reducers for every later normal form.
 
-Reduction (`_reduce_terms`) takes the pending terms largest first from
-a heap of plain ints, one entry per monomial: m enters as
-k = 2*(m & low_mask) - m = offs - key(m), so ascending k is descending
-degrevlex, and m = 2*(k & low_mask) - k.  The invariant is that the
-heap holds exactly the monomials of the work dict, each once; a term
-that cancels stays in the dict as 0 until it is popped, and every term
-a reduction step brings in is below the one it removes.
+Reduction (`_reduce_terms`) is one loop for both fields.  It takes the
+pending terms largest first from a heap of plain ints, one entry per
+monomial: m enters as k = 2*(m & low_mask) - m = offs - key(m), so
+ascending k is descending degrevlex, and m = 2*(k & low_mask) - k.  The
+invariant is that the heap holds exactly the monomials of the work dict,
+each once; a term that cancels stays in the dict until it is popped,
+and every term a reduction step brings in is below the one it removes.
 
-Over F_p a prepared reducer is monic.  Over Q it is a primitive integer
-polynomial with a positive lead coefficient, and reduction is
-fraction-free (Knuth, TAOCP vol. 2, 4.6.1): to cancel a term c*m by a
-reducer of lead coefficient lc, the pending terms are multiplied by
+Over F_p a prepared reducer is monic, and the work dict holds integers
+congruent to the values: a value is brought into [0, p) when its term
+is popped, so a cancelled term may wait as a nonzero multiple of p.
+Over Q a prepared reducer is a primitive integer polynomial with a
+positive lead coefficient, and reduction is fraction-free (Knuth, TAOCP
+vol. 2, 4.6.1): to cancel a term c*m by a reducer of lead coefficient
+lc, the pending terms and the remainder so far are multiplied by
 lc/gcd(c, lc) instead of the reducer being divided by lc.  Each such
 step is a nonzero multiple of the monic one, so both choose the same
 reducers and reach the same zero remainders; a normal form divides by
@@ -80,7 +83,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field as dataclass_field
-from itertools import islice
 from math import gcd, lcm
 from operator import attrgetter
 
@@ -243,7 +245,7 @@ def _reduce_terms(terms: dict, reducers, codec, p: int,
 
     Returns (rem, s): rem is s times the remainder, for a positive
     integer s that is 1 over F_p (p > 0) and after steps by monic
-    reducers only.
+    reducers only.  Over F_p the values of rem are in [0, p).
 
     Terms are taken largest first from the heap of the module
     docstring, one plain int per monomial of the work dict.  Only the
@@ -252,60 +254,23 @@ def _reduce_terms(terms: dict, reducers, codec, p: int,
     replaces, since a lead has its polynomial's largest degree.
     """
     deg_shift = codec.deg_shift
-    low = codec.low_mask
+    low, guard = codec.low_mask, codec.guard
     for m in terms:
         if m >> deg_shift > degree_cap:
             raise BudgetExhausted(
                 f"monomial degree {m >> deg_shift} over cap {degree_cap}")
-    heap = [2 * (m & low) - m for m in terms]
+    work = dict(terms)
+    heap = [2 * (m & low) - m for m in work]
     heapq.heapify(heap)
-    if p:
-        return _reduce_fp(dict(terms), heap, reducers, codec, p), 1
-    return _reduce_q(dict(terms), heap, reducers, codec)
-
-
-def _reduce_fp(work: dict, heap: list, reducers, codec, p: int) -> dict:
-    """`_reduce_terms` over F_p, with monic reducers."""
-    low, guard = codec.low_mask, codec.guard
-    push, pop = heapq.heappush, heapq.heappop
-    rem: dict = {}
-    while heap:
-        k = pop(heap)
-        m = 2 * (k & low) - k
-        c = work.pop(m)
-        if not c:
-            continue
-        gm = m | guard
-        for lm, _, tail in reducers:
-            if (gm - lm) & guard == guard:
-                break
-        else:
-            rem[m] = c
-            continue
-        u = m - lm
-        for mt, ct in tail:
-            mm = mt + u
-            prev = work.get(mm)
-            if prev is None:
-                work[mm] = -c * ct % p
-                push(heap, 2 * (mm & low) - mm)
-            else:
-                work[mm] = (prev - c * ct) % p
-    return rem
-
-
-def _reduce_q(work: dict, heap: list, reducers, codec) -> tuple[dict, int]:
-    """`_reduce_terms` over Q, fraction-free."""
-    low, guard = codec.low_mask, codec.guard
     push, pop = heapq.heappush, heapq.heappop
     rem: dict = {}
     scale = 1
-    # (terms in rem, scale they left at) before each rescaling of work.
-    marks: list[tuple[int, int]] = []
     while heap:
         k = pop(heap)
         m = 2 * (k & low) - k
         c = work.pop(m)
+        if p:
+            c %= p
         if not c:
             continue
         gm = m | guard
@@ -316,16 +281,15 @@ def _reduce_q(work: dict, heap: list, reducers, codec) -> tuple[dict, int]:
             rem[m] = c
             continue
         if lc != 1:
-            # With the work scaled by lc/g, the term (lc/g)*c*m cancels
-            # against (c/g)*x^u times the reducer's lead term.
+            # With the work and rem scaled by lc/g, the term (lc/g)*c*m
+            # cancels against (c/g)*x^u times the reducer's lead term.
             g = gcd(c, lc)
             f = lc // g
             c //= g
             if f != 1:
-                if rem:
-                    marks.append((len(rem), scale))
                 scale *= f
                 work = {mw: v * f for mw, v in work.items()}
+                rem = {mr: v * f for mr, v in rem.items()}
         u = m - lm
         for mt, ct in tail:
             mm = mt + u
@@ -335,17 +299,6 @@ def _reduce_q(work: dict, heap: list, reducers, codec) -> tuple[dict, int]:
                 push(heap, 2 * (mm & low) - mm)
             else:
                 work[mm] = prev - c * ct
-    if marks:
-        # Bring the terms that left before a rescaling to the final scale.
-        items = iter(rem.items())
-        rem = {}
-        done = 0
-        for count, before in marks:
-            f = scale // before
-            for m, c in islice(items, count - done):
-                rem[m] = c * f
-            done = count
-        rem.update(items)
     return rem, scale
 
 
@@ -399,17 +352,22 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     l = ring.codec.lcm(a[0], b[0])
     if l >> ring.codec.deg_shift > MAX_ENGINE_DEGREE:
         raise _degree_error(l >> ring.codec.deg_shift)
-    terms = _spair_terms(a, b, l, p)
-    # The integral S-pair is lcm(lc_a, lc_b) times the monic one.
-    den = lcm(a[1], b[1])
-    if den != 1:
-        terms = _divided(terms.items(), den, ring.field)
+    terms = _spair_terms(a, b, l)
+    if p:
+        terms = {m: c % p for m, c in terms.items()}
+    else:
+        # The integral S-pair is lcm(lc_a, lc_b) times the monic one.
+        den = lcm(a[1], b[1])
+        if den != 1:
+            terms = _divided(terms.items(), den, ring.field)
     return Polynomial._make(ring, terms)
 
 
-def _spair_terms(a, b, l, p: int) -> dict:
+def _spair_terms(a, b, l) -> dict:
     # (lc_b/g)*x^ua*a - (lc_a/g)*x^ub*b with g = gcd(lc_a, lc_b): the
-    # lead terms cancel exactly and the result is integral.
+    # lead terms cancel exactly and the result is integral.  Over F_p
+    # both leads are 1, so a term is a difference of two values in
+    # [0, p), which is 0 exactly when it is 0 mod p.
     lma, lca, taila = a
     lmb, lcb, tailb = b
     fa = fb = 1
@@ -422,9 +380,9 @@ def _spair_terms(a, b, l, p: int) -> dict:
         mm = m + ub
         prev = terms.get(mm)
         if prev is None:
-            terms[mm] = -fb * c % p if p else -fb * c
+            terms[mm] = -fb * c
         else:
-            v = (prev - fb * c) % p if p else prev - fb * c
+            v = prev - fb * c
             if v:
                 terms[mm] = v
             else:
@@ -648,7 +606,7 @@ def buchberger(gens, budget: Budget | None = None, *,
             if local.pairs_processed >= budget.pair_cap:
                 raise BudgetExhausted(f"pair cap {budget.pair_cap} reached")
             local.pairs_processed += 1
-            sterms = _spair_terms(G[i], G[j], l, p)
+            sterms = _spair_terms(G[i], G[j], l)
             rem, _ = _reduce_terms(sterms, active, codec, p, degree_cap)
             if not rem:
                 local.reductions_to_zero += 1

@@ -143,19 +143,17 @@ class VarRing:
 
     @classmethod
     def matrix_ring(cls, n: int, field: Field, *, x0: bool = False,
-                    y: bool = False, y0: bool = False, t: bool = False) -> "VarRing":
+                    y: bool = False, y0: bool = False) -> "VarRing":
         """Variables for an n-by-n generic matrix problem.
 
-        Order of significance: t, then the y block (y1..y_{n*n}, y0),
-        then the x block (x1..x_{n*n}), with x0 last.
+        Order of significance: the y block (y1..y_{n*n}, y0), then the x
+        block (x1..x_{n*n}), with x0 last.
         """
         if n < 1:
             raise ValueError("matrix dimension must be at least 1")
         if y0 and not y:
             raise ValueError("y0 requires the y block")
         names: list[str] = []
-        if t:
-            names.append("t")
         if y:
             names.extend(f"y{k}" for k in range(1, n * n + 1))
         if y0:
@@ -183,11 +181,6 @@ class VarRing:
             return self._index[name]
         except KeyError:
             raise ValueError(f"ring has no variable {name}") from None
-
-    def sort_key(self):
-        """Sort key of packed monomials under the monomial order,
-        degrevlex."""
-        return self.codec.key
 
     def var(self, name: str) -> "Polynomial":
         packed = (1 << (_BITS * self.index(name))) | (1 << self.codec.deg_shift)

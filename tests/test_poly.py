@@ -33,7 +33,8 @@ def test_factors_match_a_field_by_field_reference():
     # ring at n = 5 with the radical-membership variable t.  The highest
     # variable is always set, and exponents reach MAX_ENGINE_DEGREE, so
     # a field may hold any of the bits 0..13.
-    widest = VarRing.matrix_ring(5, QQ, x0=True, y=True, y0=True, t=True)
+    widest = VarRing.matrix_ring(5, QQ, x0=True, y=True,
+                                 y0=True).extend_front("t")
     assert widest.arity == 53
     rng = random.Random(53)
     for arity in range(1, 54):
@@ -123,7 +124,7 @@ def test_eval_examples():
 
 def test_compare_examples():
     ring = ring2()
-    key = ring.sort_key()
+    key = ring.codec.key
     pack = ring.codec.pack
     x1sq = pack((2, 0, 0, 0))
     x1x2 = pack((1, 1, 0, 0))
@@ -200,7 +201,7 @@ def test_eval_after_substitute_composes():
 def test_compare_properties_random():
     rng = random.Random(13)
     ring = VarRing(tuple(f"v{k}" for k in range(5)), QQ)
-    sort_key = ring.sort_key()
+    sort_key = ring.codec.key
 
     def key(exps):
         return sort_key(ring.codec.pack(exps))
