@@ -92,6 +92,21 @@ in the hat ring: over a perfect field, J(x) + J(y) is radical when J is
 (Bourbaki, Algebra V section 15), and both criteria hold for its basis
 exactly when they hold for J's.
 
+Field equations need no closure test.  When one q, a power of the
+characteristic p > 0, has the generator x_k^q - x_k for every entry
+k = 1..n*n, every point of V(I) has its entries in F_q.  F_q is a
+field, so the inverse of an invertible point, and the product and the
+quotient of two, have their entries in F_q too: the image of each of
+these generators vanishes on V*(I), or on V*(I) x V*(I), and by the
+Nullstellensatz lies in the radical of the check's base ideal.  A
+closure check therefore tests only the other generators, reporting them
+by their place in the full list, and when none is left it is true and
+builds no basis.  The guard (`_field_equations`) reads the generators
+themselves, terms {x_k^q: 1, x_k: -1} with q a power of p covering every
+entry, and not the q that `add_field_equations` records on the problem:
+that record proves nothing, as a problem may carry it without the
+equations, or the equations without it.
+
 `run_checks` is the one entry point, for the library and the CLI alike:
 it runs a list of check names against one `_Run` into one report.  A
 `_Run` holds the problem, its budget, and the one Groebner computation
@@ -234,6 +249,43 @@ _CLOSURE_CHECKS = {
 }
 
 
+def _is_power_of(q: int, p: int) -> bool:
+    """Whether q = p^t for some t >= 1."""
+    remainder = q
+    while remainder > 1 and remainder % p == 0:
+        remainder //= p
+    return remainder == 1 and q > 1
+
+
+def _field_equations(problem: ProblemSpec) -> frozenset[int]:
+    """Places, from 1, of the generators x_k^q - x_k, with terms
+    {x_k^q: 1, x_k: -1} for an entry variable x_k, whose q is a power of
+    the characteristic p > 0 and has such a generator for every entry.
+    Their closure images lie in every base ideal's radical (see the
+    module docstring)."""
+    p = problem.field.characteristic
+    if not p:
+        return frozenset()
+    ring, neg_one = problem.ring, problem.field.canonical(-1)
+    shift = ring.codec.deg_shift
+    entries = {m for k in range(1, problem.n**2 + 1)
+               for m in ring.var(f"x{k}").terms}
+    found: dict[int, tuple[set, list]] = {}  # q -> (entries, places)
+    for idx, f in enumerate(problem.generators, start=1):
+        if len(f.terms) != 2:
+            continue
+        m, power = sorted(f.terms)  # the degree is the top field
+        q = power >> shift
+        # Packed, x^q is q times x.
+        if (m in entries and power == q * m and f.terms[power] == 1
+                and f.terms[m] == neg_one and _is_power_of(q, p)):
+            covered, places = found.setdefault(q, (set(), []))
+            covered.add(m)
+            places.append(idx)
+    return frozenset(idx for covered, places in found.values()
+                     if covered == entries for idx in places)
+
+
 def _result(verdict, start: float, stats: GBStats, **fields) -> CheckResult:
     return CheckResult(verdict, time.perf_counter() - start,
                        gb_pairs=stats.pairs_processed,
@@ -260,6 +312,9 @@ class _Run:
     run: its minors serve the inversion images, and its entry images
     serve every generator of every check on that base.
 
+    `field_equations` holds the places of the generators that no
+    closure check tests (`_field_equations`), found once per run.
+
     A computation's pairs count in the check that runs it.  Whether a
     basis is radical is decided by `groebner`, on the basis, when a
     membership test first needs it; the doubled basis asks the hat
@@ -274,6 +329,10 @@ class _Run:
     bases: dict = dataclass_field(default_factory=dict)
     tables: dict = dataclass_field(default_factory=dict)
     _det: Polynomial | None = None
+    field_equations: frozenset = dataclass_field(init=False)
+
+    def __post_init__(self):
+        self.field_equations = _field_equations(self.problem)
 
     def ideal(self, name: str, stats: GBStats):
         if name in self.bases:
@@ -395,7 +454,8 @@ class _Run:
     def closure_check(self, name: str) -> CheckResult:
         """Run the closure check `name` of `_CLOSURE_CHECKS`: one
         radical-membership test of each generator's image, in generator
-        order, up to the first that fails or runs out of budget.  An
+        order, up to the first that fails or runs out of budget.  The
+        field equations of `field_equations` are not tested.  An
         image builds only the pieces its generator needs, modulo the
         base basis, and the base's CofactorTable keeps them for the
         later generators and checks on that base.  When the base ideal is proven radical,
@@ -404,7 +464,8 @@ class _Run:
         ideal, image = _CLOSURE_CHECKS[name]
         start = time.perf_counter()
         gens = [(idx, f) for idx, f in enumerate(self.problem.generators,
-                                                 start=1) if f]
+                                                 start=1)
+                if f and idx not in self.field_equations]
         if not gens:
             return CheckResult(True, time.perf_counter() - start)
         stats = GBStats()
@@ -543,15 +604,12 @@ def add_field_equations(problem: ProblemSpec, q: int) -> ProblemSpec:
     """Restrict the variety to matrices over the field with q elements by
     adjoining x_k^q - x_k for every entry variable; q must be a power of
     the coefficient characteristic, else ValueError.  The report records
-    q; the engine does not read it."""
+    q; the engine does not read it, and finds the equations among the
+    generators instead."""
     p = problem.field.characteristic
     if p == 0:
         raise ValueError("field equations require a prime coefficient field")
-    remainder, t = q, 0
-    while remainder > 1 and remainder % p == 0:
-        remainder //= p
-        t += 1
-    if remainder != 1 or t < 1:
+    if not _is_power_of(q, p):
         raise ValueError(f"{q} is not a power of the field characteristic {p}")
     if q > MAX_ENGINE_DEGREE:
         raise ValueError(f"field equations of degree {q} exceed the "

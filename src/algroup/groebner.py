@@ -145,10 +145,11 @@ class GroebnerBasis:
 
     @classmethod
     def with_reducers(cls, basis: list[Polynomial], ring: VarRing,
-                      reducers: list, **fields) -> "GroebnerBasis":
+                      reducers: list, stats: GBStats | None = None,
+                      **fields) -> "GroebnerBasis":
         """A basis whose reducers in ring are made elsewhere, reducers[i]
-        being basis[i] as `_prepare` makes it; no statistics."""
-        gb = cls(basis, GBStats(), **fields)
+        being basis[i] as `_prepare` makes it."""
+        gb = cls(basis, stats or GBStats(), **fields)
         gb._prepared = (ring, reducers, _top_degree(reducers, ring))
         return gb
 
@@ -390,7 +391,9 @@ def _spair_terms(a, b, l) -> dict:
     return terms
 
 
-def _interreduce(G, ring, codec, p, degree_cap) -> list[Polynomial]:
+def _interreduce(G, codec, p, degree_cap) -> list:
+    """The reduced basis of the Groebner basis G, as prepared elements in
+    ascending lead order."""
     # Minimal basis: drop elements whose lead another lead divides.
     items = sorted(G, key=lambda prep: codec.key(prep[0]))
     minimal = []
@@ -411,7 +414,7 @@ def _interreduce(G, ring, codec, p, degree_cap) -> list[Polynomial]:
         if scale != 1 or reduced != terms:
             reduced[lm] = lc * scale
             minimal[idx] = _prepare(reduced, codec, p)
-    return [_as_poly(prep, ring) for prep in minimal]
+    return minimal
 
 
 def _inert_generators(preps, codec) -> set[int]:
@@ -464,10 +467,12 @@ def buchberger(gens, budget: Budget | None = None, *,
     budget = budget or DEFAULT_BUDGET
     local = GBStats()
 
-    def finish(basis: list[Polynomial]) -> GroebnerBasis:
+    def finish(basis: list[Polynomial], reducers=None) -> GroebnerBasis:
         if stats is not None:
             stats.merge(local)
-        return GroebnerBasis(basis, local)
+        if reducers is None:
+            return GroebnerBasis(basis, local)
+        return GroebnerBasis.with_reducers(basis, ring, reducers, local)
 
     polys = [g for g in gens if g]
     if ring is None:
@@ -620,7 +625,10 @@ def buchberger(gens, budget: Budget | None = None, *,
         if not reduce_basis:
             return finish([Polynomial._make(ring, dict([(lm, lc), *tail]))
                            for lm, lc, tail in G])
-        return finish(_interreduce(G, ring, codec, p, degree_cap))
+        # The reduced basis's own reducers: `_prepare` of a monic element
+        # gives back the prepared element it was made from.
+        reduced = _interreduce(G, codec, p, degree_cap)
+        return finish([_as_poly(prep, ring) for prep in reduced], reduced)
     except BudgetExhausted:
         if stats is not None:
             stats.merge(local)

@@ -104,7 +104,8 @@ class CofactorTable:
                 if len(g.terms) > 2 or g.total_degree() != 1:
                     continue
                 lm, lc = g.leading()
-                s = field.inv(lc)
+                # The bases a table is given are monic.
+                s = 1 if lc == 1 else field.inv(lc)
                 forms[lm] = Polynomial._make(ring, {
                     m: field.canonical(-c * s)
                     for m, c in g.terms.items() if m != lm})

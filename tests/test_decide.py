@@ -445,6 +445,107 @@ def test_certified_base_ideals_run_no_t_times_f_minus_one(problem, t_runs):
     assert all(res.verdict is False for res in report.checks.values())
 
 
+FIELD_EQUATION_PAIRS = [(2, 2), (2, 4), (3, 3), (3, 9), (5, 5), (5, 25),
+                        (7, 7)]
+FIELD_EQUATION_CHECKS = [["group"], ["group-alt"],
+                         ["inversion", "multiplication", "vstar-eq"]]
+
+
+@pytest.mark.parametrize("p, q", FIELD_EQUATION_PAIRS)
+def test_field_equations_untested_agree_with_the_general_path(monkeypatch,
+                                                              p, q):
+    # The closure checks do not test the field equations; with the guard
+    # switched off they test every generator.  Wherever that general path
+    # decides, verdicts, witnesses and witness places agree.  The pair cap
+    # keeps the general path short, and what it leaves undecided is not
+    # compared.  Each random generator is moved to vanish at the
+    # identity, so that the group checks reach the closure checks.
+    from conftest import random_matrix_problem
+    rng = random.Random(100 * p + q)
+    sizes = [1] * 4 + [2] * 3 + ([3] if q == p < 5 else [])
+    specs = []
+    for n in sizes:
+        spec = random_matrix_problem(rng, p, n=n)
+        one = decide.identity_point(spec)
+        spec = replace(spec, generators=[f - f.evaluate(one)
+                                         for f in spec.generators])
+        specs.append(add_field_equations(spec, q))
+    budget = Budget(pair_cap=300)
+    runs = [(spec, checks) for spec in specs
+            for checks in FIELD_EQUATION_CHECKS]
+    shortcut = [run_checks(spec, checks, budget=budget)
+                for spec, checks in runs]
+    monkeypatch.setattr(decide, "_field_equations",
+                        lambda problem: frozenset())
+    compared = 0
+    for (spec, checks), got in zip(runs, shortcut):
+        general = run_checks(spec, checks, budget=budget)
+        for name, want in general.checks.items():
+            if want.verdict is None:
+                continue
+            res = got.checks[name]
+            assert (res.verdict, res.witness, res.witness_index) == \
+                (want.verdict, want.witness, want.witness_index), \
+                (spec.generators, name)
+            compared += name in CLOSURE_CHECKS
+        for verdict in ("group", "group_alt"):
+            if getattr(general, verdict) is not None:
+                assert getattr(got, verdict) == getattr(general, verdict)
+    assert compared >= len(runs)
+
+
+def _field_equation_places(text):
+    return _Run(parse_problem(text), Budget()).field_equations
+
+
+def test_the_field_equation_guard_reads_the_generators():
+    # Taken: the equations of one q covering every entry, found by their
+    # terms whether or not the problem records q, and in any place.
+    # x1^9 - x1 alone covers no entry set of its own, so it is tested.
+    f3 = "n 2\nfield F 3\n"
+    eqs = "".join(f"x{k}^3 - x{k}\n" for k in range(1, 5))
+    assert _field_equation_places(f3 + eqs) == {1, 2, 3, 4}
+    assert _field_equation_places(f3 + "x2\n" + eqs + "x1^9 - x1\n") == \
+        {2, 3, 4, 5}
+    assert _field_equation_places("n 1\nfield F 2\nx1^4 + x1\n") == {1}
+    # Each of these is tested as any generator: x_k^4 - x_k over F_3, as 4
+    # is no power of 3; one entry without its equation; a scaled equation,
+    # and three look-alikes in place of x1^3 - x1; and two q that do not
+    # each cover every entry.
+    others = "".join(f"x{k}^3 - x{k}\n" for k in range(2, 5))
+    untested = [
+        "".join(f"x{k}^4 - x{k}\n" for k in range(1, 5)),
+        "".join(f"x{k}^3 - x{k}\n" for k in range(1, 4)),
+        "2*x1^3 - 2*x1\n" + others,
+        "2*x1^3 - x1\n" + others,
+        "x1^3 + x1\n" + others,
+        "x1^2*x2 - x1\n" + others,
+        "x1^3 - x1\nx2^3 - x2\nx3^9 - x3\nx4^9 - x4\n",
+    ]
+    for gens in untested:
+        assert _field_equation_places(f3 + gens) == set(), gens
+        assert check_inversion(parse_problem(f3 + gens)).gb_pairs > 0, gens
+    assert _field_equation_places("n 1\nfield Q\nx1^3 - x1\n") == set()
+
+
+@pytest.mark.parametrize("p, q", [(3, 3), (2, 4)])
+def test_gl2_over_a_finite_field_builds_no_hat_basis(p, q):
+    # GL_2(F_q): no generator but the field equations.  The closure checks
+    # are true with no basis built; V(I) holds the singular matrices.
+    spec = add_field_equations(parse_problem(f"n 2\nfield F {p}\n"), q)
+    report = run_checks(spec, ["group", "group-alt", "vstar-eq"])
+    assert report.group is True and report.group_alt is True
+    for name in CLOSURE_CHECKS:
+        assert report.checks[name].gb_pairs == 0
+    assert report.checks["variety_equals_vstar"].verdict is False
+    if q == p:
+        vs = enumerate_variety(spec)
+        brute = is_group_bruteforce(vs)
+        assert (brute.identity, brute.inversion, brute.multiplication,
+                brute.group) == (True, True, True, True)
+        assert len(vs.points) > len(vs.invertible)
+
+
 def _differential_corpus(problems_dir):
     """The fixtures, the Q metamorphic set, and the F_p fuzz corpus of
     seed 101 with its field equations."""
@@ -473,8 +574,9 @@ def test_reducers_are_prepared_once_per_basis(monkeypatch):
     # Six generators under the field equations: every normal form of the
     # inversion check divides by the hat basis, and every one of the
     # multiplication check by the doubled hat basis.  I's basis divides
-    # det once, to seed the hat basis.  The doubled basis's reducers are
-    # the hat basis's, shifted: nothing is prepared on the doubled ring.
+    # det once, to seed the hat basis.  `buchberger` hands each basis the
+    # reducers its interreduction prepared, and the doubled basis's
+    # reducers are the hat basis's, shifted: nothing is prepared again.
     prepared = []
     real = groebner._prepare_reducers
 
@@ -485,8 +587,7 @@ def test_reducers_are_prepared_once_per_basis(monkeypatch):
     monkeypatch.setattr(groebner, "_prepare_reducers", counting)
     spec = add_field_equations(parse_problem("n 2\nfield F 3\nx2\nx3\n"), 3)
     assert run_checks(spec, ["group"]).group is True
-    assert prepared == [VarRing.matrix_ring(2, spec.field),
-                        VarRing.matrix_ring(2, spec.field, x0=True)]
+    assert prepared == []
 
 
 def test_image_over_the_degree_limit_is_undecided():

@@ -499,6 +499,23 @@ def test_prepared_reducers_over_q_are_primitive_integer_polynomials():
             assert g.leading()[1] == 1
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(5), PrimeField(2**61 - 1)])
+def test_a_basis_comes_with_the_reducers_its_interreduction_prepared(field):
+    # The reducers buchberger hands its basis are those _prepare_reducers
+    # makes from the basis: lead, lead coefficient and tail in order.
+    rng = random.Random(55)
+    r = ring2(field)
+    cases = [[_random_poly(rng, r, range(4)) for _ in range(3)]
+             for _ in range(10)]
+    cases.append([r.var("x1"), r.var("x1") - r.one()])  # trivial
+    if field.characteristic == 5:
+        equations = [parse_poly(f"x{k}^5 - x{k}", r) for k in range(1, 5)]
+        cases += [gens + equations for gens in cases[:5]]
+    for gens in cases:
+        gb = buchberger(gens, ring=r)
+        assert gb.reducers(r) == groebner._prepare_reducers(gb.basis, r)
+
+
 def _orthogonal_group_gens(ring, n, g=None):
     """Entries of Y^T*Y - I for Y = g^-1*X*g, the orthogonal group
     conjugated by g in SL_n(Z) (given with its inverse)."""
