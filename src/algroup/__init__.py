@@ -10,7 +10,7 @@ from .fields import PrimeField, QQ, RationalField, is_prime
 from .groebner import (Budget, BudgetExhausted, GBStats, GroebnerBasis,
                        buchberger, contains_one, normal_form,
                        radical_membership)
-from .matrices import build_hat_ideal, det_poly
+from .matrices import det_poly
 from .oracle import (BruteForceVerdict, EnumerationBudgetError, VarietySet,
                      enumerate_variety, inversion_closed, is_group_bruteforce,
                      multiplication_closed)
@@ -25,7 +25,7 @@ __all__ = [
     "DecisionReport", "EnumerationBudgetError", "GBStats", "GroebnerBasis",
     "ParseError", "Polynomial", "PrimeField", "ProblemSpec", "QQ",
     "RationalField", "VarRing", "VarietySet", "add_field_equations",
-    "buchberger", "build_hat_ideal", "change_ring", "check_division",
+    "buchberger", "change_ring", "check_division",
     "check_identity", "check_inversion", "check_multiplication",
     "contains_one", "det_poly", "enumerate_variety", "inversion_closed",
     "is_group", "is_group_alt", "is_group_bruteforce", "is_prime",

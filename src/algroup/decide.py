@@ -78,14 +78,14 @@ whose tests all hold pays nothing for them:
   too.
 
 Field equations (`add_field_equations`, which records q on the problem
-for the report) are a case of (b).  `x^q - x` has derivative -1, so it
-is squarefree, and F_p is perfect.  Every base ideal contains it in
-each variable: the hat ideal contains `x0^q - x0`, because the
-coefficients lie in F_p and q is a power of p, so det^q = det modulo the
-field equations, x0*det = 1 in the hat ideal, and hence x0^q - x0 =
-x0*(x0^q*det - x0*det) = 0.  So each mu_k divides x^q - x and is
-squarefree, of degree at most q, and (b) certifies the basis; a degree
-cap below q already rejects the field equations as input.
+for the report) make the hat ideal radical by the lemma of (b): `x^q - x`
+has derivative -1, so it is squarefree, and F_p is perfect.  The hat
+ideal holds x_k^q - x_k, and x0^q - x0 too: the coefficients lie in F_p
+and q is a power of p, so det^q = det modulo the field equations,
+x0*det = 1 in the hat ideal, and hence x0^q - x0 = x0*(x0^q*det -
+x0*det) = 0.  So when the generators hold the field equations of every
+entry (`_Run.field_equations`), the hat basis is marked radical as it
+is built, and no minimal polynomial is computed.
 
 A doubled ideal takes its block's answer, decided on the block's basis
 in the hat ring: over a perfect field, J(x) + J(y) is radical when J is
@@ -313,7 +313,8 @@ class _Run:
     serve every generator of every check on that base.
 
     `field_equations` holds the places of the generators that no
-    closure check tests (`_field_equations`), found once per run.
+    closure check tests (`_field_equations`), found once per run; if
+    there are any, the hat basis is marked radical as it is built.
 
     A computation's pairs count in the check that runs it.  Whether a
     basis is radical is decided by `groebner`, on the basis, when a
@@ -349,9 +350,11 @@ class _Run:
             ring = VarRing.matrix_ring(problem.n, problem.field, x0=True)
             gens = [change_ring(g, ring) for g in gens]
             gens.append(build_f0(ring, "x", change_ring(det, ring)))
-        self.bases[name] = ring, buchberger(gens, self.budget, ring=ring,
-                                            assume_gb_prefix=prefix,
-                                            stats=stats)
+        gb = buchberger(gens, self.budget, ring=ring, assume_gb_prefix=prefix,
+                        stats=stats)
+        if name == "hat" and self.field_equations:
+            gb.radical = True
+        self.bases[name] = ring, gb
         return self.bases[name]
 
     def seed(self, name: str, stats: GBStats) -> tuple[list[Polynomial],
@@ -414,17 +417,19 @@ class _Run:
         # y0 in those fields, then x1..x_{n*n}, x0, then the degree, at
         # bit 2s.  So the x copy of a packed monomial m is m << s, and its
         # y copy, m plus (degree << 2s) - (degree << s), keeps the
-        # exponent fields and moves the degree up by s.
+        # exponent fields and moves the degree up by s.  A reducer holds
+        # its element's monomials, so one map per element shifts both, and
+        # each shifted monomial is one int, shared by terms and reducer.
         s = block_ring.codec.deg_shift
         lift = (1 << 2 * s) - (1 << s)
         pieces = list(zip(block.basis, block.reducers(block_ring)))
-        copies = [({m << s: c for m, c in g.terms.items()},
-                   (lm << s, lc, [(m << s, c) for m, c in tail]))
-                  for g, (lm, lc, tail) in pieces]
-        copies += [({m + (m >> s) * lift: c for m, c in g.terms.items()},
-                    (lm + (lm >> s) * lift, lc,
-                     [(m + (m >> s) * lift, c) for m, c in tail]))
-                   for g, (lm, lc, tail) in pieces]
+        copies = []
+        for move in (lambda m: m << s, lambda m: m + (m >> s) * lift):
+            for g, (lm, lc, tail) in pieces:
+                moved = {m: move(m) for m in g.terms}
+                copies.append(({moved[m]: c for m, c in g.terms.items()},
+                               (moved[lm], lc,
+                                [(moved[m], c) for m, c in tail])))
         # Ascending leads, the order buchberger returns a reduced basis
         # in: the block basis already ascends, and degrevlex ranks every y
         # lead above every x lead of the same degree, so a stable sort by

@@ -86,8 +86,7 @@ from dataclasses import dataclass, field as dataclass_field
 from math import gcd, lcm
 from operator import attrgetter
 
-from .poly import (MAX_ENGINE_DEGREE, Polynomial, VarRing, _degree_error,
-                   change_ring)
+from .poly import MAX_ENGINE_DEGREE, Polynomial, VarRing, change_ring
 
 
 @dataclass
@@ -337,31 +336,6 @@ def normal_form(f: Polynomial, G, degree_cap: int | None = None) -> Polynomial:
     if den != 1:
         rem = _divided(rem.items(), den, ring.field)
     return Polynomial._make(ring, rem)
-
-
-def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
-    """The cancellation combination of the two lead terms, of f and g
-    made monic."""
-    if f.ring != g.ring:
-        raise ValueError("polynomials from different rings")
-    if not f or not g:
-        raise ValueError("S-polynomial of the zero polynomial")
-    ring = f.ring
-    p = ring.field.characteristic
-    a = _prepare(f.terms, ring.codec, p)
-    b = _prepare(g.terms, ring.codec, p)
-    l = ring.codec.lcm(a[0], b[0])
-    if l >> ring.codec.deg_shift > MAX_ENGINE_DEGREE:
-        raise _degree_error(l >> ring.codec.deg_shift)
-    terms = _spair_terms(a, b, l)
-    if p:
-        terms = {m: c % p for m, c in terms.items()}
-    else:
-        # The integral S-pair is lcm(lc_a, lc_b) times the monic one.
-        den = lcm(a[1], b[1])
-        if den != 1:
-            terms = _divided(terms.items(), den, ring.field)
-    return Polynomial._make(ring, terms)
 
 
 def _spair_terms(a, b, l) -> dict:

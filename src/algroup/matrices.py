@@ -36,7 +36,6 @@ import math
 
 from . import groebner
 from .groebner import GroebnerBasis
-from .parsing import ProblemSpec
 from .poly import Polynomial, VarRing, change_ring
 
 
@@ -211,24 +210,16 @@ def build_f0(ring: VarRing, block: str = "x",
     return ring.var(f"{block}0") * det - ring.one()
 
 
-def build_hat_ideal(problem: ProblemSpec) -> tuple[VarRing, list[Polynomial]]:
-    """Generators of the problem ideal extended by the witness relation."""
-    hat = VarRing.matrix_ring(problem.n, problem.field, x0=True)
-    gens = [change_ring(g, hat) for g in problem.generators]
-    gens.append(build_f0(hat, "x"))
-    return hat, gens
-
-
-def _x_block_names(f: Polynomial, allow_x0: bool = False) -> list[str]:
+def _x_block_names(f: Polynomial) -> list[str]:
     """The variables f mentions; ValueError unless each is an x-block
-    entry (or x0, when allowed)."""
+    entry."""
     names = f.ring.names
     used = 0
     for m in f.terms:
         used |= m
     out = []
     for i, _ in f.ring.codec.factors(used):
-        if not (names[i].startswith("x") and (allow_x0 or names[i] != "x0")):
+        if not names[i].startswith("x") or names[i] == "x0":
             raise ValueError(f"polynomial mentions {names[i]}, "
                              "expected x-block variables only")
         out.append(names[i])
@@ -278,13 +269,6 @@ def subst_product(f: Polynomial, table: CofactorTable) -> Polynomial:
         return acc
 
     return _substitute(f, table, "product", entry)
-
-
-def to_y_block(f: Polynomial, target: VarRing) -> Polynomial:
-    """Rename every x_k in f to y_k inside the target ring, the witness
-    variable x0 to y0 included."""
-    _x_block_names(f, allow_x0=True)
-    return change_ring(f, target, rename=lambda name: "y" + name[1:])
 
 
 def eval_at_formal_inverse(f: Polynomial,

@@ -19,6 +19,15 @@ The grammar is ASCII: INT is ``[0-9]+``, NAME is
 ``\r`` are the only whitespace.  Any other character, a superscript
 digit, a non-ASCII letter or digit, or another line separator such as
 ``\v`` or U+2028, is a ParseError at its position.
+
+The tokenizer scans each line once with one pattern that takes the
+spaces before a token with it; tokens are (kind, text, line, col)
+tuples, and the first gap between matches is the unexpected character.
+The parser evaluates to packed term dicts of the ring, with `poly`'s
+one multiplication, and makes one Polynomial per expression.  A term
+reads its factors, their minus signs and powers, in one loop, so only
+parentheses recurse: at most MAX_NESTING levels deep, and a deeper
+level is a ParseError at the '(' that opens it.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ import re
 from dataclasses import dataclass
 
 from .fields import Field, PrimeField, QQ
-from .poly import Polynomial, VarRing
+from .poly import Polynomial, VarRing, _mul_terms, _pow_terms
 
 
 class ParseError(ValueError):
@@ -40,6 +49,10 @@ class ParseError(ValueError):
 
 # Python converts decimal strings of at most this many digits by default.
 MAX_LITERAL_DIGITS = 4300
+
+# Parentheses nest at most this deep: each level takes three frames of
+# the recursive descent, far below Python's default recursion limit.
+MAX_NESTING = 100
 
 
 def _literal(digits: str, line: int, col: int) -> int:
@@ -68,16 +81,11 @@ class ProblemSpec:
     field_equations_q: int | None = None
 
 
-@dataclass
-class _Token:
-    kind: str  # INT, NAME, OP, END
-    value: str
-    line: int
-    col: int
-
-
-_INT_RE = re.compile(r"[0-9]+")
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+# One token per match, after the spaces before it: INT, NAME or OP by
+# the group that matched.
+_TOKEN = re.compile(r"[ \t\r]*(?:([0-9]+)|([A-Za-z_][A-Za-z_0-9]*)"
+                    r"|([-+*^()]))")
+_KINDS = (None, "INT", "NAME", "OP")
 _SPACE = " \t\r"
 
 
@@ -90,186 +98,196 @@ def _lines(text: str) -> list[str]:
     return lines
 
 
-def _tokenize(text: str, line_offset: int = 0) -> list[_Token]:
-    tokens: list[_Token] = []
+def _tokenize(text: str, line_offset: int = 0) -> list[tuple]:
+    """The (kind, text, line, col) tokens of text, then an END token
+    after its last line.  The matches of a line follow one another; the
+    first gap is a character no token starts with."""
+    tokens = []
     lines = _lines(text)
-    for li, line in enumerate(lines):
-        col = 0
-        while col < len(line):
-            ch = line[col]
-            if ch in _SPACE:
-                col += 1
-                continue
-            if m := _INT_RE.match(line, col):
-                tokens.append(_Token("INT", m.group(0), li + 1 + line_offset, col + 1))
-                col = m.end()
-            elif m := _NAME_RE.match(line, col):
-                tokens.append(_Token("NAME", m.group(0), li + 1 + line_offset, col + 1))
-                col = m.end()
-            elif ch in "+-*^()":
-                tokens.append(_Token("OP", ch, li + 1 + line_offset, col + 1))
-                col += 1
-            else:
-                raise ParseError(f"unexpected character {ch!r}",
-                                 li + 1 + line_offset, col + 1)
-    tokens.append(_Token("END", "", len(lines) + line_offset, len(lines[-1]) + 1))
+    for lineno, line in enumerate(lines, start=line_offset + 1):
+        end = 0
+        for m in _TOKEN.finditer(line):
+            if m.start() != end:
+                break
+            i = m.lastindex
+            tokens.append((_KINDS[i], m[i], lineno, m.start(i) + 1))
+            end = m.end()
+        rest = line[end:].lstrip(_SPACE)
+        if rest:
+            raise ParseError(f"unexpected character {rest[0]!r}", lineno,
+                             len(line) - len(rest) + 1)
+    tokens.append(("END", "", len(lines) + line_offset, len(lines[-1]) + 1))
     return tokens
 
 
+def _error(message: str, tok: tuple) -> ParseError:
+    return ParseError(message, tok[2], tok[3])
+
+
 class _Parser:
-    def __init__(self, tokens: list[_Token], ring: VarRing):
-        self.tokens = tokens
-        self.pos = 0
+    """Recursive descent over tokens into packed term dicts of the ring,
+    with nonzero canonical values; one `parse` per expression."""
+
+    def __init__(self, ring: VarRing):
         self.ring = ring
+        self.canonical = ring.field.canonical
+        self.monomials: dict[str, int] = {}  # variable name -> monomial
+        self.tokens: list[tuple] = []
+        self.pos = 0
+        self.depth = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def parse(self, tokens: list[tuple]) -> Polynomial:
+        self.tokens, self.pos, self.depth = tokens, 0, 0
+        terms = self.expr()
+        tok = tokens[self.pos]
+        if tok[0] != "END":
+            raise _error(f"unexpected {tok[1]!r} after expression", tok)
+        return Polynomial._make(self.ring, terms)
 
-    def advance(self) -> _Token:
+    def expr(self) -> dict:
+        tokens, canonical = self.tokens, self.canonical
+        negative, acc = self.term()
+        if negative:
+            acc = {m: canonical(-c) for m, c in acc.items()}
+        while (op := tokens[self.pos][1]) == "+" or op == "-":
+            self.pos += 1
+            negative, rhs = self.term()
+            sign = -1 if (op == "-") != negative else 1
+            for m, c in rhs.items():
+                prev = acc.get(m)
+                if prev is None:
+                    acc[m] = c if sign == 1 else canonical(-c)
+                elif v := canonical(prev + sign * c):
+                    acc[m] = v
+                else:
+                    del acc[m]
+        return acc
+
+    def term(self) -> tuple[bool, dict]:
+        """(negative, product of the factors): the unary minus signs of
+        every factor count toward one sign, and each factor takes its
+        powers before the product does."""
+        tokens, ring = self.tokens, self.ring
+        negative, acc, star = False, None, None
+        while True:
+            while tokens[self.pos][1] == "-":
+                negative = not negative
+                self.pos += 1
+            factor = self.atom()
+            while tokens[self.pos][1] == "^":
+                etok = tokens[self.pos + 1]
+                if etok[0] != "INT":
+                    raise _error("exponent must be a non-negative integer "
+                                 "literal", etok)
+                self.pos += 2
+                try:
+                    factor = _pow_terms(factor, _literal(*etok[1:]), ring)
+                except OverflowError as exc:
+                    raise _error(str(exc), etok) from None
+            if star is None:
+                acc = factor
+            else:
+                try:
+                    acc = _mul_terms(acc, factor, ring)
+                except OverflowError as exc:
+                    raise _error(str(exc), star) from None
+            star = tokens[self.pos]
+            if star[1] != "*":
+                return negative, acc
+            self.pos += 1
+
+    def atom(self) -> dict:
         tok = self.tokens[self.pos]
         self.pos += 1
-        return tok
+        kind, text = tok[0], tok[1]
+        if kind == "INT":
+            value = self.canonical(_literal(*tok[1:]))
+            return {0: value} if value else {}
+        if kind == "NAME":
+            return {self.monomials.get(text) or self._variable(tok): 1}
+        if text == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise _error(f"parentheses nested deeper than the limit of "
+                             f"{MAX_NESTING}", tok)
+            terms = self.expr()
+            close = self.tokens[self.pos]
+            if close[1] != ")":
+                raise _error("expected ')'", close)
+            self.pos += 1
+            self.depth -= 1
+            return terms
+        if kind == "END":
+            raise _error("unexpected end of expression", tok)
+        raise _error(f"unexpected {text!r}", tok)
 
-    def error(self, message: str, tok: _Token | None = None):
-        tok = tok or self.peek()
-        raise ParseError(message, tok.line, tok.col)
-
-    def parse(self) -> Polynomial:
-        poly = self.expr()
-        tok = self.peek()
-        if tok.kind != "END":
-            self.error(f"unexpected {tok.value!r} after expression", tok)
-        return poly
-
-    def expr(self) -> Polynomial:
-        poly = self.term()
-        while True:
-            tok = self.peek()
-            if tok.kind == "OP" and tok.value in "+-":
-                self.advance()
-                rhs = self.term()
-                poly = poly + rhs if tok.value == "+" else poly - rhs
-            else:
-                return poly
-
-    def term(self) -> Polynomial:
-        poly = self.unary()
-        while True:
-            tok = self.peek()
-            if tok.kind == "OP" and tok.value == "*":
-                self.advance()
-                rhs = self.unary()
-                try:
-                    poly = poly * rhs
-                except OverflowError as exc:
-                    self.error(str(exc), tok)
-            else:
-                return poly
-
-    def unary(self) -> Polynomial:
-        tok = self.peek()
-        if tok.kind == "OP" and tok.value == "-":
-            self.advance()
-            return -self.unary()
-        return self.power()
-
-    def power(self) -> Polynomial:
-        poly = self.atom()
-        while True:
-            tok = self.peek()
-            if tok.kind == "OP" and tok.value == "^":
-                self.advance()
-                etok = self.peek()
-                if etok.kind != "INT":
-                    self.error("exponent must be a non-negative integer literal", etok)
-                self.advance()
-                try:
-                    poly = poly ** _literal(etok.value, etok.line, etok.col)
-                except OverflowError as exc:
-                    self.error(str(exc), etok)
-            else:
-                return poly
-
-    def atom(self) -> Polynomial:
-        tok = self.peek()
-        if tok.kind == "INT":
-            self.advance()
-            return self.ring.const(_literal(tok.value, tok.line, tok.col))
-        if tok.kind == "NAME":
-            self.advance()
-            return self._variable(tok)
-        if tok.kind == "OP" and tok.value == "(":
-            self.advance()
-            poly = self.expr()
-            close = self.peek()
-            if close.kind != "OP" or close.value != ")":
-                self.error("expected ')'", close)
-            self.advance()
-            return poly
-        if tok.kind == "END":
-            self.error("unexpected end of expression", tok)
-        self.error(f"unexpected {tok.value!r}", tok)
-
-    def _variable(self, tok: _Token) -> Polynomial:
-        name = tok.value
-        if self.ring.has(name):
-            return self.ring.var(name)
+    def _variable(self, tok: tuple) -> int:
+        """The monomial of the variable tok names, kept for later uses."""
+        name, ring = tok[1], self.ring
+        if ring.has(name):
+            (packed,) = ring.var(name).terms
+            self.monomials[name] = packed
+            return packed
         m = re.fullmatch(r"([xy])([0-9]+)", name)
-        n = self.ring.n
+        n = ring.n
         # A range is reported only for a block the ring has.
-        if m and n is not None and self.ring.has(f"{m.group(1)}1"):
-            lo = 0 if self.ring.has(f"{m.group(1)}0") else 1
-            self.error(f"variable {name} out of range [{lo}, {n * n}] "
-                       f"for n={n}", tok)
-        self.error(f"unknown variable {name}", tok)
+        if m and n is not None and ring.has(f"{m.group(1)}1"):
+            lo = 0 if ring.has(f"{m.group(1)}0") else 1
+            raise _error(f"variable {name} out of range [{lo}, {n * n}] "
+                         f"for n={n}", tok)
+        raise _error(f"unknown variable {name}", tok)
 
 
 def parse_poly(text: str, ring: VarRing, line_offset: int = 0) -> Polynomial:
     """Parse one polynomial expression in the given ring."""
-    return _Parser(_tokenize(text, line_offset), ring).parse()
+    return _Parser(ring).parse(_tokenize(text, line_offset))
+
+
+_N_HEADER = re.compile(r"n[ \t\r]+([0-9]+)")
+_FIELD_HEADER = re.compile(r"field[ \t\r]+(Q|F[ \t\r]+([0-9]+))")
 
 
 def parse_problem(text: str, source: str | None = None) -> ProblemSpec:
     """Parse a whole .alg problem file."""
     n: int | None = None
     fld: Field | None = None
-    ring: VarRing | None = None
+    parser: _Parser | None = None
     generators: list[Polynomial] = []
     for lineno, raw in enumerate(_lines(text), start=1):
-        line = raw.split("#", 1)[0].strip(_SPACE)
+        code = raw.split("#", 1)[0]
+        line = code.strip(_SPACE)
         if not line:
+            continue
+        if parser is not None:
+            generators.append(parser.parse(_tokenize(code, lineno - 1)))
             continue
         indent = len(raw) - len(raw.lstrip(_SPACE))
         if n is None:
-            m = re.fullmatch(r"n[ \t\r]+([0-9]+)", line)
+            m = _N_HEADER.fullmatch(line)
             if not m:
                 raise ParseError("expected header 'n <int>'", lineno, 1)
             n = _literal(m.group(1), lineno, indent + m.start(1) + 1)
             if n < 1:
                 raise ParseError("n must be a positive integer", lineno, 1)
             continue
-        if fld is None:
-            m = re.fullmatch(r"field[ \t\r]+(Q|F[ \t\r]+([0-9]+))", line)
-            if not m:
-                raise ParseError("expected header 'field Q' or 'field F <p>'",
-                                 lineno, 1)
-            if m.group(1) == "Q":
-                fld = QQ
-            else:
-                p = _literal(m.group(2), lineno, indent + m.start(2) + 1)
-                try:
-                    fld = PrimeField(p)
-                except ValueError as exc:
-                    raise ParseError(str(exc), lineno, 1) from None
-            ring = VarRing.matrix_ring(n, fld)
-            continue
-        generators.append(parse_poly(raw.split("#", 1)[0], ring,
-                                     line_offset=lineno - 1))
+        m = _FIELD_HEADER.fullmatch(line)
+        if not m:
+            raise ParseError("expected header 'field Q' or 'field F <p>'",
+                             lineno, 1)
+        if m.group(1) == "Q":
+            fld = QQ
+        else:
+            p = _literal(m.group(2), lineno, indent + m.start(2) + 1)
+            try:
+                fld = PrimeField(p)
+            except ValueError as exc:
+                raise ParseError(str(exc), lineno, 1) from None
+        parser = _Parser(VarRing.matrix_ring(n, fld))
     if n is None:
         raise ParseError("missing header 'n <int>'", 1, 1)
-    if fld is None or ring is None:
+    if parser is None:
         raise ParseError("missing header 'field Q' or 'field F <p>'", 1, 1)
-    return ProblemSpec(n, fld, generators, ring, source)
+    return ProblemSpec(n, fld, generators, parser.ring, source)
 
 
 def load_problem(path) -> ProblemSpec:

@@ -299,51 +299,15 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        ring = self.ring
-        if not self.terms or not other.terms:
-            return ring.zero()
-        degree = self.total_degree() + other.total_degree()
-        if degree > MAX_ENGINE_DEGREE:
-            raise _degree_error(degree)
-        outer, inner = self.terms, other.terms
-        if len(outer) < len(inner):
-            outer, inner = inner, outer
-        canonical = ring.field.canonical
-        if len(inner) == 1:
-            # A term times a polynomial: distinct monomials stay distinct
-            # and products of nonzero values are nonzero.
-            ((m2, c2),) = inner.items()
-            return Polynomial._make(ring, {m + m2: canonical(c * c2)
-                                           for m, c in outer.items()})
-        # Accumulate raw sums of products and bring each one to canonical
-        # form once, at the end.
-        inner = list(inner.items())
-        out: dict = {}
-        get = out.get
-        for m1, c1 in outer.items():
-            for m2, c2 in inner:
-                m = m1 + m2
-                out[m] = get(m, 0) + c1 * c2
-        return Polynomial._make(ring, {m: v for m, c in out.items()
-                                       if (v := canonical(c))})
+        return Polynomial._make(self.ring, _mul_terms(self.terms, other.terms,
+                                                      self.ring))
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "Polynomial":
         if not isinstance(e, int) or e < 0:
             raise ValueError("polynomial exponent must be a non-negative integer")
-        # A constant counts as degree 1, so that its powers stay small.
-        if e * max(self.total_degree(), 1) > MAX_ENGINE_DEGREE:
-            raise _degree_error(e * max(self.total_degree(), 1))
-        result = self.ring.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return Polynomial._make(self.ring, _pow_terms(self.terms, e, self.ring))
 
     def total_degree(self) -> int:
         """Largest term degree; 0 for the zero polynomial."""
@@ -422,6 +386,56 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"<poly {render(self)}>"
+
+
+def _mul_terms(a: dict, b: dict, ring: VarRing) -> dict:
+    """The terms of the product of the term dicts a and b of ring: the
+    one polynomial multiplication, for `Polynomial` and the parser."""
+    if not a or not b:
+        return {}
+    shift = ring.codec.deg_shift
+    degree = (max(a) >> shift) + (max(b) >> shift)
+    if degree > MAX_ENGINE_DEGREE:
+        raise _degree_error(degree)
+    outer, inner = a, b
+    if len(outer) < len(inner):
+        outer, inner = inner, outer
+    canonical = ring.field.canonical
+    if len(inner) == 1:
+        # A term times a polynomial: distinct monomials stay distinct
+        # and products of nonzero values are nonzero.
+        ((m2, c2),) = inner.items()
+        return {m + m2: canonical(c * c2) for m, c in outer.items()}
+    # Accumulate raw sums of products and bring each one to canonical
+    # form once, at the end.
+    inner = list(inner.items())
+    out: dict = {}
+    get = out.get
+    for m1, c1 in outer.items():
+        for m2, c2 in inner:
+            m = m1 + m2
+            out[m] = get(m, 0) + c1 * c2
+    return {m: v for m, c in out.items() if (v := canonical(c))}
+
+
+def _pow_terms(terms: dict, e: int, ring: VarRing) -> dict:
+    """The terms of the e-th power of the term dict terms of ring, for
+    an int e >= 0, by repeated squaring."""
+    # A constant counts as degree 1, so that its powers stay small.
+    degree = max(max(terms, default=0) >> ring.codec.deg_shift, 1)
+    if e * degree > MAX_ENGINE_DEGREE:
+        raise _degree_error(e * degree)
+    if not e:
+        return {0: 1}
+    result = None
+    while True:
+        if e & 1:
+            result = terms if result is None else _mul_terms(result, terms,
+                                                              ring)
+        e >>= 1
+        if not e:
+            return result
+        terms = _mul_terms(terms, terms, ring)
 
 
 def change_ring(f: Polynomial, target: VarRing, rename=None) -> Polynomial:

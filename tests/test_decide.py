@@ -4,11 +4,12 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
-from conftest import padded_inverse_reference
+from conftest import (hat_ideal_reference, padded_inverse_reference,
+                      to_y_block_reference)
 
 from algroup import (QQ, Budget, DecisionReport, GBStats, Polynomial,
                      ProblemSpec, VarRing, add_field_equations, buchberger,
-                     build_hat_ideal, change_ring, check_division,
+                     change_ring, check_division,
                      check_identity, check_inversion, check_multiplication,
                      contains_one, decide, det_poly, enumerate_variety,
                      is_group, is_group_alt, is_group_bruteforce,
@@ -19,7 +20,7 @@ from algroup.poly import MAX_ENGINE_DEGREE
 from algroup.decide import _Run, check_inversion_alt
 from algroup.matrices import (CofactorTable, build_f0,
                               eval_at_formal_inverse, subst_product,
-                              subst_x_times_inverse_y, to_y_block)
+                              subst_x_times_inverse_y)
 
 SUITE = ["sl2.alg", "gl2.alg", "torus2.alg", "diag-antidiag.alg",
          "cubic-roots.alg", "fourth-roots.alg", "linear-forms-3x3.alg",
@@ -264,7 +265,7 @@ def _doubled_basis_reference(spec):
     ring."""
     ring = VarRing.matrix_ring(spec.n, spec.field, x0=True, y=True, y0=True)
     gens = [change_ring(f, ring) for f in spec.generators if f]
-    gens.extend(to_y_block(f, ring) for f in spec.generators if f)
+    gens.extend(to_y_block_reference(f, ring) for f in spec.generators if f)
     gens.append(build_f0(ring, "x"))
     gens.append(build_f0(ring, "y"))
     return ring, buchberger(gens, ring=ring).basis
@@ -298,6 +299,25 @@ def test_product_base_matches_doubled_buchberger_on_field_equations():
         p = rng.choice([2, 3])
         _assert_product_base_matches_reference(
             add_field_equations(random_matrix_problem(rng, p), p))
+
+
+def test_each_shifted_monomial_is_one_int(problems_dir):
+    # A doubled element's reducer holds the very ints that key its terms:
+    # no shifted monomial is built twice.
+    from conftest import random_matrix_problem
+    specs = [load_problem(path) for path in sorted(problems_dir.glob("*.alg"))]
+    rng = random.Random(304)
+    specs += [add_field_equations(random_matrix_problem(rng, 3), 3)
+              for _ in range(5)]
+    shared = 0
+    for spec in specs:
+        ring, gb = _Run(spec, Budget()).product_base(GBStats())
+        for g, (lm, _, tail) in zip(gb.basis, gb.reducers(ring)):
+            own = {m: m for m in g.terms}
+            assert own[lm] is lm, spec.generators
+            assert all(own[m] is m for m, _ in tail), spec.generators
+            shared += len(tail)
+    assert shared >= 200
 
 
 def test_product_base_of_a_trivial_block():
@@ -365,9 +385,11 @@ def t_runs(monkeypatch):
 
 @pytest.fixture
 def no_certificate(monkeypatch):
-    """Forces the radical criteria of `groebner` off: a membership test
-    whose normal form is not zero takes the t*f - 1 route."""
-    monkeypatch.setattr(groebner, "_certify_radical", lambda *args: False)
+    """Forces every radical certificate off, the criteria of `groebner`
+    and the field equations' mark alike: a membership test whose normal
+    form is not zero takes the t*f - 1 route."""
+    monkeypatch.setattr(groebner.GroebnerBasis, "certified_radical",
+                        lambda *args: False)
 
 
 def _closure_outcomes(report):
@@ -494,6 +516,43 @@ def test_field_equations_untested_agree_with_the_general_path(monkeypatch,
     assert compared >= len(runs)
 
 
+def test_field_equations_mark_the_hat_basis_radical(problems_dir,
+                                                    monkeypatch):
+    # The hat ideal holds x_k^q - x_k and x0^q - x0, each squarefree, so
+    # its basis is marked radical as it is built; criterion (b) agrees,
+    # and no check of the run computes a minimal polynomial.
+    from conftest import random_matrix_problem
+    specs = list(_field_equation_corpus(101))
+    specs += list(_field_equation_fixtures(problems_dir))
+    rng = random.Random(105)
+    specs += [add_field_equations(random_matrix_problem(rng, p, n=n), q)
+              for p, q in FIELD_EQUATION_PAIRS for n in (1, 2)]
+    minimal = []
+    real = groebner._minimal_polynomial
+
+    def counting(*args):
+        minimal.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(groebner, "_minimal_polynomial", counting)
+    budget = Budget(pair_cap=2000)
+    proven = 0
+    for spec in specs:
+        run = _Run(spec, budget)
+        try:
+            ring, hat = run.ideal("hat", GBStats())
+        except groebner.BudgetExhausted:
+            continue
+        assert hat.radical is True, spec.generators
+        run_checks(spec, CLOSURE_CHECKS, budget=budget)
+        assert minimal == [], spec.generators
+        assert groebner._certify_radical(hat, ring, budget.degree_cap), \
+            spec.generators
+        proven += bool(minimal)
+        minimal.clear()
+    assert proven >= 20
+
+
 def _field_equation_places(text):
     return _Run(parse_problem(text), Budget()).field_equations
 
@@ -557,12 +616,12 @@ def _differential_corpus(problems_dir):
 
 
 def test_radical_certificates_match_the_general_path(problems_dir, t_runs,
-                                                     monkeypatch):
+                                                     request):
     cases = list(_differential_corpus(problems_dir))
     certified = [_closure_outcomes(run_checks(spec, CLOSURE_CHECKS))
                  for spec in cases]
     runs_with = len(t_runs)
-    monkeypatch.setattr(groebner, "_certify_radical", lambda *args: False)
+    request.getfixturevalue("no_certificate")
     general = [_closure_outcomes(run_checks(spec, CLOSURE_CHECKS))
                for spec in cases]
     for case, got, want in zip(cases, certified, general):
@@ -842,7 +901,7 @@ def test_base_bases_built_on_i_match_the_raw_generators(problems_dir,
     assert len(specs) == 64
     seeded = [run_checks(spec, checks) for spec in specs]
     for spec in specs:
-        ring, gens = build_hat_ideal(spec)
+        ring, gens = hat_ideal_reference(spec)
         want_hat = buchberger(gens, ring=ring).basis
         want_vstar = contains_one(list(spec.generators)
                                   + [det_poly(spec.ring, "x")],

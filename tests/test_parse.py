@@ -1,9 +1,15 @@
+import pathlib
 import random
+import sys
 
 import pytest
+from conftest import PROBLEMS, reference_parse_poly, reference_parse_problem
 
 from algroup import (ParseError, Polynomial, PrimeField, QQ, VarRing,
                      parse_poly, parse_problem, render)
+from algroup.parsing import MAX_NESTING
+
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def test_parse_problem_basic():
@@ -134,6 +140,32 @@ def test_coefficients_at_the_literal_limit_parse():
     assert len(str(spec.generators[0])) == len("7" * 4300 + "*x1 - 1")
 
 
+def test_parentheses_nest_up_to_the_bound():
+    ring = VarRing.matrix_ring(2, QQ)
+    deepest = "(" * MAX_NESTING + "x1 - 1" + ")" * MAX_NESTING
+    assert parse_poly(deepest + "^2", ring) == parse_poly("(x1 - 1)^2", ring)
+    # One level more is a positioned error at the '(' that opens it, as
+    # is any depth at all: none reaches Python's recursion limit.
+    for depth in (MAX_NESTING + 1, 1000, 100_000):
+        text = "x2 * " + "(" * depth + "x1" + ")" * depth
+        with pytest.raises(ParseError, match="nested deeper") as err:
+            parse_problem(f"n 2\nfield Q\n{text}\n")
+        assert (err.value.line, err.value.col) == (3, 6 + MAX_NESTING)
+    # Levels closed before the next opens do not add up.
+    flat = " + ".join(["(" * MAX_NESTING + "x1" + ")" * MAX_NESTING] * 3)
+    assert parse_poly(flat, ring) == parse_poly("3*x1", ring)
+
+
+def test_unary_minus_signs_need_no_nesting():
+    ring = VarRing.matrix_ring(2, QQ)
+    x1 = ring.var("x1")
+    for count in (1000, 1001, 100_000):
+        want = -x1 if count % 2 else x1
+        assert parse_poly("-" * count + "x1", ring) == want
+        assert parse_poly("x2 * " + "-" * count + "x1^2", ring) == \
+            want * x1 * ring.var("x2")
+
+
 def random_expression(rng, depth=0):
     kind = rng.randrange(6) if depth < 4 else rng.randrange(2)
     if kind == 0:
@@ -188,3 +220,93 @@ def test_round_trip_integer_polynomials():
                     terms[tuple(exps)] = c
             f = Polynomial(ring, terms)
             assert parse_poly(render(f), ring) == f
+
+
+def _outcome(parse, *args):
+    """What a parse gives: the terms of its polynomials, in the order of
+    their dicts, or the (line, col, reason) of its ParseError."""
+    try:
+        got = parse(*args)
+    except ParseError as err:
+        return "error", err.line, err.col, err.reason
+    if isinstance(got, Polynomial):
+        return "poly", got.ring, list(got.terms.items())
+    return ("problem", got.n, got.field, got.ring,
+            [list(f.terms.items()) for f in got.generators])
+
+
+def _assert_problems_parse_as_the_reference(texts):
+    for text in texts:
+        got = _outcome(parse_problem, text)
+        assert got == _outcome(reference_parse_problem, text), text
+
+
+def _mutations(rng, texts, per_text):
+    """Each text with one to three characters deleted, inserted or
+    replaced, per_text times."""
+    alphabet = "x124+-*^() \t\r\n3z.#y0F\u00b2\x0b"
+    for text in texts:
+        for _ in range(per_text):
+            chars = list(text)
+            for _ in range(rng.randint(1, 3)):
+                pos = rng.randrange(len(chars) + 1)
+                edit = rng.randrange(3)
+                if edit == 0 and pos < len(chars):
+                    del chars[pos]
+                elif edit == 1 or pos == len(chars):
+                    chars.insert(pos, rng.choice(alphabet))
+                else:
+                    chars[pos] = rng.choice(alphabet)
+            yield "".join(chars)
+
+
+@pytest.fixture(scope="module")
+def workload_texts():
+    """The distinct inputs of every benchmark workload for seeds 4242
+    and 99, by workload."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return {name: sorted({job.text for seed in (4242, 99)
+                          for batch in wl.batches(seed) for job in batch})
+            for name, wl in workloads.WORKLOADS.items()}
+
+
+def test_expressions_parse_as_the_reference():
+    ring = VarRing.matrix_ring(2, QQ)
+    rng = random.Random(2024)
+    texts = [random_expression(rng) for _ in range(300)]
+    rng = random.Random(99)
+    alphabet = "x124+-*^() \t3z."
+    texts += ["".join(rng.choice(alphabet) for _ in range(rng.randint(0, 18)))
+              for _ in range(400)]
+    texts += ["x1 +", "(x1", "x1^", "x1^x2", "x1 * * x2", "x1 $ x2", "",
+              "2.5", "(x1-1)(x1+1)", "z + 1", "x5", "x1\u00b2", "x1 -\n 2",
+              "x1^99999999999 - 1", "x1^10000 * x1^1000", "0^20000",
+              "x1 + \u0663", "x1 - 1\u2028x1 + 1", "  x1  \t", ")", "-"]
+    for field in (QQ, PrimeField(5)):
+        ring = VarRing.matrix_ring(2, field)
+        for text in texts:
+            got = _outcome(parse_poly, text, ring, 4)
+            assert got == _outcome(reference_parse_poly, text, ring, 4), text
+
+
+def test_problem_files_parse_as_the_reference():
+    texts = [path.read_text(encoding="utf-8")
+             for path in sorted(PROBLEMS.glob("*.alg"))]
+    assert len(texts) == 11
+    _assert_problems_parse_as_the_reference(texts)
+    _assert_problems_parse_as_the_reference(
+        _mutations(random.Random(7), texts, 40))
+
+
+def test_workload_inputs_parse_as_the_reference(workload_texts):
+    assert {name: len(texts) for name, texts in workload_texts.items()} == \
+        {"fp-fieldeq": 2339, "q-conjugates": 258, "large-n": 59}
+    rng = random.Random(8)
+    for texts in workload_texts.values():
+        _assert_problems_parse_as_the_reference(texts)
+        _assert_problems_parse_as_the_reference(
+            _mutations(rng, texts[::max(1, len(texts) // 250)], 4))
