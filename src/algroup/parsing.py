@@ -20,9 +20,10 @@ The grammar is ASCII: INT is ``[0-9]+``, NAME is
 digit, a non-ASCII letter or digit, or another line separator such as
 ``\v`` or U+2028, is a ParseError at its position.
 
-The tokenizer scans each line once with one pattern that takes the
-spaces before a token with it; tokens are (kind, text, line, col)
-tuples, and the first gap between matches is the unexpected character.
+The tokenizer scans each line once, matching one pattern that takes the
+spaces before a token with it where the match before it ended; tokens
+are (kind, text, line, col) tuples, and the first character after the
+last match and its spaces is the unexpected character.
 The parser evaluates to packed term dicts of the ring, with `poly`'s
 one multiplication, and makes one Polynomial per expression.  A term
 reads its factors, their minus signs and powers, in one loop, so only
@@ -100,15 +101,14 @@ def _lines(text: str) -> list[str]:
 
 def _tokenize(text: str, line_offset: int = 0) -> list[tuple]:
     """The (kind, text, line, col) tokens of text, then an END token
-    after its last line.  The matches of a line follow one another; the
-    first gap is a character no token starts with."""
+    after its last line.  Each match starts where the one before it
+    ended; where none does, the first character after the spaces is one
+    no token starts with."""
     tokens = []
     lines = _lines(text)
     for lineno, line in enumerate(lines, start=line_offset + 1):
         end = 0
-        for m in _TOKEN.finditer(line):
-            if m.start() != end:
-                break
+        while m := _TOKEN.match(line, end):
             i = m.lastindex
             tokens.append((_KINDS[i], m[i], lineno, m.start(i) + 1))
             end = m.end()

@@ -1,6 +1,7 @@
 import pathlib
 import random
 import sys
+import time
 
 import pytest
 from conftest import PROBLEMS, reference_parse_poly, reference_parse_problem
@@ -112,6 +113,23 @@ def test_lines_end_at_newline_only():
         parse_problem("n \u0662\nfield Q\n")
     with pytest.raises(ParseError, match="header"):
         parse_problem("n 2\nfield F \u0663\n")
+
+
+def test_long_runs_of_spaces_scan_in_linear_time():
+    # Each token is matched where the one before it ended, so spaces that
+    # no token follows are read once: a quadratic scan of these lines
+    # takes minutes.
+    ring = VarRing.matrix_ring(2, QQ)
+    spaces = " \t\r" * 70_000
+    start = time.perf_counter()
+    assert parse_poly("x1" + spaces, ring) == ring.var("x1")
+    spec = parse_problem(f"n 2\nfield Q\nx1 -{spaces}1{spaces}\n")
+    assert spec.generators == [parse_poly("x1 - 1", spec.ring)]
+    with pytest.raises(ParseError, match="unexpected character '\\$'") \
+            as err:
+        parse_problem(f"n 2\nfield Q\nx1{spaces}$\n")
+    assert (err.value.line, err.value.col) == (3, 3 + len(spaces))
+    assert time.perf_counter() - start < 2
 
 
 def test_oversized_degrees_are_positioned_parse_errors():
