@@ -23,9 +23,10 @@ in the base ideal.  `_CLOSURE_CHECKS` holds one row per check:
 - `division`: the doubled hat ideal; the generator at X*Y^-1.
 
 The doubled ideal's basis is one block's basis joined with its copy in
-the other block, since the two blocks share no variable.  Both copies,
-and their reducers, are the hat basis's packed monomials shifted into
-the doubled ring (`_Run.product_base`); nothing is prepared again.
+the other block, since the two blocks share no variable.  Both copies
+are the hat basis's prepared reducers with their packed monomials
+shifted into the doubled ring (`_Run.product_base`); nothing is
+prepared again.
 
 I itself is the base of no check: its reduced basis G is the seed of
 the hat ideal and of I + (det(x)), which decides V(I) = V*(I).  Both
@@ -296,13 +297,11 @@ def _result(verdict, start: float, stats: GBStats, **fields) -> CheckResult:
 class _Run:
     """One decision run: the problem, its budget, and `bases`, the run's
     one Groebner computation for each ideal of the problem, under the
-    ideal's name:
+    ideal's name, each a reduced GroebnerBasis that carries its ring:
 
-    - "I": (ring, reduced basis) of the problem ideal;
-    - "hat": (ring, reduced basis) of I + (x0*det(x) - 1), whose zero set
-      is V*(I);
-    - "doubled": (ring, reduced basis) of the hat ideal on the x and y
-      blocks (`product_base`).
+    - "I": the problem ideal;
+    - "hat": I + (x0*det(x) - 1), whose zero set is V*(I);
+    - "doubled": the hat ideal on the x and y blocks (`product_base`).
 
     "hat" and "I+det" are built on I's reduced basis (`seed`; see the
     module docstring).  "I+det" is I + (det(x)): the check
@@ -335,7 +334,7 @@ class _Run:
     def __post_init__(self):
         self.field_equations = _field_equations(self.problem)
 
-    def ideal(self, name: str, stats: GBStats):
+    def ideal(self, name: str, stats: GBStats) -> GroebnerBasis:
         if name in self.bases:
             return self.bases[name]
         problem = self.problem
@@ -354,8 +353,8 @@ class _Run:
                         stats=stats)
         if name == "hat" and self.field_equations:
             gb.radical = True
-        self.bases[name] = ring, gb
-        return self.bases[name]
+        self.bases[name] = gb
+        return gb
 
     def seed(self, name: str, stats: GBStats) -> tuple[list[Polynomial],
                                                        int, Polynomial]:
@@ -368,19 +367,22 @@ class _Run:
         while another ideal of `seeded` is still to be built: at n = 9
         it can hold most of the run's memory."""
         self.seeded.discard(name)
-        ring, gb = self.ideal("I", stats)
-        det = self._det if self._det is not None else det_poly(ring, "x", gb)
+        gb = self.ideal("I", stats)
+        det = self._det
+        if det is None:
+            det = det_poly(gb.ring, "x", gb)
         self._det = det if self.seeded else None
-        return gb.basis, len(gb.basis), det
+        return gb.basis, len(gb.reducers), det
 
     def table(self, name: str) -> CofactorTable:
         """The CofactorTable of the base `name`, which must already be
         computed; made once."""
         if name not in self.tables:
-            self.tables[name] = CofactorTable(*self.bases[name])
+            base = self.bases[name]
+            self.tables[name] = CofactorTable(base.ring, base)
         return self.tables[name]
 
-    def product_base(self, stats: GBStats):
+    def product_base(self, stats: GBStats) -> GroebnerBasis:
         """Reduced basis of the doubled hat ideal J(x) + J(y), where J is
         the problem ideal with the witness x0*det(x) - 1, and J(y) is its
         copy in the y block.
@@ -391,13 +393,13 @@ class _Run:
         block divides a term of the other, and degrevlex restricted to
         either block is degrevlex with the same relative ranking.
 
-        Both copies are made by shifting packed monomials, of the basis
-        and of J's prepared reducers alike: the x copy of m is
-        m << 16*(n*n + 1), and the y copy keeps the exponent fields and
-        moves the degree field from bit 16*(n*n + 1) to 32*(n*n + 1).
-        A shift keeps the degrevlex order within a block, so the shifted
-        reducers are those `groebner` would prepare from the doubled
-        basis, and none is prepared on the doubled ring.
+        Both copies are made by shifting the packed monomials of J's
+        prepared reducers: the x copy of m is m << 16*(n*n + 1), and the
+        y copy keeps the exponent fields and moves the degree field from
+        bit 16*(n*n + 1) to 32*(n*n + 1).  A shift keeps the degrevlex
+        order within a block, so the shifted reducers are those
+        `groebner` would prepare from the doubled basis, and none is
+        prepared on the doubled ring.
 
         The doubled ideal is radical when J is, over a perfect field
         (Bourbaki, Algebra V section 15), and both criteria of `groebner`
@@ -409,36 +411,28 @@ class _Run:
         problem = self.problem
         ring = VarRing.matrix_ring(problem.n, problem.field, x0=True, y=True,
                                    y0=True)
-        block_ring, block = self.ideal("hat", stats)
+        block = self.ideal("hat", stats)
         if block.is_trivial:
-            return ring, GroebnerBasis([ring.one()], GBStats())
+            # The packed constant monomial is 0 in every ring.
+            return GroebnerBasis(ring, block.reducers)
         # The hat ring holds x1..x_{n*n}, x0 in its fields 0..n*n and the
         # degree above them, at bit s.  The doubled ring holds y1..y_{n*n},
         # y0 in those fields, then x1..x_{n*n}, x0, then the degree, at
         # bit 2s.  So the x copy of a packed monomial m is m << s, and its
         # y copy, m plus (degree << 2s) - (degree << s), keeps the
-        # exponent fields and moves the degree up by s.  A reducer holds
-        # its element's monomials, so one map per element shifts both, and
-        # each shifted monomial is one int, shared by terms and reducer.
-        s = block_ring.codec.deg_shift
+        # exponent fields and moves the degree up by s.
+        s = block.ring.codec.deg_shift
         lift = (1 << 2 * s) - (1 << s)
-        pieces = list(zip(block.basis, block.reducers(block_ring)))
-        copies = []
-        for move in (lambda m: m << s, lambda m: m + (m >> s) * lift):
-            for g, (lm, lc, tail) in pieces:
-                moved = {m: move(m) for m in g.terms}
-                copies.append(({moved[m]: c for m, c in g.terms.items()},
-                               (moved[lm], lc,
-                                [(moved[m], c) for m, c in tail])))
+        copies = [(move(lm), lc, [(move(m), c) for m, c in tail])
+                  for move in (lambda m: m << s,
+                               lambda m: m + (m >> s) * lift)
+                  for lm, lc, tail in block.reducers]
         # Ascending leads, the order buchberger returns a reduced basis
         # in: the block basis already ascends, and degrevlex ranks every y
         # lead above every x lead of the same degree, so a stable sort by
         # degree interleaves the two copies.
-        copies.sort(key=lambda copy: copy[1][0] >> 2 * s)
-        basis = [Polynomial._make(ring, terms) for terms, _ in copies]
-        return ring, GroebnerBasis.with_reducers(
-            basis, ring, [prep for _, prep in copies],
-            radical_as=(block_ring, block))
+        copies.sort(key=lambda prep: prep[0] >> 2 * s)
+        return GroebnerBasis(ring, copies, radical_as=block)
 
     def check(self, name: str) -> CheckResult:
         """Run one check by report name."""
@@ -475,7 +469,7 @@ class _Run:
             return CheckResult(True, time.perf_counter() - start)
         stats = GBStats()
         try:
-            _, base = self.ideal(ideal, stats)
+            base = self.ideal(ideal, stats)
         except BudgetExhausted as exc:
             return _result(None, start, stats, undecided_reason=str(exc))
         table = self.table(ideal)

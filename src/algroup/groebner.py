@@ -33,7 +33,9 @@ divisibility, lcm and degrevlex key are the ring codec's word-parallel
 integer operations, and coefficients in the field's canonical form.  A
 basis element is prepared for division once, as its packed lead, its
 lead coefficient and its tail, and a GroebnerBasis keeps its prepared
-reducers for every later normal form.
+reducers, in one form: every later normal form divides by them, and the
+monic `Polynomial`s of `GroebnerBasis.basis` are built from them when
+read.
 
 Reduction (`_reduce_terms`) is one loop for both fields.  It takes the
 pending terms largest first from a heap of plain ints, one entry per
@@ -53,7 +55,7 @@ lc, the pending terms and the remainder so far are multiplied by
 lc/gcd(c, lc) instead of the reducer being divided by lc.  Each such
 step is a nonzero multiple of the monic one, so both choose the same
 reducers and reach the same zero remainders; a normal form divides by
-the tracked scale once, at the end.  The bases returned are monic.
+the tracked scale once, at the end.  `GroebnerBasis.basis` is monic.
 
 Radical membership of f in J is plain membership when J is radical: a
 nonzero normal form modulo a Groebner basis then decides false.
@@ -126,55 +128,40 @@ class GBStats:
 
 @dataclass
 class GroebnerBasis:
-    basis: list[Polynomial]
-    stats: GBStats
-    # (ring, basis) of an ideal that is radical exactly when this one is,
-    # asked in place of this basis: the doubled hat basis names its block.
-    radical_as: tuple | None = dataclass_field(default=None, repr=False,
-                                               compare=False)
+    """A basis in `ring` as its elements prepared for division (`_prepare`),
+    in ascending lead order when reduced."""
+
+    ring: VarRing | None
+    reducers: list
+    stats: GBStats = dataclass_field(default_factory=GBStats)
+    # A basis whose ideal is radical exactly when this one's is, asked in
+    # place of this basis: the doubled hat basis names its block's.
+    radical_as: GroebnerBasis | None = dataclass_field(default=None,
+                                                       repr=False,
+                                                       compare=False)
     # Whether the ideal is proven radical; None until first asked.
     radical: bool | None = dataclass_field(default=None, init=False,
                                            repr=False, compare=False)
-    _prepared: tuple | None = dataclass_field(default=None, init=False,
-                                              repr=False, compare=False)
+
+    @property
+    def basis(self) -> list[Polynomial]:
+        """The monic elements, built from the reducers on each read."""
+        return [_as_poly(prep, self.ring) for prep in self.reducers]
 
     @property
     def is_trivial(self) -> bool:
-        return len(self.basis) == 1 and self.basis[0].is_constant and bool(self.basis[0])
+        # The packed constant monomial is 0.
+        return len(self.reducers) == 1 and self.reducers[0][0] == 0
 
-    @classmethod
-    def with_reducers(cls, basis: list[Polynomial], ring: VarRing,
-                      reducers: list, stats: GBStats | None = None,
-                      **fields) -> "GroebnerBasis":
-        """A basis whose reducers in ring are made elsewhere, reducers[i]
-        being basis[i] as `_prepare` makes it."""
-        gb = cls(basis, stats or GBStats(), **fields)
-        gb._prepared = (ring, reducers, _top_degree(reducers, ring))
-        return gb
-
-    def reducers(self, ring: VarRing) -> list:
-        """The basis prepared for division in ring, once per basis."""
-        return self.prepared(ring)[0]
-
-    def prepared(self, ring: VarRing) -> tuple[list, int]:
-        """The prepared reducers and their largest lead degree."""
-        if self._prepared is None:
-            reducers = _prepare_reducers(self.basis, ring)
-            self._prepared = (ring, reducers, _top_degree(reducers, ring))
-        elif self._prepared[0] != ring:
-            raise ValueError("divisor lives in a different ring")
-        return self._prepared[1:]
-
-    def certified_radical(self, ring: VarRing, degree_cap: int) -> bool:
+    def certified_radical(self, degree_cap: int) -> bool:
         """Whether criterion (a) or (b) of the module docstring proves the
         ideal radical, decided on the first call and kept.  False means
         not proven, not that the ideal is not radical."""
         if self.radical is None:
             if self.radical_as is not None:
-                other_ring, other = self.radical_as
-                self.radical = other.certified_radical(other_ring, degree_cap)
+                self.radical = self.radical_as.certified_radical(degree_cap)
             else:
-                self.radical = _certify_radical(self, ring, degree_cap)
+                self.radical = _certify_radical(self, degree_cap)
         return self.radical
 
 
@@ -216,13 +203,6 @@ def _prepare_reducers(G, ring: VarRing) -> list:
         raise ValueError("divisor lives in a different ring")
     p = ring.field.characteristic
     return [_prepare(g.terms, ring.codec, p) for g in G if g]
-
-
-def _top_degree(reducers, ring: VarRing) -> int:
-    """The largest lead degree; a lead has its polynomial's largest
-    degree under degrevlex."""
-    return max((lm for lm, _, _ in reducers), default=0) \
-        >> ring.codec.deg_shift
 
 
 def _divided(items, den: int, field) -> dict:
@@ -308,8 +288,8 @@ def normal_form(f: Polynomial, G, degree_cap: int | None = None) -> Polynomial:
     No term of the result is divisible by any lead monomial of G, and
     f minus the result lies in the ideal generated by G.  The divisors
     need not be a Groebner basis; a zero remainder proves membership
-    either way.  G is a list of divisors or a GroebnerBasis, whose
-    prepared reducers are reused.
+    either way.  G is a list of divisors or a GroebnerBasis of f's ring,
+    whose reducers are used as they are.
     """
     ring = f.ring
     cap = MAX_ENGINE_DEGREE if degree_cap is None else degree_cap
@@ -317,15 +297,19 @@ def normal_form(f: Polynomial, G, degree_cap: int | None = None) -> Polynomial:
         raise ValueError(f"degree cap {cap} exceeds the engine bound "
                          f"{MAX_ENGINE_DEGREE}")
     if isinstance(G, GroebnerBasis):
-        reducers, top = G.prepared(ring)
+        # An empty basis, which buchberger([]) gives with no ring, divides
+        # nothing in every ring.
+        if G.reducers and G.ring != ring:
+            raise ValueError("divisor lives in a different ring")
+        reducers = G.reducers
     else:
         reducers = _prepare_reducers(G, ring)
-        top = _top_degree(reducers, ring)
-    if top > cap:
-        # The message names the first reducer over the cap.
-        deg_shift = ring.codec.deg_shift
-        degree = next(lm >> deg_shift for lm, _, _ in reducers
-                      if lm >> deg_shift > cap)
+    # A lead has its polynomial's largest degree under degrevlex; the
+    # message names the first reducer over the cap.
+    deg_shift = ring.codec.deg_shift
+    degree = next((lm >> deg_shift for lm, _, _ in reducers
+                   if lm >> deg_shift > cap), None)
+    if degree is not None:
         raise BudgetExhausted(f"input degree {degree} over cap {cap}")
     if not reducers or not f:
         return f
@@ -421,8 +405,9 @@ def buchberger(gens, budget: Budget | None = None, *,
                reduce_basis: bool = True) -> GroebnerBasis:
     """Reduced monic Groebner basis of the ideal generated by gens.
 
-    During the run the reducers are primitive integer polynomials with
-    positive leads over Q and monic over F_p; the basis returned is monic.
+    The reducers are primitive integer polynomials with positive leads
+    over Q and monic over F_p, and the GroebnerBasis returned keeps the
+    interreduced ones as they are; its `basis` is monic.
     Pairs are taken in sugar order, the least (sugar, degrevlex key of
     the lcm, i, j) first, and pruned by the Gebauer-Moeller update; the
     inert generators (`_inert_generators`) skip the update and are no
@@ -434,32 +419,28 @@ def buchberger(gens, budget: Budget | None = None, *,
     builds the ideals that contain the problem ideal this way, on its
     basis.  Exceeding the budget raises BudgetExhausted.
     reduce_basis=False skips the final interreduction and returns the
-    elements as the run kept them, not made monic; the result still
-    generates the ideal and has the Groebner property, but is not the
-    canonical reduced basis.
+    elements as the run kept them; the result still generates the ideal
+    and has the Groebner property, but is not the canonical reduced
+    basis.
     """
     budget = budget or DEFAULT_BUDGET
     local = GBStats()
 
-    def finish(basis: list[Polynomial], reducers=None) -> GroebnerBasis:
+    def finish(reducers: list) -> GroebnerBasis:
         if stats is not None:
             stats.merge(local)
-        if reducers is None:
-            return GroebnerBasis(basis, local)
-        return GroebnerBasis.with_reducers(basis, ring, reducers, local)
+        return GroebnerBasis(ring, reducers, local)
 
     polys = [g for g in gens if g]
     if ring is None:
         ring = polys[0].ring if polys else None
-    if ring is None:
-        return finish([])
     for g in polys:
         if g.ring != ring:
             raise ValueError("generators live in different rings")
     if not polys:
         return finish([])
     if any(g.is_constant for g in polys):
-        return finish([ring.one()])
+        return finish([(0, 1, [])])
 
     p = ring.field.characteristic
     codec = ring.codec
@@ -593,16 +574,11 @@ def buchberger(gens, budget: Budget | None = None, *,
             prep = _prepare(rem, codec, p)
             if prep[0] >> deg_shift == 0:
                 # A nonzero constant: the ideal is the whole ring.
-                return finish([ring.one()])
+                return finish([(0, 1, [])])
             add_element(prep, sugar, make_pairs=True)
 
-        if not reduce_basis:
-            return finish([Polynomial._make(ring, dict([(lm, lc), *tail]))
-                           for lm, lc, tail in G])
-        # The reduced basis's own reducers: `_prepare` of a monic element
-        # gives back the prepared element it was made from.
-        reduced = _interreduce(G, codec, p, degree_cap)
-        return finish([_as_poly(prep, ring) for prep in reduced], reduced)
+        return finish(_interreduce(G, codec, p, degree_cap)
+                      if reduce_basis else G)
     except BudgetExhausted:
         if stats is not None:
             stats.merge(local)
@@ -645,7 +621,7 @@ def radical_membership(f: Polynomial, G, budget: Budget | None = None, *,
     reduced = normal_form(f, G, degree_cap=budget.degree_cap)
     if not reduced:
         return True
-    if is_gb and G.certified_radical(ring, budget.degree_cap):
+    if is_gb and G.certified_radical(budget.degree_cap):
         return False
     if reduced.total_degree() >= budget.degree_cap:
         # t*reduced - 1 is over the cap, and may be over the degree limit.
@@ -659,11 +635,14 @@ def radical_membership(f: Polynomial, G, budget: Budget | None = None, *,
                         stats=stats)
 
 
-def _certify_radical(gb: GroebnerBasis, ring: VarRing, degree_cap: int) -> bool:
+def _certify_radical(gb: GroebnerBasis, degree_cap: int) -> bool:
     """Criteria (a) and (b) of the module docstring on the Groebner
     basis gb; a search that runs out of budget proves nothing."""
+    leads = [lm for lm, _, _ in gb.reducers]
+    if not leads:
+        return True  # the zero ideal, of a basis that may have no ring
+    ring = gb.ring
     codec = ring.codec
-    leads = [lm for lm, _, _ in gb.reducers(ring)]
     low, shift = codec.low_mask, codec.deg_shift
     # A monomial is squarefree when each exponent is 0 or 1, that is,
     # when its exponents have as many bits set as its degree.

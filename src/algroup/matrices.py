@@ -67,9 +67,9 @@ class CofactorTable:
     at most one term, so that a zero entry drops out of every product.
     A variable is reducible modulo a Groebner basis only when it is the
     lead of an element g, which is then linear under degrevlex, and its
-    normal form modulo a reduced basis is x - g; so the forms are read
-    off the basis's linear elements.  Any representative of an entry's
-    class modulo the basis gives the same reduced minors.
+    normal form modulo a reduced basis is x - g/lc(g); so the forms are
+    read off the basis's linear reducers.  Any representative of an
+    entry's class modulo the basis gives the same reduced minors.
 
     Each minor is memoised under (block, rows, cols), so the
     determinant and every adjugate entry of a block share one Laplace
@@ -95,19 +95,18 @@ class CofactorTable:
 
     def _entry_forms(self) -> dict:
         """Packed variable -> its normal form when that has one term or
-        none, from the linear elements of the basis."""
+        none, from the linear reducers of the basis."""
         forms: dict = {}
         if self.modulo is not None:
             ring, field = self.ring, self.ring.field
-            for g in self.modulo.basis:
-                if len(g.terms) > 2 or g.total_degree() != 1:
+            shift = ring.codec.deg_shift
+            for lm, lc, tail in self.modulo.reducers:
+                if len(tail) > 1 or lm >> shift != 1:
                     continue
-                lm, lc = g.leading()
-                # The bases a table is given are monic.
-                s = 1 if lc == 1 else field.inv(lc)
+                # Over Q a reducer's lead coefficient need not be 1.
                 forms[lm] = Polynomial._make(ring, {
-                    m: field.canonical(-c * s)
-                    for m, c in g.terms.items() if m != lm})
+                    m: field.canonical(-c) if lc == 1
+                    else field.from_ratio(-c, lc) for m, c in tail})
         return forms
 
     def entries(self, block: str) -> list[list[Polynomial]]:
@@ -141,7 +140,7 @@ class CofactorTable:
                             used |= m
                 outside = codec.low_mask & ~codec.support_mask(used)
                 floor = min((codec.degree(lm) for lm, _, _
-                             in self.modulo.reducers(self.ring)
+                             in self.modulo.reducers
                              if not lm & outside), default=math.inf)
             self._floors[block] = floor
         return floor

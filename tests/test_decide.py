@@ -272,16 +272,16 @@ def _doubled_basis_reference(spec):
 
 
 def _assert_product_base_matches_reference(spec):
-    ring, gb = _Run(spec, Budget()).product_base(GBStats())
-    ref_ring, ref = _doubled_basis_reference(spec)
-    assert ring == ref_ring
+    gb = _Run(spec, Budget()).product_base(GBStats())
+    ring, ref = _doubled_basis_reference(spec)
+    assert gb.ring == ring
     assert set(gb.basis) == set(ref), spec.generators
     # Same order as well, so the membership tests see the same input.
     assert gb.basis == ref, spec.generators
     # The reducers shifted from the hat basis's are those prepared from
     # the doubled basis, element by element: lead, lead coefficient and
     # tail in the same order.
-    assert gb.reducers(ring) == groebner._prepare_reducers(gb.basis, ring)
+    assert gb.reducers == groebner._prepare_reducers(gb.basis, ring)
 
 
 def test_product_base_matches_doubled_buchberger_on_q_fixtures(problems_dir):
@@ -301,30 +301,41 @@ def test_product_base_matches_doubled_buchberger_on_field_equations():
             add_field_equations(random_matrix_problem(rng, p), p))
 
 
-def test_each_shifted_monomial_is_one_int(problems_dir):
-    # A doubled element's reducer holds the very ints that key its terms:
-    # no shifted monomial is built twice.
-    from conftest import random_matrix_problem
-    specs = [load_problem(path) for path in sorted(problems_dir.glob("*.alg"))]
-    rng = random.Random(304)
-    specs += [add_field_equations(random_matrix_problem(rng, 3), 3)
-              for _ in range(5)]
-    shared = 0
-    for spec in specs:
-        ring, gb = _Run(spec, Budget()).product_base(GBStats())
-        for g, (lm, _, tail) in zip(gb.basis, gb.reducers(ring)):
-            own = {m: m for m in g.terms}
-            assert own[lm] is lm, spec.generators
-            assert all(own[m] is m for m, _ in tail), spec.generators
-            shared += len(tail)
-    assert shared >= 200
+def test_only_the_basis_of_i_is_built_as_polynomials(problems_dir,
+                                                     monkeypatch):
+    # A GroebnerBasis keeps its elements as prepared reducers alone.
+    # Under field equations every test is one normal form, and only I's
+    # basis is read as polynomials, to seed the hat ideal: the hat and
+    # doubled bases divide by their reducers and build none.
+    converted = []
+    real = groebner._as_poly
+
+    def recording(prep, ring):
+        converted.append(ring)
+        return real(prep, ring)
+
+    monkeypatch.setattr(groebner, "_as_poly", recording)
+    seeded = 0
+    for spec in _field_equation_fixtures(problems_dir):
+        converted.clear()
+        report = run_checks(spec, ["group", "group-alt"])
+        assert "division" in report.checks, spec
+        assert set(converted) <= {spec.ring}, spec
+        seeded += bool(converted)
+    assert seeded >= 3
+    # A triviality test reads the leads of the run's elements only.
+    converted.clear()
+    ring = VarRing.matrix_ring(2, QQ)
+    sl2 = ring.var("x1") * ring.var("x4") - ring.var("x2") * ring.var("x3")
+    assert not contains_one([sl2 - ring.one(), ring.var("x2") ** 2])
+    assert converted == []
 
 
 def test_product_base_of_a_trivial_block():
     # det(x) = 0 leaves no invertible point: the hat ideal is (1).
     spec = parse_problem("n 2\nfield Q\nx1*x4 - x2*x3\n")
-    ring, gb = _Run(spec, Budget()).product_base(GBStats())
-    assert gb.basis == [ring.one()]
+    gb = _Run(spec, Budget()).product_base(GBStats())
+    assert gb.basis == [gb.ring.one()]
     _assert_product_base_matches_reference(spec)
 
 
@@ -540,13 +551,13 @@ def test_field_equations_mark_the_hat_basis_radical(problems_dir,
     for spec in specs:
         run = _Run(spec, budget)
         try:
-            ring, hat = run.ideal("hat", GBStats())
+            hat = run.ideal("hat", GBStats())
         except groebner.BudgetExhausted:
             continue
         assert hat.radical is True, spec.generators
         run_checks(spec, CLOSURE_CHECKS, budget=budget)
         assert minimal == [], spec.generators
-        assert groebner._certify_radical(hat, ring, budget.degree_cap), \
+        assert groebner._certify_radical(hat, budget.degree_cap), \
             spec.generators
         proven += bool(minimal)
         minimal.clear()
@@ -698,10 +709,11 @@ def test_reduced_images_equal_the_normal_forms_of_the_expanded_ones(
         run = _Run(spec, Budget())
         gens = [f for f in spec.generators if f]
         for name, (ideal, image) in decide._CLOSURE_CHECKS.items():
-            ring, base = run.ideal(ideal, GBStats())
+            base = run.ideal(ideal, GBStats())
             # One table per check: every generator's image reuses its
             # pieces, as in a decision.
-            table, expanded = CofactorTable(ring, base), CofactorTable(ring)
+            table = CofactorTable(base.ring, base)
+            expanded = CofactorTable(base.ring)
             for f in gens:
                 want = normal_form(EXPANDED_IMAGES[name](f, expanded), base)
                 assert image(f, table) == want, (spec.generators, name, f)
@@ -872,6 +884,32 @@ def test_a_closed_submonoid_is_closed_under_inversion(problems_dir):
     assert monoids[0] >= 10 and monoids[2] + monoids[3] >= 10, monoids
 
 
+def test_multiplication_and_division_agree(problems_dir):
+    # When V* is empty, both checks hold.  Otherwise, by the theorem of
+    # the test above, V* closed under multiplication is a group, hence
+    # closed under division; and closed under division it holds
+    # x*x^-1 = 1, then y^-1 and x*y.  So the two checks, run on the
+    # doubled basis by different constructions, give one verdict.
+    specs = [moved for _, moved in _q_metamorphic_cases(problems_dir)]
+    for path in sorted(problems_dir.glob("*.alg")):
+        spec = load_problem(path)
+        p = spec.field.characteristic
+        specs += [spec, add_field_equations(spec, p)] if p else [spec]
+    for seed in (101, 202):
+        for spec, p in _random_corpus(seed):
+            specs += [spec, add_field_equations(spec, p)]
+    verdicts = Counter()
+    for spec in specs:
+        checks = run_checks(spec, ["multiplication", "division"],
+                            budget=Budget(pair_cap=400)).checks
+        got = checks["multiplication"].verdict, checks["division"].verdict
+        if None in got:
+            continue
+        assert got[0] == got[1], (spec.source, spec.generators)
+        verdicts[got[0]] += 1
+    assert verdicts[True] >= 40 and verdicts[False] >= 40, verdicts
+
+
 def _unseeded(self, name, stats):
     """`_Run.seed` as if it computed no basis of I and reduced nothing:
     the raw generators and the expanded determinant."""
@@ -907,8 +945,8 @@ def test_base_bases_built_on_i_match_the_raw_generators(problems_dir,
                                   + [det_poly(spec.ring, "x")],
                                   ring=spec.ring)
         run = _Run(spec, Budget())
-        hat_ring, hat = run.ideal("hat", GBStats())
-        assert hat_ring == ring and hat.basis == want_hat, spec
+        hat = run.ideal("hat", GBStats())
+        assert hat.ring == ring and hat.basis == want_hat, spec
         assert run.check("variety_equals_vstar").verdict == want_vstar, spec
     monkeypatch.setattr(_Run, "seed", _unseeded)
     unseeded = [run_checks(spec, checks) for spec in specs]
@@ -940,9 +978,9 @@ def test_the_doubled_basis_asks_the_hat_basis_whether_it_is_radical(
     calls = []
     real = groebner._certify_radical
 
-    def counting(gb, ring, degree_cap):
-        calls.append(ring.arity)
-        return real(gb, ring, degree_cap)
+    def counting(gb, degree_cap):
+        calls.append(gb.ring.arity)
+        return real(gb, degree_cap)
 
     monkeypatch.setattr(groebner, "_certify_radical", counting)
     false = 0
@@ -1004,7 +1042,7 @@ def test_inert_generators_change_no_basis_or_pair_count(problems_dir,
         run = _Run(spec, Budget())
         run.ideal("hat", GBStats())
         return [(gb.basis, gb.stats)
-                for gb in (run.bases["I"][1], run.bases["hat"][1])]
+                for gb in (run.bases["I"], run.bases["hat"])]
 
     monkeypatch.setattr(groebner, "_inert_generators", recording)
     want = [bases(spec) for spec in specs]

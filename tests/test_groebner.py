@@ -214,7 +214,7 @@ def plane(field=QQ):
 
 def _certified(texts, ring, degree_cap=200):
     gb = buchberger([parse_poly(text, ring) for text in texts])
-    return gb.certified_radical(ring, degree_cap)
+    return gb.certified_radical(degree_cap)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(5), PrimeField(7)])
@@ -228,9 +228,9 @@ def test_radical_certificates_prove_radical_ideals(field):
                          "(x1 - 1)*(x1 - 2)\n(x4 - 1)*(x4 - 2)\n")
     hat, gens = hat_ideal_reference(spec)
     gb = buchberger(gens, ring=hat)
-    assert any(e > 1 for lm, _, _ in gb.reducers(hat)
+    assert any(e > 1 for lm, _, _ in gb.reducers
                for _, e in hat.codec.factors(lm))
-    assert gb.certified_radical(hat, 200)
+    assert gb.certified_radical(200)
     # (a): squarefree leads, positive-dimensional (SL(2)).
     assert _certified(["x1*x4 - x2*x3 - 1"], ring2(field))
     # Trivially: the zero ideal and the whole ring.
@@ -291,6 +291,22 @@ def test_radical_membership_rejects_ring_with_t():
         radical_membership(ring.var("u"), [ring.var("t")])
 
 
+def test_a_basis_refuses_polynomials_of_another_ring():
+    # The hat basis lives in the ring with x0; a polynomial of I's ring is
+    # refused, not divided by reducers packed for another ring.
+    spec = parse_problem("n 2\nfield Q\nx1*x4 - x2*x3 - 1\n")
+    hat, gens = hat_ideal_reference(spec)
+    gb = buchberger(gens, ring=hat)
+    f = spec.ring.var("x1") - spec.ring.one()
+    for test in (normal_form, radical_membership):
+        with pytest.raises(ValueError,
+                           match="divisor lives in a different ring"):
+            test(f, gb)
+    lifted = hat.var("x1") - hat.one()
+    assert normal_form(lifted, gb) == lifted
+    assert not radical_membership(lifted, gb)
+
+
 def test_ideal_membership_implies_radical_membership():
     rng = random.Random(6)
     r = ring2(PrimeField(3))
@@ -342,12 +358,12 @@ def test_normal_form_rejects_divisors_over_the_degree_cap():
     assert normal_form(x1 ** 3, [x1 ** MAX_ENGINE_DEGREE]) == x1 ** 3
     with pytest.raises(BudgetExhausted, match="input degree 9 over cap 5"):
         normal_form(x1 ** 3, [x1 ** 9], degree_cap=5)
-    # The largest lead degree is kept with a basis's prepared reducers;
-    # the message still names the first divisor over the cap.
+    # A basis's prepared reducers are checked alike; the message names
+    # the first divisor over the cap.
     r = ring2()
     x1, x2 = r.var("x1"), r.var("x2")
     divisors = [x2 ** 2, x2 ** 7, x1 ** 9]
-    gb = groebner.GroebnerBasis(divisors, groebner.GBStats())
+    gb = groebner.GroebnerBasis(r, groebner._prepare_reducers(divisors, r))
     for G in (divisors, gb, gb):
         with pytest.raises(BudgetExhausted, match="input degree 7 over cap 5"):
             normal_form(x1 ** 3, G, degree_cap=5)
@@ -491,7 +507,7 @@ def test_prepared_reducers_over_q_are_primitive_integer_polynomials():
     r = ring2()
     for _ in range(10):
         gb = buchberger([_random_poly(rng, r, range(4)) for _ in range(3)])
-        for lm, lc, tail in gb.reducers(r):
+        for lm, lc, tail in gb.reducers:
             coeffs = [lc] + [c for _, c in tail]
             assert all(type(c) is int for c in coeffs)
             assert gcd(*coeffs) == 1 and lc > 0
@@ -514,7 +530,7 @@ def test_a_basis_comes_with_the_reducers_its_interreduction_prepared(field):
         cases += [gens + equations for gens in cases[:5]]
     for gens in cases:
         gb = buchberger(gens, ring=r)
-        assert gb.reducers(r) == groebner._prepare_reducers(gb.basis, r)
+        assert gb.reducers == groebner._prepare_reducers(gb.basis, r)
 
 
 def _orthogonal_group_gens(ring, n, g=None):
