@@ -1023,6 +1023,27 @@ def test_seed_101_problem_13_decides_division_in_few_pairs():
     assert res.verdict is False and res.gb_pairs <= 800
 
 
+def _t_route_cases():
+    """(problem, checks, report check, (verdict, pairs)) of false
+    closure checks that no certificate decides, so each ends in a
+    `t*f - 1` run; the pair counts are the engine's as it stands, pinned
+    so that a change to that run's input shows."""
+    spec, _ = list(_random_corpus(101))[13]  # over F_2
+    line = parse_problem("n 2\nfield Q\nx2\nx1 - x2 + x3 - x4\nx1 + x4 - 2\n")
+    return [(spec, ["inversion"], "inversion", (False, 38)),
+            (spec, ["multiplication"], "multiplication", (False, 437)),
+            (line, ["group"], "inversion", (False, 3)),
+            (line, ["group-alt"], "division", (False, 17))]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_t_times_f_minus_one_runs_keep_their_pair_counts(t_runs, case):
+    spec, checks, name, want = _t_route_cases()[case]
+    res = run_checks(spec, checks).checks[name]
+    assert (res.verdict, res.gb_pairs) == want
+    assert t_runs
+
+
 def test_inert_generators_change_no_basis_or_pair_count(problems_dir,
                                                         monkeypatch):
     # A generator whose lead is a variable no other generator mentions
