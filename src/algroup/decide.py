@@ -22,22 +22,19 @@ in the base ideal.  `_CLOSURE_CHECKS` holds one row per check:
   generator at the product X*Y;
 - `division`: the doubled hat ideal; the generator at X*Y^-1.
 
-The doubled ideal's basis is one block's basis joined with its copy in
-the other block, since the two blocks share no variable.  Both copies
-are the hat basis's prepared reducers with their packed monomials
-shifted into the doubled ring (`_Run.product_base`); nothing is
-prepared again.
-
-I itself is the base of no check: its reduced basis G is the seed of
-the hat ideal and of I + (det(x)), which decides V(I) = V*(I).  Both
-contain I, so each is built on G.  det is reduced to r = NF_G(det) on a
-CofactorTable of its own that the run does not keep, and the hat basis
-is Buchberger's on G (moved to the ring with x0) plus x0*r - 1, with the
-pairs inside G skipped because G is already a Groebner basis;
-I + (det(x)) is the triviality test of G plus r, likewise.  det - r lies
-in I, so I + (x0*r - 1) = I + (x0*det - 1) and I + (r) = I + (det): the
-ideals, and hence their reduced bases, verdicts and witnesses, are
-those of the raw generators and the expanded det.
+A reduced basis already computed moves into a larger ring one way: it
+seeds the run there (`groebner.buchberger`'s `seed`), its prepared
+reducers shifted into that ring and the pairs among them skipped.  I
+is the base of no check; its reduced basis G seeds the hat ideal and
+I + (det(x)), which decides V(I) = V*(I).  det is reduced to
+r = NF_G(det) on a CofactorTable of its own that the run does not keep;
+the hat basis is G's run on x0*r - 1, and I + (det(x)) the triviality
+test of G's run on r.  det - r lies in I, so I + (x0*r - 1) =
+I + (x0*det - 1) and I + (r) = I + (det): the ideals, and hence their
+reduced bases, verdicts and witnesses, are those of the raw generators
+and the expanded det.  The doubled ideal's basis is the hat basis's
+reducers shifted into both blocks (`_Run.product_base`), and each
+`t*f - 1` run is seeded with the basis of its base ideal.
 
 Every image is built in the quotient ring R/J of the check's base ideal
 J.  Whether an image lies in rad(J) depends only on its class modulo J,
@@ -124,7 +121,8 @@ from dataclasses import dataclass, field as dataclass_field, replace
 
 from .fields import PrimeField
 from .groebner import (Budget, BudgetExhausted, GBStats, GroebnerBasis,
-                       buchberger, contains_one, radical_membership)
+                       buchberger, contains_one, moved_reducers,
+                       radical_membership)
 from .matrices import (CofactorTable, build_f0, det_poly,
                        eval_at_formal_inverse, subst_product,
                        subst_x_times_inverse_y)
@@ -303,8 +301,8 @@ class _Run:
     - "hat": I + (x0*det(x) - 1), whose zero set is V*(I);
     - "doubled": the hat ideal on the x and y blocks (`product_base`).
 
-    "hat" and "I+det" are built on I's reduced basis (`seed`; see the
-    module docstring).  "I+det" is I + (det(x)): the check
+    "hat" and "I+det" are seeded with I's reduced basis (`seed`; see
+    the module docstring).  "I+det" is I + (det(x)): the check
     "variety_equals_vstar" decides once whether it is the whole ring,
     that is, whether V(I) = V*(I), and keeps no basis of it.  `tables`
     keeps one CofactorTable per base, "hat" or "doubled", made once per
@@ -315,12 +313,10 @@ class _Run:
     closure check tests (`_field_equations`), found once per run; if
     there are any, the hat basis is marked radical as it is built.
 
-    A computation's pairs count in the check that runs it.  Whether a
-    basis is radical is decided by `groebner`, on the basis, when a
-    membership test first needs it; the doubled basis asks the hat
-    basis.  `seeded` holds the ideals built on I's basis, "hat" and
-    "I+det", that the run's checks may still build; det(x) reduced
-    modulo I is kept for the second of them only.
+    A computation's pairs count in the check that runs it.  `seeded`
+    holds the ideals seeded with I's basis, "hat" and "I+det", that the
+    run's checks may still build; det(x) reduced modulo I is kept for
+    the second of them only.
     """
 
     problem: ProblemSpec
@@ -339,40 +335,35 @@ class _Run:
             return self.bases[name]
         problem = self.problem
         if name == "doubled":
-            self.bases[name] = self.product_base(stats)
-            return self.bases[name]
-        if name == "I":
-            ring, prefix = problem.ring, 0
-            gens = [f for f in problem.generators if f]
+            gb = self.product_base(stats)
+        elif name == "I":
+            gb = buchberger(problem.generators, self.budget,
+                            ring=problem.ring, stats=stats)
         else:
-            gens, prefix, det = self.seed(name, stats)
+            seed, det = self.seed(name, stats)
             ring = VarRing.matrix_ring(problem.n, problem.field, x0=True)
-            gens = [change_ring(g, ring) for g in gens]
-            gens.append(build_f0(ring, "x", change_ring(det, ring)))
-        gb = buchberger(gens, self.budget, ring=ring, assume_gb_prefix=prefix,
-                        stats=stats)
-        if name == "hat" and self.field_equations:
-            gb.radical = True
+            gb = buchberger([build_f0(ring, "x", change_ring(det, ring))],
+                            self.budget, ring=ring, seed=seed, stats=stats)
+            if self.field_equations:
+                gb.radical = True
         self.bases[name] = gb
         return gb
 
-    def seed(self, name: str, stats: GBStats) -> tuple[list[Polynomial],
-                                                       int, Polynomial]:
-        """(gens, prefix, det) for building the ideal `name` of `seeded`,
-        which leaves `seeded`: generators of I whose first `prefix` are
-        a Groebner basis, and det(x) reduced modulo them.  These are I's
-        reduced basis, computed on first use, and the normal form of
-        det, built on a CofactorTable that is not kept: I is the base of
-        no check, so its minors serve nothing else.  det is kept only
-        while another ideal of `seeded` is still to be built: at n = 9
-        it can hold most of the run's memory."""
+    def seed(self, name: str, stats: GBStats) -> tuple[GroebnerBasis,
+                                                       Polynomial]:
+        """(seed, det) for building the ideal `name` of `seeded`, which
+        leaves `seeded`: I's reduced basis, computed on first use, and
+        det(x) reduced modulo it, built on a CofactorTable that is not
+        kept: I is the base of no check, so its minors serve nothing
+        else.  det is kept only while another ideal of `seeded` is still
+        to be built: at n = 9 it can hold most of the run's memory."""
         self.seeded.discard(name)
         gb = self.ideal("I", stats)
         det = self._det
         if det is None:
             det = det_poly(gb.ring, "x", gb)
         self._det = det if self.seeded else None
-        return gb.basis, len(gb.reducers), det
+        return gb, det
 
     def table(self, name: str) -> CofactorTable:
         """The CofactorTable of the base `name`, which must already be
@@ -383,55 +374,28 @@ class _Run:
         return self.tables[name]
 
     def product_base(self, stats: GBStats) -> GroebnerBasis:
-        """Reduced basis of the doubled hat ideal J(x) + J(y), where J is
-        the problem ideal with the witness x0*det(x) - 1, and J(y) is its
-        copy in the y block.
-
-        The blocks share no variable, so the union of J's reduced basis
-        and its renamed copy is already reduced: every cross pair has
-        coprime leads (Buchberger's first criterion), no lead of one
-        block divides a term of the other, and degrevlex restricted to
-        either block is degrevlex with the same relative ranking.
-
-        Both copies are made by shifting the packed monomials of J's
-        prepared reducers: the x copy of m is m << 16*(n*n + 1), and the
-        y copy keeps the exponent fields and moves the degree field from
-        bit 16*(n*n + 1) to 32*(n*n + 1).  A shift keeps the degrevlex
-        order within a block, so the shifted reducers are those
-        `groebner` would prepare from the doubled basis, and none is
-        prepared on the doubled ring.
-
-        The doubled ideal is radical when J is, over a perfect field
-        (Bourbaki, Algebra V section 15), and both criteria of `groebner`
-        hold for the doubled basis exactly when they hold for J's.  So
-        the doubled basis asks J's basis, on the hat ring with half the
-        variables, and the answer is kept on J's basis for the
-        inversion tests too.
-        """
+        """Reduced basis of the doubled hat ideal J(x) + J(y), J the hat
+        ideal and J(y) its copy in the y block: J's reducers moved into
+        the doubled ring, by name for the x copy and to offset 0, a
+        renaming, for the y copy.  The blocks share no variable, so the
+        union is already reduced: every cross pair has coprime leads
+        (Buchberger's first criterion), no lead of one block divides a
+        term of the other, and degrevlex keeps its ranking on either
+        block.  Whether it is radical is asked of J's basis (see the
+        module docstring), over half the variables, and the answer is
+        kept there for the inversion tests too."""
         problem = self.problem
         ring = VarRing.matrix_ring(problem.n, problem.field, x0=True, y=True,
                                    y0=True)
         block = self.ideal("hat", stats)
-        if block.is_trivial:
-            # The packed constant monomial is 0 in every ring.
-            return GroebnerBasis(ring, block.reducers)
-        # The hat ring holds x1..x_{n*n}, x0 in its fields 0..n*n and the
-        # degree above them, at bit s.  The doubled ring holds y1..y_{n*n},
-        # y0 in those fields, then x1..x_{n*n}, x0, then the degree, at
-        # bit 2s.  So the x copy of a packed monomial m is m << s, and its
-        # y copy, m plus (degree << 2s) - (degree << s), keeps the
-        # exponent fields and moves the degree up by s.
-        s = block.ring.codec.deg_shift
-        lift = (1 << 2 * s) - (1 << s)
-        copies = [(move(lm), lc, [(move(m), c) for m, c in tail])
-                  for move in (lambda m: m << s,
-                               lambda m: m + (m >> s) * lift)
-                  for lm, lc, tail in block.reducers]
+        copies = moved_reducers(block, ring)
+        if not block.is_trivial:  # the basis (1) needs one copy
+            copies += moved_reducers(block, ring, offset=0)
         # Ascending leads, the order buchberger returns a reduced basis
         # in: the block basis already ascends, and degrevlex ranks every y
         # lead above every x lead of the same degree, so a stable sort by
         # degree interleaves the two copies.
-        copies.sort(key=lambda prep: prep[0] >> 2 * s)
+        copies.sort(key=lambda prep: ring.codec.degree(prep[0]))
         return GroebnerBasis(ring, copies, radical_as=block)
 
     def check(self, name: str) -> CheckResult:
@@ -441,11 +405,11 @@ class _Run:
         if name == "variety_equals_vstar":
             start, stats = time.perf_counter(), GBStats()
             try:
-                gens, prefix, det = self.seed("I+det", stats)
-                return _result(contains_one(gens + [det], self.budget,
+                seed, det = self.seed("I+det", stats)
+                return _result(contains_one([det], self.budget,
                                             ring=self.problem.ring,
-                                            assume_gb_prefix=prefix,
-                                            stats=stats), start, stats)
+                                            seed=seed, stats=stats),
+                               start, stats)
             except BudgetExhausted as exc:
                 return _result(None, start, stats, undecided_reason=str(exc))
         return self.closure_check(name)
@@ -454,12 +418,12 @@ class _Run:
         """Run the closure check `name` of `_CLOSURE_CHECKS`: one
         radical-membership test of each generator's image, in generator
         order, up to the first that fails or runs out of budget.  The
-        field equations of `field_equations` are not tested.  An
-        image builds only the pieces its generator needs, modulo the
-        base basis, and the base's CofactorTable keeps them for the
-        later generators and checks on that base.  When the base ideal is proven radical,
-        each test is one normal form.  Only the reported generator's
-        image is rendered."""
+        field equations of `field_equations` are not tested.  An image
+        builds only the pieces its generator needs, modulo the base
+        basis, and the base's CofactorTable keeps them for the later
+        generators and checks on that base.  When the base ideal is
+        proven radical, each test is one normal form.  Only the reported
+        generator's image is rendered."""
         ideal, image = _CLOSURE_CHECKS[name]
         start = time.perf_counter()
         gens = [(idx, f) for idx, f in enumerate(self.problem.generators,
@@ -507,11 +471,11 @@ def run_checks(problem: ProblemSpec, checks, *,
                budget: Budget | None = None) -> DecisionReport:
     """Run checks, in order, into one report.
 
-    A check is a command-line name (`identity`, `inversion`,
-    `multiplication`, `group`, `group-alt`, `vstar-eq`) or the report
-    name of a single check (`division`, `variety_equals_vstar`).  Each report check runs once, and each base
-    ideal's basis is computed once for all of them.  The report is in
-    "alt" mode exactly when `group-alt` is the only check.
+    A check is a command-line name (`identity`, `inversion`, `multiplication`,
+    `group`, `group-alt`, `vstar-eq`) or the report name of a single check
+    (`division`, `variety_equals_vstar`).  Each report check runs once, and
+    each base ideal's basis is computed once for all of them.  The report is
+    in "alt" mode exactly when `group-alt` is the only check.
     """
     checks = list(checks)
     names = [step for check in checks

@@ -219,6 +219,35 @@ def _as_poly(prep, ring: VarRing) -> Polynomial:
     return Polynomial._make(ring, terms)
 
 
+def moved_reducers(gb: GroebnerBasis, ring: VarRing,
+                   offset: int | None = None) -> list:
+    """gb's prepared reducers in `ring`, with variable i of gb's ring as
+    variable offset + i: each packed monomial's exponent fields move up
+    by offset fields, and its degree field to that of `ring`.  The
+    default offset is where gb's variable names run in those of `ring`;
+    ValueError if they do not, or the fields differ.  Degrevlex on the
+    moved variables is unchanged, so these are, in order, the reducers
+    `_prepare` makes of gb's elements moved into `ring` by name."""
+    source = gb.ring
+    if source is None:  # buchberger([]) without a ring
+        return []
+    if source.field != ring.field:
+        raise ValueError("target ring has a different coefficient field")
+    k = source.arity
+    if offset is None:
+        offset = next((i for i in range(ring.arity - k + 1)
+                       if ring.names[i:i + k] == source.names), -1)
+    if not 0 <= offset <= ring.arity - k:
+        raise ValueError(f"{ring!r} has no place for {source!r}")
+    # m << bits moves the 16-bit exponent fields, and the degree with
+    # them to bit src + bits; the degree times lift moves it on to dst.
+    src, dst, bits = source.codec.deg_shift, ring.codec.deg_shift, 16 * offset
+    lift = (1 << dst) - (1 << src + bits)
+    return [((lm << bits) + (lm >> src) * lift, lc,
+             [((m << bits) + (m >> src) * lift, c) for m, c in tail])
+            for lm, lc, tail in gb.reducers]
+
+
 def _reduce_terms(terms: dict, reducers, codec, p: int,
                   degree_cap: int) -> tuple[dict, int]:
     """Fully reduce a packed term dict with integral coefficients.
@@ -401,7 +430,8 @@ def _inert_generators(preps, codec) -> set[int]:
 
 def buchberger(gens, budget: Budget | None = None, *,
                ring: VarRing | None = None,
-               assume_gb_prefix: int = 0, stats: GBStats | None = None,
+               seed: GroebnerBasis | None = None,
+               stats: GBStats | None = None,
                reduce_basis: bool = True) -> GroebnerBasis:
     """Reduced monic Groebner basis of the ideal generated by gens.
 
@@ -414,10 +444,12 @@ def buchberger(gens, budget: Budget | None = None, *,
     reducers.  The reduced basis does not depend on the pair order; the
     pair counts do.
 
-    assume_gb_prefix marks the first k generators as an already computed
-    Groebner basis, so their internal S-pairs are skipped; `decide`
-    builds the ideals that contain the problem ideal this way, on its
-    basis.  Exceeding the budget raises BudgetExhausted.
+    A seed, a GroebnerBasis whose variables run among those of `ring`,
+    joins gens as the first generators, its reducers moved into `ring`
+    (`moved_reducers`); the pairs among them are skipped, as a Groebner
+    basis stays one in more variables.  Exceeding the budget, or a lead
+    of a generator or of the seed over the degree cap, raises
+    BudgetExhausted.
     reduce_basis=False skips the final interreduction and returns the
     elements as the run kept them; the result still generates the ideal
     and has the Groebner property, but is not the canonical reduced
@@ -433,26 +465,28 @@ def buchberger(gens, budget: Budget | None = None, *,
 
     polys = [g for g in gens if g]
     if ring is None:
-        ring = polys[0].ring if polys else None
+        ring = polys[0].ring if polys else seed.ring if seed else None
     for g in polys:
         if g.ring != ring:
             raise ValueError("generators live in different rings")
-    if not polys:
+    seeded = [] if seed is None else moved_reducers(seed, ring)
+    if not polys and not seeded:
         return finish([])
-    if any(g.is_constant for g in polys):
-        return finish([(0, 1, [])])
 
     p = ring.field.characteristic
     codec = ring.codec
+    deg_shift = codec.deg_shift
     degree_cap = budget.degree_cap
-    for g in polys:
-        if g.total_degree() > degree_cap:
+    preps = seeded + [_prepare(g.terms, codec, p) for g in polys]
+    if any(lm == 0 for lm, _, _ in preps):  # a constant: the ideal is (1)
+        return finish([(0, 1, [])])
+    for lm, _, _ in preps:  # a lead has its element's largest degree
+        if lm >> deg_shift > degree_cap:
             raise BudgetExhausted(
-                f"input degree {g.total_degree()} over cap {degree_cap}")
+                f"input degree {lm >> deg_shift} over cap {degree_cap}")
 
     keyf = codec.key
     lcm = codec.lcm
-    deg_shift = codec.deg_shift
     guard, low, low_guard = codec.guard, codec.low_mask, codec.low_guard
 
     try:
@@ -466,7 +500,6 @@ def buchberger(gens, budget: Budget | None = None, *,
         active: list = []
         heap: list = []
         pending: dict[tuple[int, int], int] = {}
-        preps = [_prepare(g.terms, codec, p) for g in polys]
         inert = _inert_generators(preps, codec)
 
         def add_element(prep, sugar: int, make_pairs: bool) -> None:
@@ -556,7 +589,7 @@ def buchberger(gens, budget: Budget | None = None, *,
                 sugars.append(sugar)
                 live.append(j)
             else:
-                add_element(prep, sugar, make_pairs=j >= assume_gb_prefix)
+                add_element(prep, sugar, make_pairs=j >= len(seeded))
 
         while heap:
             sugar, _, i, j = heapq.heappop(heap)
@@ -587,17 +620,18 @@ def buchberger(gens, budget: Budget | None = None, *,
 
 def contains_one(gens, budget: Budget | None = None, *,
                  ring: VarRing | None = None,
-                 assume_gb_prefix: int = 0, stats: GBStats | None = None) -> bool:
-    """Whether the ideal generated by gens is the whole ring."""
+                 seed: GroebnerBasis | None = None,
+                 stats: GBStats | None = None) -> bool:
+    """Whether the ideal generated by gens, and by the seed as for
+    `buchberger`, is the whole ring."""
     polys = [g for g in gens if g]
-    if not polys:
+    if not polys and (seed is None or not seed.reducers):
         return False
-    if any(g.is_constant for g in polys):
+    if seed is not None and seed.is_trivial \
+            or any(g.is_constant for g in polys):
         return True
-    gb = buchberger(polys, budget, ring=ring,
-                    assume_gb_prefix=assume_gb_prefix, stats=stats,
-                    reduce_basis=False)
-    return gb.is_trivial
+    return buchberger(polys, budget, ring=ring, seed=seed, stats=stats,
+                      reduce_basis=False).is_trivial
 
 
 def radical_membership(f: Polynomial, G, budget: Budget | None = None, *,
@@ -608,8 +642,8 @@ def radical_membership(f: Polynomial, G, budget: Budget | None = None, *,
     Plain ideal membership of f is tried first since it already implies
     radical membership.  When G is a GroebnerBasis, a nonzero normal form
     decides false when `G.certified_radical` holds.  Otherwise the test
-    is 1 in (G, t*f - 1) with a fresh variable t ranked highest, skipping
-    the internal S-pairs of a GroebnerBasis.
+    is 1 in (G, t*f - 1) with a fresh variable t ranked highest; a
+    GroebnerBasis seeds that run, so its internal S-pairs are skipped.
     """
     ring = f.ring
     if ring.has("t"):
@@ -628,11 +662,10 @@ def radical_membership(f: Polynomial, G, budget: Budget | None = None, *,
         raise BudgetExhausted(f"input degree {reduced.total_degree() + 1} "
                               f"over cap {budget.degree_cap}")
     ring_t = ring.extend_front("t")
-    lifted = [change_ring(g, ring_t) for g in (G.basis if is_gb else G)]
-    helper = ring_t.var("t") * change_ring(reduced, ring_t) - ring_t.one()
-    return contains_one(lifted + [helper], budget, ring=ring_t,
-                        assume_gb_prefix=len(lifted) if is_gb else 0,
-                        stats=stats)
+    seed, gens = (G, []) if is_gb else (None, [change_ring(g, ring_t)
+                                               for g in G])
+    gens.append(ring_t.var("t") * change_ring(reduced, ring_t) - 1)
+    return contains_one(gens, budget, ring=ring_t, seed=seed, stats=stats)
 
 
 def _certify_radical(gb: GroebnerBasis, degree_cap: int) -> bool:

@@ -301,12 +301,13 @@ def test_product_base_matches_doubled_buchberger_on_field_equations():
             add_field_equations(random_matrix_problem(rng, p), p))
 
 
-def test_only_the_basis_of_i_is_built_as_polynomials(problems_dir,
-                                                     monkeypatch):
-    # A GroebnerBasis keeps its elements as prepared reducers alone.
-    # Under field equations every test is one normal form, and only I's
-    # basis is read as polynomials, to seed the hat ideal: the hat and
-    # doubled bases divide by their reducers and build none.
+def test_decisions_build_no_basis_as_polynomials(problems_dir,
+                                                 monkeypatch):
+    # A GroebnerBasis keeps its elements as prepared reducers alone, and
+    # a basis seeds a run in a larger ring as its reducers, moved: the
+    # hat ideal and I+det on I's basis, the doubled ideal on the hat
+    # basis, and a t*f - 1 run on the basis it tests against.  No
+    # decision reads `GroebnerBasis.basis`.
     converted = []
     real = groebner._as_poly
 
@@ -315,16 +316,13 @@ def test_only_the_basis_of_i_is_built_as_polynomials(problems_dir,
         return real(prep, ring)
 
     monkeypatch.setattr(groebner, "_as_poly", recording)
-    seeded = 0
-    for spec in _field_equation_fixtures(problems_dir):
-        converted.clear()
-        report = run_checks(spec, ["group", "group-alt"])
-        assert "division" in report.checks, spec
-        assert set(converted) <= {spec.ring}, spec
-        seeded += bool(converted)
-    assert seeded >= 3
+    runs = [(spec, ["group", "group-alt", "vstar-eq"], "division")
+            for spec in _field_equation_fixtures(problems_dir)]
+    runs += [case[:3] for case in _t_route_cases()]
+    for spec, checks, name in runs:
+        assert run_checks(spec, checks).checks[name].verdict is not None
+    assert converted == []
     # A triviality test reads the leads of the run's elements only.
-    converted.clear()
     ring = VarRing.matrix_ring(2, QQ)
     sl2 = ring.var("x1") * ring.var("x4") - ring.var("x2") * ring.var("x3")
     assert not contains_one([sl2 - ring.one(), ring.var("x2") ** 2])
@@ -910,11 +908,25 @@ def test_multiplication_and_division_agree(problems_dir):
     assert verdicts[True] >= 40 and verdicts[False] >= 40, verdicts
 
 
-def _unseeded(self, name, stats):
-    """`_Run.seed` as if it computed no basis of I and reduced nothing:
-    the raw generators and the expanded determinant."""
-    gens = [f for f in self.problem.generators if f]
-    return gens, 0, det_poly(self.problem.ring, "x")
+def _unseed(monkeypatch):
+    """Runs `_Run` as if it computed no basis of I and reduced nothing:
+    `_Run.seed` gives the raw generators, in place of I's basis, and the
+    expanded determinant, and the engine takes them as plain generators,
+    ahead of the others as a seed would be."""
+    def seed(self, name, stats):
+        self.seeded.discard(name)
+        gens = [f for f in self.problem.generators if f]
+        return gens, det_poly(self.problem.ring, "x")
+
+    monkeypatch.setattr(_Run, "seed", seed)
+    for engine in ("buchberger", "contains_one"):
+        def plain(gens, *args, real=getattr(decide, engine), ring,
+                  seed=None, **kwargs):
+            if seed is not None:
+                gens = [change_ring(f, ring) for f in seed] + list(gens)
+            return real(gens, *args, ring=ring, **kwargs)
+
+        monkeypatch.setattr(decide, engine, plain)
 
 
 def _seeding_corpus(problems_dir):
@@ -948,7 +960,7 @@ def test_base_bases_built_on_i_match_the_raw_generators(problems_dir,
         hat = run.ideal("hat", GBStats())
         assert hat.ring == ring and hat.basis == want_hat, spec
         assert run.check("variety_equals_vstar").verdict == want_vstar, spec
-    monkeypatch.setattr(_Run, "seed", _unseeded)
+    _unseed(monkeypatch)
     unseeded = [run_checks(spec, checks) for spec in specs]
     fewer = 0
     for spec, got, want in zip(specs, seeded, unseeded):

@@ -6,9 +6,11 @@ import pytest
 from conftest import hat_ideal_reference, s_polynomial_reference
 
 from algroup import (Budget, BudgetExhausted, Polynomial, PrimeField,
-                     ProblemSpec, QQ, VarRing, buchberger, contains_one,
-                     normal_form, parse_poly, radical_membership)
+                     ProblemSpec, QQ, VarRing, buchberger, change_ring,
+                     contains_one, load_problem, normal_form, parse_poly,
+                     radical_membership)
 from algroup import groebner, parse_problem
+from algroup.matrices import build_f0
 from algroup.groebner import MAX_ENGINE_DEGREE
 
 # Coefficients with non-unit numerators and denominators, for the
@@ -124,6 +126,14 @@ def test_buchberger_linear_and_empty():
     assert gb.basis == [r.var("x2"), r.var("x1")]
     assert buchberger([]).basis == []
     assert buchberger([r.zero()]).basis == []
+    # The basis of no generators seeds a run as no generator, with a
+    # ring (that of I in a problem with none) or without.
+    x0 = VarRing.matrix_ring(2, QQ, x0=True)
+    f0 = build_f0(x0, "x")
+    for empty in (buchberger([], ring=r), buchberger([])):
+        assert buchberger([f0], ring=x0, seed=empty) == buchberger([f0])
+        assert buchberger([], ring=x0, seed=empty).reducers == []
+        assert not contains_one([f0], ring=x0, seed=empty)
 
 
 def test_basis_is_reduced_and_monic():
@@ -196,6 +206,14 @@ def test_contains_one_examples():
     assert not contains_one([det])
     assert not contains_one([])
     assert contains_one([r.const(3)])
+    # A seed of (1) makes the ideal (1) with no pair processed.
+    trivial = buchberger([det, sl2])
+    assert trivial.is_trivial
+    lifted = r.extend_front("t")
+    t = lifted.var("t")
+    assert contains_one([t], ring=lifted, seed=trivial)
+    gb = buchberger([t], ring=lifted, seed=trivial)
+    assert gb.reducers == [(0, 1, [])] and gb.stats.pairs_processed == 0
 
 
 def test_radical_membership_examples():
@@ -344,6 +362,12 @@ def test_degree_budget_exhaustion():
     gens = [parse_poly("u*v - 1", r2v), parse_poly("u^3 + v^3 - 1", r2v)]
     with pytest.raises(BudgetExhausted, match="monomial degree 4"):
         buchberger(gens, budget=Budget(degree_cap=3))
+    # A seed's leads are checked as the generators are.
+    seed = buchberger([parse_poly("x1^9 + 1", r)])
+    lifted = r.extend_front("t")
+    with pytest.raises(BudgetExhausted, match="input degree 9 over cap 5"):
+        buchberger([lifted.var("t")], budget=Budget(degree_cap=5),
+                   ring=lifted, seed=seed)
 
 
 def test_normal_form_rejects_divisors_over_the_degree_cap():
@@ -531,6 +555,57 @@ def test_a_basis_comes_with_the_reducers_its_interreduction_prepared(field):
     for gens in cases:
         gb = buchberger(gens, ring=r)
         assert gb.reducers == groebner._prepare_reducers(gb.basis, r)
+
+
+def _seed_cases(problems_dir):
+    """(seed, gens, ring): I's reduced basis with x0*det(x) - 1 in the
+    ring with x0, for every fixture over Q, and the hat basis of sl2
+    with t*(x1 - 1) - 1 in the ring with t."""
+    for path in sorted(problems_dir.glob("*.alg")):
+        spec = load_problem(path)
+        if not spec.field.characteristic:
+            hat = VarRing.matrix_ring(spec.n, spec.field, x0=True)
+            yield buchberger(spec.generators, ring=spec.ring), \
+                [build_f0(hat, "x")], hat
+    sl2 = parse_problem("n 2\nfield Q\nx1*x4 - x2*x3 - 1\n")
+    ring, gens = hat_ideal_reference(sl2)
+    lifted = ring.extend_front("t")
+    f = change_ring(ring.var("x1") - ring.one(), lifted)
+    yield buchberger(gens, ring=ring), [lifted.var("t") * f - 1], lifted
+
+
+def test_a_seeded_run_is_the_run_on_the_moved_basis(problems_dir):
+    # The seed's reducers, moved by shifting, are those prepared from its
+    # monic basis moved by name, and a run on them gives the reduced
+    # basis of the run on the moved basis, with fewer pairs.
+    cases = list(_seed_cases(problems_dir))
+    assert len(cases) >= 9
+    for seed, gens, ring in cases:
+        moved = [change_ring(g, ring) for g in seed.basis]
+        assert groebner.moved_reducers(seed, ring) == \
+            groebner._prepare_reducers(moved, ring)
+        seeded = buchberger(gens, ring=ring, seed=seed)
+        plain = buchberger(moved + gens, ring=ring)
+        assert seeded.reducers == plain.reducers, ring
+        assert seeded.stats.pairs_processed <= plain.stats.pairs_processed
+
+
+def test_a_seed_must_fit_the_ring():
+    r = ring2()
+    t = r.extend_front("t").var("t")
+    # x1, x3 is no contiguous run of t, x1, x2, x3, x4; u is not there.
+    for names in (("x1", "x3"), ("x1", "u")):
+        source = VarRing(names, QQ)
+        seed = buchberger([source.var("x1") ** 2 - source.one()])
+        with pytest.raises(ValueError, match="no place"):
+            buchberger([t], ring=t.ring, seed=seed)
+        with pytest.raises(ValueError, match="no place"):
+            contains_one([t], ring=t.ring, seed=seed)
+    seed = buchberger([ring2(PrimeField(5)).var("x1")])
+    with pytest.raises(ValueError, match="field"):
+        buchberger([t], ring=t.ring, seed=seed)
+    with pytest.raises(ValueError, match="field"):
+        contains_one([t], ring=t.ring, seed=seed)
 
 
 def _orthogonal_group_gens(ring, n, g=None):
