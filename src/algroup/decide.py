@@ -466,6 +466,10 @@ _GROUP_CHECKS = {
 # Report names of the command-line checks that differ from them.
 _REPORT_NAMES = {"vstar-eq": "variety_equals_vstar"}
 
+# Every check name `run_checks` accepts.
+_CHECK_NAMES = ("identity", *_CLOSURE_CHECKS, *_GROUP_CHECKS,
+                *_REPORT_NAMES, *_REPORT_NAMES.values())
+
 
 def run_checks(problem: ProblemSpec, checks, *,
                budget: Budget | None = None) -> DecisionReport:
@@ -475,9 +479,14 @@ def run_checks(problem: ProblemSpec, checks, *,
     `group`, `group-alt`, `vstar-eq`) or the report name of a single check
     (`division`, `variety_equals_vstar`).  Each report check runs once, and
     each base ideal's basis is computed once for all of them.  The report is
-    in "alt" mode exactly when `group-alt` is the only check.
+    in "alt" mode exactly when `group-alt` is the only check.  An unknown
+    name raises ValueError before any check runs.
     """
     checks = list(checks)
+    for check in checks:
+        if check not in _CHECK_NAMES:
+            raise ValueError(f"unknown check {check!r}; expected one of "
+                             f"{', '.join(_CHECK_NAMES)}")
     names = [step for check in checks
              for step in (_GROUP_CHECKS[check][1] if check in _GROUP_CHECKS
                           else (_REPORT_NAMES.get(check, check),))]

@@ -23,7 +23,8 @@ some are pending.  A generator whose lead is a variable no other
 generator mentions is never a reducer (`_inert_generators`), though it
 stays in the basis, and it is appended without the update: its pairs
 all have coprime leads, and its lead divides no pending lcm and no live
-lead, so the update would change nothing.  Every run is bounded by an
+lead, so the update would change nothing.  A seed's reducers, a reduced
+basis, are appended without the update too.  Every run is bounded by an
 explicit Budget, and exhausting it raises BudgetExhausted instead of
 ever returning a possibly wrong verdict.
 
@@ -73,8 +74,9 @@ and keeps the answer (`GroebnerBasis.certified_radical`):
   leads), and the minimal polynomial mu_k of every variable x_k in R/J
   is squarefree: gcd(mu_k, mu_k') = 1.  mu_k is the first linear
   dependency among NF(1), NF(x_k), NF(x_k^2), ... (as in FGLM: Faugere,
-  Gianni, Lazard and Mora, JSC 1993).  Over a perfect field, such as Q
-  and F_p, this holds exactly when J is radical (Seidenberg's lemma;
+  Gianni, Lazard and Mora, JSC 1993), a polynomial in x_k, and Euclid's
+  algorithm on normal forms finds the gcd.  Over a perfect field, such
+  as Q and F_p, this holds exactly when J is radical (Seidenberg's lemma;
   Kreuzer and Robbiano, Computational Commutative Algebra 1, 3.7).  The
   search stops after degree_cap powers; past that J is not proven.
 
@@ -444,9 +446,10 @@ def buchberger(gens, budget: Budget | None = None, *,
     reducers.  The reduced basis does not depend on the pair order; the
     pair counts do.
 
-    A seed, a GroebnerBasis whose variables run among those of `ring`,
-    joins gens as the first generators, its reducers moved into `ring`
-    (`moved_reducers`); the pairs among them are skipped, as a Groebner
+    A seed, a reduced GroebnerBasis whose variables run among those of
+    `ring`, joins gens as the first generators, its reducers moved into
+    `ring` (`moved_reducers`).  Like the inert generators, they skip the
+    pair update, and the pairs among them are skipped, as a Groebner
     basis stays one in more variables.  Exceeding the budget, or a lead
     of a generator or of the seed over the degree cap, raises
     BudgetExhausted.
@@ -502,7 +505,7 @@ def buchberger(gens, budget: Budget | None = None, *,
         pending: dict[tuple[int, int], int] = {}
         inert = _inert_generators(preps, codec)
 
-        def add_element(prep, sugar: int, make_pairs: bool) -> None:
+        def add_element(prep, sugar: int) -> None:
             # Gebauer-Moeller update (UPDATE in Becker and Weispfenning):
             # the new element t is paired with the live elements only.
             # Among those candidates, classes whose lcm has a coprime-lead
@@ -514,59 +517,53 @@ def buchberger(gens, budget: Budget | None = None, *,
             t = len(G)
             lmt = prep[0]
             b = lmt & low
-            if make_pairs:
-                # One pass over the live elements: per field, bit 15 of
-                # ge says lm_i >= lm_t there, which gives both whether
-                # lm_t divides lm_i and lcm(lm_i, lm_t) (codec.lcm,
-                # inlined).  An lcm class maps to its first member, or to
-                # -1 once a member has a lead coprime to lm_t.
-                shed = False
-                classes: dict[int, int] = {}
-                for i in live:
-                    a = lms[i]
-                    ge = ((a | guard) - b) & low_guard
-                    if ge == low_guard:
-                        shed = True
-                    m = b ^ ((a ^ b) & (ge >> 15) * 0x7FFF)
-                    l = m | (m % 0xFFFF) << deg_shift
-                    if l == a + lmt:  # the lcm is the product: coprime
-                        classes[l] = -1
-                    elif l not in classes:
-                        classes[l] = i
-                if pending:
-                    # Divisibility tests are codec.divides, inlined.
-                    chained = [pair for pair, l in pending.items()
-                               if ((l | guard) - lmt) & guard == guard
-                               and lcm(lms[pair[0]], lmt) != l
-                               and lcm(lms[pair[1]], lmt) != l]
-                    for pair in chained:
-                        del pending[pair]
-                # An lcm is kept unless the lcm of another class divides
-                # it.  A proper divisor has a lower degree, so in order of
-                # degree it is met first, and it is kept itself or has a
-                # kept divisor of its own.
-                reps = sorted((l >> deg_shift, l, i)
-                              for l, i in classes.items())
-                # The sugar of a pair: the larger of its elements' sugars,
-                # each raised by the degree its lead gains in the lcm.
-                excess_t = sugar - (lmt >> deg_shift)
-                kept: list[int] = []
-                for degree, l, i in reps:
-                    if i >= 0:
-                        lg = l | guard
-                        if kept and any((lg - l2) & guard == guard
-                                        for l2 in kept):
-                            continue
-                        pending[(i, t)] = l
-                        excess = sugars[i] - (lms[i] >> deg_shift)
-                        if excess < excess_t:
-                            excess = excess_t
-                        heapq.heappush(heap, (excess + degree, keyf(l),
-                                              i, t))
-                    kept.append(l)
-            else:
-                shed = any(((lms[i] | guard) - lmt) & guard == guard
-                           for i in live)
+            # One pass over the live elements: per field, bit 15 of ge
+            # says lm_i >= lm_t there, which gives both whether lm_t
+            # divides lm_i and lcm(lm_i, lm_t) (codec.lcm, inlined).  An
+            # lcm class maps to its first member, or to -1 once a member
+            # has a lead coprime to lm_t.
+            shed = False
+            classes: dict[int, int] = {}
+            for i in live:
+                a = lms[i]
+                ge = ((a | guard) - b) & low_guard
+                if ge == low_guard:
+                    shed = True
+                m = b ^ ((a ^ b) & (ge >> 15) * 0x7FFF)
+                l = m | (m % 0xFFFF) << deg_shift
+                if l == a + lmt:  # the lcm is the product: coprime
+                    classes[l] = -1
+                elif l not in classes:
+                    classes[l] = i
+            if pending:
+                # Divisibility tests are codec.divides, inlined.
+                chained = [pair for pair, l in pending.items()
+                           if ((l | guard) - lmt) & guard == guard
+                           and lcm(lms[pair[0]], lmt) != l
+                           and lcm(lms[pair[1]], lmt) != l]
+                for pair in chained:
+                    del pending[pair]
+            # An lcm is kept unless the lcm of another class divides it.
+            # A proper divisor has a lower degree, so in order of degree
+            # it is met first, and it is kept itself or has a kept
+            # divisor of its own.
+            reps = sorted((l >> deg_shift, l, i) for l, i in classes.items())
+            # The sugar of a pair: the larger of its elements' sugars,
+            # each raised by the degree its lead gains in the lcm.
+            excess_t = sugar - (lmt >> deg_shift)
+            kept: list[int] = []
+            for degree, l, i in reps:
+                if i >= 0:
+                    lg = l | guard
+                    if kept and any((lg - l2) & guard == guard
+                                    for l2 in kept):
+                        continue
+                    pending[(i, t)] = l
+                    excess = sugars[i] - (lms[i] >> deg_shift)
+                    if excess < excess_t:
+                        excess = excess_t
+                    heapq.heappush(heap, (excess + degree, keyf(l), i, t))
+                kept.append(l)
             G.append(prep)
             lms.append(lmt)
             sugars.append(sugar)
@@ -577,19 +574,23 @@ def buchberger(gens, budget: Budget | None = None, *,
             live.append(t)
             active.append(prep)
 
-        # A generator's sugar is its degree, the degree of its lead.  An
-        # inert generator's pairs all have coprime leads, and its lead, a
+        # A generator's sugar is its degree, the degree of its lead.  The
+        # seed, a reduced basis, needs no update: no lead of it divides
+        # another, and the pairs among its elements are skipped.  An inert
+        # generator's pairs all have coprime leads, and its lead, a
         # variable no other generator mentions, divides no pending lcm
         # and no live lead: the update would change nothing.
         for j, prep in enumerate(preps):
             sugar = prep[0] >> deg_shift
-            if j in inert:
+            if j < len(seeded) or j in inert:
                 G.append(prep)
                 lms.append(prep[0])
                 sugars.append(sugar)
                 live.append(j)
+                if j not in inert:
+                    active.append(prep)
             else:
-                add_element(prep, sugar, make_pairs=j >= len(seeded))
+                add_element(prep, sugar)
 
         while heap:
             sugar, _, i, j = heapq.heappop(heap)
@@ -608,7 +609,7 @@ def buchberger(gens, budget: Budget | None = None, *,
             if prep[0] >> deg_shift == 0:
                 # A nonzero constant: the ideal is the whole ring.
                 return finish([(0, 1, [])])
-            add_element(prep, sugar, make_pairs=True)
+            add_element(prep, sugar)
 
         return finish(_interreduce(G, codec, p, degree_cap)
                       if reduce_basis else G)
@@ -689,43 +690,45 @@ def _certify_radical(gb: GroebnerBasis, degree_cap: int) -> bool:
     if len(pure) < ring.arity:
         return False
     for name in ring.names:
+        x = ring.var(name)
         try:
-            mu = _minimal_polynomial(gb, ring.var(name), degree_cap)
+            mu = _minimal_polynomial(gb, x, degree_cap)
         except BudgetExhausted:
             return False
-        if mu is None or not _squarefree(mu, ring.field):
+        if mu is None or not _squarefree(mu, x):
             return False
     return True
 
 
 def _minimal_polynomial(gb: GroebnerBasis, x: Polynomial,
-                        degree_cap: int) -> list | None:
-    """Coefficients, constant first, of the monic minimal polynomial of x
-    modulo the zero-dimensional ideal of gb: the first linear dependency
-    among NF(1), NF(x), NF(x^2), ...  None when there is none up to
-    x^degree_cap."""
+                        degree_cap: int) -> Polynomial | None:
+    """The monic minimal polynomial of the variable x modulo the
+    zero-dimensional ideal of gb, a polynomial in x: the first linear
+    dependency among NF(1), NF(x), NF(x^2), ...  None when there is none
+    up to x^degree_cap."""
     field = x.ring.field
     canonical = field.canonical
+    (xm,) = x.terms
     # Echelon rows (pivot monomial, normal-form vector with 1 at the
-    # pivot, the same vector as a combination of the powers of x); each
-    # row is zero at the pivots of the rows before it.
+    # pivot, the same vector as a combination of the powers x^k, keyed by
+    # k*xm); each row is zero at the pivots of the rows before it.
     rows: list = []
     power = x.ring.one()
     for k in range(degree_cap + 1):
         if k:
             power = normal_form(power * x, gb, degree_cap)
-        vec, combo = dict(power.terms), {k: 1}
+        vec, combo = dict(power.terms), {k * xm: 1}
         for pivot, row, row_combo in rows:
             c = vec.get(pivot)
             if c:
                 _subtract(vec, row, c, canonical)
                 _subtract(combo, row_combo, c, canonical)
         if not vec:
-            return [combo.get(i, 0) for i in range(k + 1)]
+            return Polynomial._make(x.ring, combo)
         pivot, c = next(iter(vec.items()))
         s = field.inv(c)
         rows.append((pivot, {m: canonical(v * s) for m, v in vec.items()},
-                     {i: canonical(v * s) for i, v in combo.items()}))
+                     {m: canonical(v * s) for m, v in combo.items()}))
     return None
 
 
@@ -739,33 +742,18 @@ def _subtract(vec: dict, row: dict, c, canonical) -> None:
             vec.pop(m, None)
 
 
-def _squarefree(mu: list, field) -> bool:
-    """Whether the univariate polynomial mu (coefficients, constant
-    first) is coprime to its derivative.  Over F_p the derivative of
-    x^p - a is 0, so the gcd is mu itself."""
-    a = mu
-    b = _trimmed([field.canonical(i * c) for i, c in enumerate(mu) if i])
+def _squarefree(mu: Polynomial, x: Polynomial) -> bool:
+    """Whether mu, a polynomial in the variable x alone, is coprime to
+    its derivative: Euclid's algorithm on normal forms ends at a nonzero
+    constant.  Over F_p the derivative of x^p - a is 0, so the gcd is mu
+    itself."""
+    (xm,) = x.terms
+    shift = x.ring.codec.deg_shift
+    canonical = x.ring.field.canonical
+    # In one variable the degree field is the exponent of x.
+    derivative = {m - xm: d for m, c in mu.terms.items()
+                  if m and (d := canonical((m >> shift) * c))}
+    a, b = mu, Polynomial._make(x.ring, derivative)
     while b:
-        a, b = b, _remainder(a, b, field)
-    return len(a) == 1
-
-
-def _trimmed(a: list) -> list:
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _remainder(a: list, b: list, field) -> list:
-    """a mod b for univariate coefficient lists, b with a nonzero lead."""
-    a = list(a)
-    canonical = field.canonical
-    s = field.inv(b[-1])
-    while len(a) >= len(b):
-        c = canonical(a[-1] * s)
-        off = len(a) - len(b)
-        for i, v in enumerate(b):
-            a[off + i] = canonical(a[off + i] - c * v)
-        a.pop()  # the lead, now zero
-        _trimmed(a)
-    return a
+        a, b = b, normal_form(a, [b])
+    return a.is_constant

@@ -438,10 +438,10 @@ def _pow_terms(terms: dict, e: int, ring: VarRing) -> dict:
         terms = _mul_terms(terms, terms, ring)
 
 
-def change_ring(f: Polynomial, target: VarRing, rename=None) -> Polynomial:
-    """Re-index f into target, matching variables by name; rename, when
-    given, maps a variable name of f to its name in target."""
-    if target == f.ring and rename is None:
+def change_ring(f: Polynomial, target: VarRing) -> Polynomial:
+    """Re-index f into target, matching variables by name; ValueError
+    when target lacks a variable of f or has another field."""
+    if target == f.ring:
         return f
     if target.field != f.ring.field:
         raise ValueError("target ring has a different coefficient field")
@@ -453,8 +453,7 @@ def change_ring(f: Polynomial, target: VarRing, rename=None) -> Polynomial:
     names = f.ring.names
     moves: dict[int, int] = {}
     for i, _ in f.ring.codec.factors(used):
-        name = rename(names[i]) if rename else names[i]
-        shift = _BITS * (target.index(name) - i)
+        shift = _BITS * (target.index(names[i]) - i)
         moves[shift] = moves.get(shift, 0) | _FIELD_MASK << (_BITS * i)
     src_shift, dst_shift = f.ring.codec.deg_shift, target.codec.deg_shift
     out = {}

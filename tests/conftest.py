@@ -69,15 +69,20 @@ def hat_ideal_reference(problem):
 
 def to_y_block_reference(f, target):
     """f with every x_k renamed to y_k inside the target ring, the
-    witness variable x0 to y0 included."""
-    used = 0
-    for m in f.terms:
-        used |= m
-    for i, _ in f.ring.codec.factors(used):
-        if not f.ring.names[i].startswith("x"):
-            raise ValueError(f"polynomial mentions {f.ring.names[i]}, "
-                             "expected x-block variables only")
-    return change_ring(f, target, rename=lambda name: "y" + name[1:])
+    witness variable x0 to y0 included, built from f's exponent tuples."""
+    names = f.ring.names
+    out = {}
+    for exps, c in f.exponents().items():
+        moved = [0] * target.arity
+        for name, e in zip(names, exps):
+            if not e:
+                continue
+            if not name.startswith("x"):
+                raise ValueError(f"polynomial mentions {name}, "
+                                 "expected x-block variables only")
+            moved[target.index("y" + name[1:])] = e
+        out[tuple(moved)] = c
+    return Polynomial(target, out)
 
 
 def s_polynomial_reference(f, g):

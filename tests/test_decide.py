@@ -123,6 +123,21 @@ def test_variety_equals_vstar(problem):
     assert variety_equals_vstar(problem("fourth-roots.alg")).verdict is True
 
 
+@pytest.mark.parametrize("checks", [["group", "Group"],
+                                    ["identity", "bogus"]])
+def test_run_checks_rejects_an_unknown_name_before_any_check(
+        problem, monkeypatch, checks):
+    ran = []
+    monkeypatch.setattr(decide, "check_identity",
+                        lambda *args: ran.append(args))
+    with pytest.raises(ValueError, match=repr(checks[1])) as exc:
+        run_checks(problem("sl2.alg"), checks)
+    assert ran == []
+    assert str(exc.value).endswith(
+        "expected one of identity, inversion, multiplication, division, "
+        "group, group-alt, vstar-eq, variety_equals_vstar")
+
+
 def test_empty_generator_list_is_a_group():
     spec = parse_problem("n 2\nfield Q\n")
     report = is_group(spec)

@@ -1,5 +1,6 @@
 import fractions
 import random
+from collections import Counter
 from math import gcd
 
 import pytest
@@ -301,6 +302,73 @@ def test_a_power_bound_that_is_hit_proves_nothing():
     assert _certified(["x1^3 - 1", "x2"], r, degree_cap=3)
     assert not _certified(["x1^3 - 1", "x2"], r, degree_cap=2)
     assert not _certified(["x1^3 - 1", "x2"], r, degree_cap=0)
+
+
+def test_minimal_polynomials_match_sympy():
+    # Criterion (b) against sympy: the minimal polynomial of x_k is the
+    # monic generator of the elimination ideal, the univariate element
+    # of a lex basis with x_k last, and it is squarefree exactly when
+    # its gcd with its derivative is constant.
+    sympy = pytest.importorskip("sympy")
+    r = VarRing(("x1", "x2", "x3"), QQ)
+    symbols = sympy.symbols(r.names)
+    x1, x2, x3 = (r.var(name) for name in r.names)
+    rng = random.Random(30)
+    squarefree = Counter()
+    for _ in range(12):
+        # 1-4 roots of x3, repeats allowed; x1 and x2 are algebraic over
+        # x3, so the ideal is zero-dimensional.
+        p = r.one()
+        for _ in range(rng.randint(1, 4)):
+            p = p * (x3 - rng.randint(-2, 2))
+        a, b, c = (r.const(rng.choice(Q_COEFFS)) for _ in range(3))
+        gens = [p, x1 - a * x3 * x3 - b, x2 * x2 - x1 * x3 - c]
+        gb = buchberger(gens)
+        exprs = [_to_sympy(g, symbols) for g in gens]
+        for k, x in enumerate((x1, x2, x3)):
+            sym = symbols[k]
+            lex = sympy.groebner(exprs, *symbols[:k], *symbols[k + 1:], sym,
+                                 order="lex", domain="QQ")
+            (want,) = [e for e in lex.exprs if e.free_symbols <= {sym}]
+            want = sympy.Poly(want, sym, domain="QQ").monic()
+            mu = groebner._minimal_polynomial(gb, x, 200)
+            got = sympy.Poly(_to_sympy(mu, symbols), sym, domain="QQ")
+            assert got == want, gens
+            verdict = sympy.gcd(want, want.diff(sym)).degree() == 0
+            assert groebner._squarefree(mu, x) == verdict, gens
+            squarefree[verdict] += 1
+    assert squarefree[True] and squarefree[False]
+
+
+@pytest.mark.parametrize("field, roots", [
+    # Each ideal is (p_1(x_1), p_2(x_2), ...), p_i the product of
+    # (x_i - root)^multiplicity over the pairs of roots[i].
+    (PrimeField(5), [[(1, 1), (2, 1), (4, 1)], [(0, 1), (3, 1)]]),
+    (PrimeField(5), [[(1, 2), (3, 1)], [(2, 1), (4, 1)]]),
+    (PrimeField(5), [[(0, 1), (4, 1)], [(1, 5)]]),  # x2^5 - 1: p' = 0
+    (PrimeField(7), [[(0, 1), (1, 1), (2, 1), (3, 1), (6, 1)],
+                     [(2, 1), (5, 1)]]),
+    (PrimeField(7), [[(3, 1), (5, 1)], [(1, 3), (4, 2)]]),
+    (PrimeField(7), [[(2, 7)], [(6, 2)]]),
+    (PrimeField(3), [[(2, 3)]]),  # x1^3 - 2
+])
+def test_minimal_polynomials_over_prime_fields(field, roots):
+    r = VarRing([f"x{i}" for i in range(1, len(roots) + 1)], field)
+    xs = [r.var(name) for name in r.names]
+    ps = []
+    for x, factors in zip(xs, roots):
+        p = r.one()
+        for root, multiplicity in factors:
+            p = p * (x - root) ** multiplicity
+        ps.append(p)
+    gb = buchberger(ps)
+    for x, p, factors in zip(xs, ps, roots):
+        mu = groebner._minimal_polynomial(gb, x, 200)
+        assert mu == p
+        assert groebner._squarefree(mu, x) == \
+            all(m == 1 for _, m in factors)
+    assert gb.certified_radical(200) == \
+        all(m == 1 for factors in roots for _, m in factors)
 
 
 def test_radical_membership_rejects_ring_with_t():
