@@ -11,14 +11,24 @@ from .groebner import (Budget, BudgetExhausted, GBStats, GroebnerBasis,
                        buchberger, contains_one, normal_form,
                        radical_membership)
 from .matrices import det_poly
-from .oracle import (BruteForceVerdict, EnumerationBudgetError, VarietySet,
-                     enumerate_variety, inversion_closed, is_group_bruteforce,
-                     multiplication_closed)
 from .parsing import (ParseError, ProblemSpec, load_problem, parse_poly,
                       parse_problem)
 from .poly import Polynomial, VarRing, change_ring, render
 
 __version__ = "0.1.0"
+
+# The brute-force oracle's names, imported on first use: a decision does
+# not load the oracle.
+_ORACLE_NAMES = {"BruteForceVerdict", "EnumerationBudgetError", "VarietySet",
+                 "enumerate_variety", "inversion_closed",
+                 "is_group_bruteforce", "multiplication_closed"}
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "Budget", "BudgetExhausted", "BruteForceVerdict", "CheckResult",

@@ -13,7 +13,7 @@ import functools
 import json
 import sys
 
-from . import decide, oracle
+from . import decide
 from .groebner import MAX_ENGINE_DEGREE, Budget
 from .parsing import ParseError, load_problem
 
@@ -93,10 +93,9 @@ def _render_text(report: decide.DecisionReport, show_group: bool = False,
     return "\n".join(lines)
 
 
-def _oracle_comparison(problem, report: decide.DecisionReport):
-    """Engine-versus-enumeration diff; empty when everything agrees."""
-    vs = oracle.enumerate_variety(problem)
-    brute = oracle.is_group_bruteforce(vs)
+def _oracle_diff(report: decide.DecisionReport, vs, brute) -> list:
+    """Engine-versus-enumeration diff of the variety's points `vs` and
+    their verdict `brute`; empty when everything agrees."""
     pairs = []
     checks = report.checks
     if "identity" in checks:
@@ -114,9 +113,8 @@ def _oracle_comparison(problem, report: decide.DecisionReport):
         pairs.append(("group", report.group, brute.group))
     if report.group_alt is not None:
         pairs.append(("group (division form)", report.group_alt, brute.group))
-    diff = [(name, engine, bf) for name, engine, bf in pairs
+    return [(name, engine, bf) for name, engine, bf in pairs
             if engine is not None and engine != bf]
-    return diff, vs, brute
 
 
 def main(argv=None) -> int:
@@ -153,6 +151,15 @@ def main(argv=None) -> int:
     if not 0 <= args.degree_cap <= MAX_ENGINE_DEGREE:
         return _fail(f"--degree-cap must be between 0 and {MAX_ENGINE_DEGREE}")
 
+    if args.oracle:
+        # The points are enumerated before any check runs, so a problem
+        # over the enumeration limit fails without being decided.
+        from . import oracle
+        try:
+            vs = oracle.enumerate_variety(problem)
+        except oracle.EnumerationBudgetError as exc:
+            return _fail(str(exc))
+
     budget = Budget(pair_cap=args.pair_cap, degree_cap=args.degree_cap)
     report = decide.run_checks(problem, checks, budget=budget)
     exit_code = 2 if any(res.verdict is None
@@ -161,10 +168,8 @@ def main(argv=None) -> int:
     show_group_alt = "group-alt" in checks
 
     if args.oracle:
-        try:
-            diff, _, brute = _oracle_comparison(problem, report)
-        except oracle.EnumerationBudgetError as exc:
-            return _fail(str(exc))
+        brute = oracle.is_group_bruteforce(vs)
+        diff = _oracle_diff(report, vs, brute)
         if diff:
             print(_render_text(report, show_group, show_group_alt)
                   if args.format == "text"

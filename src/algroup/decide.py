@@ -117,7 +117,6 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass, field as dataclass_field, replace
 
 from .fields import PrimeField
 from .groebner import (Budget, BudgetExhausted, GBStats, GroebnerBasis,
@@ -129,23 +128,30 @@ from .matrices import (CofactorTable, build_f0, det_poly,
 from .parsing import ProblemSpec
 from .poly import MAX_ENGINE_DEGREE, Polynomial, VarRing, change_ring
 
-@dataclass
 class CheckResult:
     """Outcome of one check: True, False, or None for undecided."""
 
-    verdict: bool | None
-    seconds: float = 0.0
-    witness_index: int | None = None
-    witness: str | None = None
-    gb_pairs: int = 0
-    gb_zero_reductions: int = 0
-    undecided_reason: str | None = None
-    note: str | None = None
+    def __init__(self, verdict: bool | None, seconds: float = 0.0,
+                 witness_index: int | None = None, witness: str | None = None,
+                 gb_pairs: int = 0, gb_zero_reductions: int = 0,
+                 undecided_reason: str | None = None,
+                 note: str | None = None):
+        self.verdict = verdict
+        self.seconds = seconds
+        self.witness_index = witness_index
+        self.witness = witness
+        self.gb_pairs = gb_pairs
+        self.gb_zero_reductions = gb_zero_reductions
+        self.undecided_reason = undecided_reason
+        self.note = note
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, CheckResult) and vars(self) == vars(other)
 
     def to_dict(self) -> dict:
-        # The dataclass __init__ sets the fields in order, so these are
-        # the keys of dataclasses.asdict in its order; every value is
-        # immutable, so the shallow copy is as good as its deep one.
+        # __init__ sets the attributes in the schema's order, so these
+        # are the report keys in order; every value is immutable, so a
+        # shallow copy is enough.
         return dict(vars(self))
 
     @classmethod
@@ -153,23 +159,32 @@ class CheckResult:
         return cls(**data)
 
 
-@dataclass
 class DecisionReport:
     """Aggregated verdicts, witnesses, timings, and engine statistics."""
 
-    n: int
-    field: str
-    closure: str
-    num_generators: int
-    mode: str = "standard"
-    field_equations_q: int | None = None
-    checks: dict[str, CheckResult] = dataclass_field(default_factory=dict)
-    group: bool | None = None
-    group_alt: bool | None = None
-    notes: list[str] = dataclass_field(default_factory=list)
+    def __init__(self, n: int, field: str, closure: str, num_generators: int,
+                 mode: str = "standard", field_equations_q: int | None = None,
+                 checks: dict[str, CheckResult] | None = None,
+                 group: bool | None = None, group_alt: bool | None = None,
+                 notes: list[str] | None = None):
+        self.n = n
+        self.field = field
+        self.closure = closure
+        self.num_generators = num_generators
+        self.mode = mode
+        self.field_equations_q = field_equations_q
+        self.checks = {} if checks is None else checks
+        self.group = group
+        self.group_alt = group_alt
+        self.notes = [] if notes is None else notes
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, DecisionReport) and vars(self) == vars(other)
 
     def to_dict(self) -> dict:
-        """The report as `dataclasses.asdict` gives it, keys in order."""
+        """The report as plain JSON data: the attributes in the order
+        `__init__` sets them, which is the documented schema's, each
+        check as its `CheckResult.to_dict`."""
         data = dict(vars(self))
         data["checks"] = {name: result.to_dict()
                           for name, result in self.checks.items()}
@@ -291,7 +306,6 @@ def _result(verdict, start: float, stats: GBStats, **fields) -> CheckResult:
                        gb_zero_reductions=stats.reductions_to_zero, **fields)
 
 
-@dataclass
 class _Run:
     """One decision run: the problem, its budget, and `bases`, the run's
     one Groebner computation for each ideal of the problem, under the
@@ -319,16 +333,15 @@ class _Run:
     the second of them only.
     """
 
-    problem: ProblemSpec
-    budget: Budget
-    seeded: set = dataclass_field(default_factory=set)
-    bases: dict = dataclass_field(default_factory=dict)
-    tables: dict = dataclass_field(default_factory=dict)
-    _det: Polynomial | None = None
-    field_equations: frozenset = dataclass_field(init=False)
-
-    def __post_init__(self):
-        self.field_equations = _field_equations(self.problem)
+    def __init__(self, problem: ProblemSpec, budget: Budget,
+                 seeded: set | None = None):
+        self.problem = problem
+        self.budget = budget
+        self.seeded = set() if seeded is None else seeded
+        self.bases: dict = {}
+        self.tables: dict = {}
+        self._det: Polynomial | None = None
+        self.field_equations = _field_equations(problem)
 
     def ideal(self, name: str, stats: GBStats) -> GroebnerBasis:
         if name in self.bases:
@@ -591,5 +604,6 @@ def add_field_equations(problem: ProblemSpec, q: int) -> ProblemSpec:
     # Packed, x^q is q times x.
     equations = [Polynomial._make(ring, {q * m: 1, m: neg_one})
                  for (m,) in xs]
-    return replace(problem, generators=list(problem.generators) + equations,
-                   field_equations_q=q)
+    return ProblemSpec(problem.n, problem.field,
+                       list(problem.generators) + equations, problem.ring,
+                       problem.source, field_equations_q=q)

@@ -11,8 +11,6 @@ field, so values of different fields never mix.
 
 from __future__ import annotations
 
-from fractions import Fraction as rational
-
 # Witnesses making Miller-Rabin deterministic for all p < 2**64.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -71,12 +69,14 @@ class RationalField:
     def from_ratio(self, num: int, den: int):
         if den == 0:
             raise ZeroDivisionError("rational with zero denominator")
-        return _canonical(rational(num, den))
+        from fractions import Fraction
+        return _canonical(Fraction(num, den))
 
     def inv(self, a):
         if not a:
             raise ZeroDivisionError("inverse of zero")
-        return _canonical(rational(1) / a)
+        from fractions import Fraction
+        return _canonical(Fraction(1) / a)
 
 
 class PrimeField:
@@ -120,3 +120,12 @@ class PrimeField:
 QQ = RationalField()
 
 Field = RationalField | PrimeField
+
+
+def __getattr__(name: str):
+    # `rational`, the type of a non-integral value over Q: `fractions`
+    # loads when it is first read, or with the first such value.
+    if name == "rational":
+        from fractions import Fraction
+        return Fraction
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -86,27 +86,24 @@ An ideal neither criterion proves keeps the `t*f - 1` run.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field as dataclass_field
 from math import gcd, lcm
 from operator import attrgetter
 
 from .poly import MAX_ENGINE_DEGREE, Polynomial, VarRing, change_ring
 
 
-@dataclass
 class Budget:
     """Caps on a single Groebner computation: a pair cap that is not
     negative and a degree cap in 0..MAX_ENGINE_DEGREE."""
 
-    pair_cap: int = 1_000_000
-    degree_cap: int = 200
-
-    def __post_init__(self):
-        if self.pair_cap < 0:
-            raise ValueError(f"pair cap {self.pair_cap} is negative")
-        if not 0 <= self.degree_cap <= MAX_ENGINE_DEGREE:
-            raise ValueError(f"degree cap {self.degree_cap} is outside "
+    def __init__(self, pair_cap: int = 1_000_000, degree_cap: int = 200):
+        if pair_cap < 0:
+            raise ValueError(f"pair cap {pair_cap} is negative")
+        if not 0 <= degree_cap <= MAX_ENGINE_DEGREE:
+            raise ValueError(f"degree cap {degree_cap} is outside "
                              f"0..{MAX_ENGINE_DEGREE}")
+        self.pair_cap = pair_cap
+        self.degree_cap = degree_cap
 
 
 DEFAULT_BUDGET = Budget()
@@ -118,32 +115,40 @@ class BudgetExhausted(RuntimeError):
         self.detail = message
 
 
-@dataclass
 class GBStats:
-    pairs_processed: int = 0
-    reductions_to_zero: int = 0
+    def __init__(self, pairs_processed: int = 0, reductions_to_zero: int = 0):
+        self.pairs_processed = pairs_processed
+        self.reductions_to_zero = reductions_to_zero
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, GBStats) and vars(self) == vars(other)
 
     def merge(self, other: "GBStats") -> None:
         self.pairs_processed += other.pairs_processed
         self.reductions_to_zero += other.reductions_to_zero
 
 
-@dataclass
 class GroebnerBasis:
     """A basis in `ring` as its elements prepared for division (`_prepare`),
-    in ascending lead order when reduced."""
+    in ascending lead order when reduced.  Two bases are equal when their
+    rings, reducers and stats are."""
 
-    ring: VarRing | None
-    reducers: list
-    stats: GBStats = dataclass_field(default_factory=GBStats)
-    # A basis whose ideal is radical exactly when this one's is, asked in
-    # place of this basis: the doubled hat basis names its block's.
-    radical_as: GroebnerBasis | None = dataclass_field(default=None,
-                                                       repr=False,
-                                                       compare=False)
-    # Whether the ideal is proven radical; None until first asked.
-    radical: bool | None = dataclass_field(default=None, init=False,
-                                           repr=False, compare=False)
+    def __init__(self, ring: VarRing | None, reducers: list,
+                 stats: GBStats | None = None,
+                 radical_as: GroebnerBasis | None = None):
+        self.ring = ring
+        self.reducers = reducers
+        self.stats = GBStats() if stats is None else stats
+        # A basis whose ideal is radical exactly when this one's is, asked
+        # in place of this basis: the doubled hat basis names its block's.
+        self.radical_as = radical_as
+        # Whether the ideal is proven radical; None until first asked.
+        self.radical: bool | None = None
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, GroebnerBasis) and self.ring == other.ring
+                and self.reducers == other.reducers
+                and self.stats == other.stats)
 
     @property
     def basis(self) -> list[Polynomial]:

@@ -34,7 +34,6 @@ level is a ParseError at the '(' that opens it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .fields import Field, PrimeField, QQ
 from .poly import Polynomial, VarRing, _mul_terms, _pow_terms
@@ -64,7 +63,6 @@ def _literal(digits: str, line: int, col: int) -> int:
     return int(digits)
 
 
-@dataclass
 class ProblemSpec:
     """A parsed problem: dimension, coefficient field, and generators.
 
@@ -74,12 +72,15 @@ class ProblemSpec:
     every entry (see `decide.add_field_equations`).
     """
 
-    n: int
-    field: Field
-    generators: list[Polynomial]
-    ring: VarRing
-    source: str | None = None
-    field_equations_q: int | None = None
+    def __init__(self, n: int, field: Field, generators: list[Polynomial],
+                 ring: VarRing, source: str | None = None,
+                 field_equations_q: int | None = None):
+        self.n = n
+        self.field = field
+        self.generators = generators
+        self.ring = ring
+        self.source = source
+        self.field_equations_q = field_equations_q
 
 
 # One token per match, after the spaces before it: INT, NAME or OP by

@@ -13,6 +13,7 @@ from algroup.matrices import CofactorTable, build_f0, eval_at_formal_inverse
 from algroup.poly import MAX_ENGINE_DEGREE, _degree_error
 
 PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "problems"
+SCHEMA = PROBLEMS.parent / "docs" / "report-schema.md"
 
 
 @pytest.fixture
@@ -25,6 +26,25 @@ def problem():
     def load(name):
         return load_problem(PROBLEMS / name)
     return load
+
+
+def schema_table(heading: str) -> list[str]:
+    """The field names in the first column of the table under `heading`
+    in the report schema document."""
+    lines = SCHEMA.read_text(encoding="utf-8").splitlines()
+    rows = []
+    for line in lines[lines.index(heading) + 1:]:
+        if rows and not line.startswith("|"):
+            break
+        if line.startswith("| `"):
+            rows.append(line.split("`")[1])
+    return rows
+
+
+def respec(spec, **changes):
+    """A ProblemSpec with the given attributes changed and the others
+    those of spec."""
+    return ProblemSpec(**{**vars(spec), **changes})
 
 
 def random_matrix_problem(rng, p, n=2, max_gens=3, max_terms=4, max_degree=2):

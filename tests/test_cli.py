@@ -1,11 +1,12 @@
 import argparse
-import dataclasses
 import json
 import os
 import pathlib
 import resource
 import subprocess
 import sys
+
+from conftest import schema_table
 
 import algroup
 from algroup import (QQ, CheckResult, DecisionReport, VarRing, decide,
@@ -14,7 +15,6 @@ from algroup import cli
 from algroup.cli import main
 
 SRC = pathlib.Path(algroup.__file__).resolve().parents[1]
-SCHEMA = SRC.parent / "docs" / "report-schema.md"
 
 
 def run_cli(capsys, *argv):
@@ -235,6 +235,26 @@ def test_oracle_mismatch_aborts(tmp_path, capsys):
     assert "multiplication" in err
 
 
+def test_oracle_over_its_enumeration_limit_decides_nothing(tmp_path, capsys,
+                                                          monkeypatch):
+    # O(4) over F_11 has 11^16 candidate matrices: the oracle refuses it
+    # before any check runs.
+    def fail(*args, **kwargs):
+        raise AssertionError("run_checks called")
+
+    monkeypatch.setattr(decide, "run_checks", fail)
+    e = [[f"x{4 * i + j + 1}" for j in range(4)] for i in range(4)]
+    eqs = [" + ".join(f"{e[k][i]}*{e[k][j]}" for k in range(4))
+           + (" - 1" if i == j else "") for i in range(4) for j in range(i, 4)]
+    prob = tmp_path / "o4f11.alg"
+    prob.write_text("n 4\nfield F 11\n" + "\n".join(eqs) + "\n")
+    code, out, err = run_cli(capsys, "decide", str(prob), "--check", "group",
+                             "--oracle")
+    assert code == 1 and not out
+    assert err == ("algroup: error: enumeration needs 45949729863572161 "
+                   "evaluations, over the limit 100000000\n")
+
+
 def test_json_report_includes_mode_flags(problems_dir, capsys):
     code, out, _ = run_cli(capsys, "decide", str(problems_dir / "torus2.alg"),
                            "--format", "json")
@@ -245,24 +265,12 @@ def test_json_report_includes_mode_flags(problems_dir, capsys):
     assert data["group"] is True
 
 
-def _schema_table(heading: str) -> list[str]:
-    """The field names in the first column of the table under `heading`
-    in the report schema document."""
-    lines = SCHEMA.read_text(encoding="utf-8").splitlines()
-    rows = []
-    for line in lines[lines.index(heading) + 1:]:
-        if rows and not line.startswith("|"):
-            break
-        if line.startswith("| `"):
-            rows.append(line.split("`")[1])
-    return rows
-
-
 def test_report_schema_lists_every_report_field():
-    for heading, cls in (("Top-level fields:", DecisionReport),
-                         ("Each check object:", CheckResult)):
-        want = [f.name for f in dataclasses.fields(cls)]
-        assert _schema_table(heading) == want, heading
+    for heading, obj in (("Top-level fields:",
+                          DecisionReport(2, "Q", "the algebraic closure of Q",
+                                         1)),
+                         ("Each check object:", CheckResult(True))):
+        assert schema_table(heading) == list(obj.to_dict()), heading
 
 
 def test_jobs_flag(problems_dir, capsys):
@@ -331,6 +339,29 @@ def test_cli_import_loads_no_process_pool():
     run = run_python("-c", "import sys, algroup.cli; print(sorted("
                      "{'concurrent.futures', 'multiprocessing'} & "
                      "set(sys.modules)))")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_only_what_a_decision_uses():
+    # The oracle and `fractions` load on first use; `dataclasses` not at
+    # all.  Both modules still serve the deferred names, and only those.
+    run = run_python("-c", """if True:
+        import sys, algroup.cli
+        print(sorted({'dataclasses', 'inspect', 'fractions', 'decimal',
+                      'algroup.oracle'} & set(sys.modules)))
+        import algroup, algroup.fields, algroup.oracle, fractions
+        assert algroup.fields.rational is fractions.Fraction
+        assert algroup.enumerate_variety is algroup.oracle.enumerate_variety
+        from algroup import enumerate_variety
+        for module in (algroup, algroup.fields):
+            try:
+                module.no_such_name
+            except AttributeError as exc:
+                assert 'no_such_name' in str(exc), exc
+            else:
+                raise AssertionError(module)
+        """)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[]"
 

@@ -1,10 +1,9 @@
 import json
 import random
 from collections import Counter
-from dataclasses import replace
 
 import pytest
-from conftest import (hat_ideal_reference, padded_inverse_reference,
+from conftest import (hat_ideal_reference, padded_inverse_reference, respec,
                       to_y_block_reference)
 
 from algroup import (QQ, Budget, DecisionReport, GBStats, Polynomial,
@@ -476,7 +475,7 @@ def test_field_equation_flag_without_the_equations_takes_the_general_path(
     # The flag alone proves nothing: F_5 problem flagged q = 5 without
     # x_k^5 - x_k, and one flagged with q = 4, no power of 5.
     spec = problem("cubic-roots-f5.alg")
-    flagged = run_checks(replace(spec, field_equations_q=q), CLOSURE_CHECKS)
+    flagged = run_checks(respec(spec, field_equations_q=q), CLOSURE_CHECKS)
     assert len(t_runs) == 3
     cleared = run_checks(spec, CLOSURE_CHECKS)
     assert _closure_outcomes(flagged) == _closure_outcomes(cleared)
@@ -513,8 +512,8 @@ def test_field_equations_untested_agree_with_the_general_path(monkeypatch,
     for n in sizes:
         spec = random_matrix_problem(rng, p, n=n)
         one = decide.identity_point(spec)
-        spec = replace(spec, generators=[f - f.evaluate(one)
-                                         for f in spec.generators])
+        spec = respec(spec, generators=[f - f.evaluate(one)
+                                        for f in spec.generators])
         specs.append(add_field_equations(spec, q))
     budget = Budget(pair_cap=300)
     runs = [(spec, checks) for spec in specs
@@ -853,7 +852,7 @@ def _q_metamorphic_cases(problems_dir):
                   sum((ring.const(ginv[i][k] * g[l][j]) * X[k][l]
                        for k in range(n) for l in range(n)), ring.zero())
                   for i in range(n) for j in range(n)}
-        yield spec, replace(spec, generators=[
+        yield spec, respec(spec, generators=[
             f.substitute(images) * ring.const(rng.choice(scalars))
             for f in spec.generators])
 
