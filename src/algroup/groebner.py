@@ -160,6 +160,20 @@ class GroebnerBasis:
         # The packed constant monomial is 0.
         return len(self.reducers) == 1 and self.reducers[0][0] == 0
 
+    @property
+    def is_zero_dimensional(self) -> bool:
+        """Whether R/J is finite-dimensional: J is (1), or every variable
+        of the ring has a pure power among the leads."""
+        if self.is_trivial:
+            return True
+        codec = self.ring.codec
+        pure = set()
+        for lm, _, _ in self.reducers:
+            powers = codec.factors(lm)
+            if len(powers) == 1:
+                pure.add(powers[0][0])
+        return len(pure) == self.ring.arity
+
     def certified_radical(self, degree_cap: int) -> bool:
         """Whether criterion (a) or (b) of the module docstring proves the
         ideal radical, decided on the first call and kept.  False means
@@ -640,38 +654,34 @@ def contains_one(gens, budget: Budget | None = None, *,
                       reduce_basis=False).is_trivial
 
 
-def radical_membership(f: Polynomial, G, budget: Budget | None = None, *,
+def radical_membership(f: Polynomial, gb: GroebnerBasis,
+                       budget: Budget | None = None, *,
                        stats: GBStats | None = None) -> bool:
-    """Whether f lies in the radical of the ideal generated by G.
+    """Whether f lies in the radical of the ideal of the Groebner basis
+    gb.
 
-    G is a list of generators or a GroebnerBasis, as for `normal_form`.
     Plain ideal membership of f is tried first since it already implies
-    radical membership.  When G is a GroebnerBasis, a nonzero normal form
-    decides false when `G.certified_radical` holds.  Otherwise the test
-    is 1 in (G, t*f - 1) with a fresh variable t ranked highest; a
-    GroebnerBasis seeds that run, so its internal S-pairs are skipped.
+    radical membership.  A nonzero normal form decides false when
+    `gb.certified_radical` holds.  Otherwise the test is 1 in
+    (gb, t*f - 1) with a fresh variable t ranked highest, a run that gb
+    seeds, so its internal S-pairs are skipped.
     """
     ring = f.ring
     if ring.has("t"):
         raise ValueError("ring already uses the auxiliary variable t")
     budget = budget or DEFAULT_BUDGET
-    is_gb = isinstance(G, GroebnerBasis)
-    if not is_gb:
-        G = [g for g in G if g]
-    reduced = normal_form(f, G, degree_cap=budget.degree_cap)
+    reduced = normal_form(f, gb, degree_cap=budget.degree_cap)
     if not reduced:
         return True
-    if is_gb and G.certified_radical(budget.degree_cap):
+    if gb.certified_radical(budget.degree_cap):
         return False
     if reduced.total_degree() >= budget.degree_cap:
         # t*reduced - 1 is over the cap, and may be over the degree limit.
         raise BudgetExhausted(f"input degree {reduced.total_degree() + 1} "
                               f"over cap {budget.degree_cap}")
     ring_t = ring.extend_front("t")
-    seed, gens = (G, []) if is_gb else (None, [change_ring(g, ring_t)
-                                               for g in G])
-    gens.append(ring_t.var("t") * change_ring(reduced, ring_t) - 1)
-    return contains_one(gens, budget, ring=ring_t, seed=seed, stats=stats)
+    return contains_one([ring_t.var("t") * change_ring(reduced, ring_t) - 1],
+                        budget, ring=ring_t, seed=gb, stats=stats)
 
 
 def _certify_radical(gb: GroebnerBasis, degree_cap: int) -> bool:
@@ -681,18 +691,12 @@ def _certify_radical(gb: GroebnerBasis, degree_cap: int) -> bool:
     if not leads:
         return True  # the zero ideal, of a basis that may have no ring
     ring = gb.ring
-    codec = ring.codec
-    low, shift = codec.low_mask, codec.deg_shift
+    low, shift = ring.codec.low_mask, ring.codec.deg_shift
     # A monomial is squarefree when each exponent is 0 or 1, that is,
     # when its exponents have as many bits set as its degree.
     if all((lm & low).bit_count() == lm >> shift for lm in leads):
         return True
-    pure = set()
-    for lm in leads:
-        powers = codec.factors(lm)
-        if len(powers) == 1:
-            pure.add(powers[0][0])
-    if len(pure) < ring.arity:
+    if not gb.is_zero_dimensional:
         return False
     for name in ring.names:
         x = ring.var(name)
@@ -752,6 +756,8 @@ def _squarefree(mu: Polynomial, x: Polynomial) -> bool:
     its derivative: Euclid's algorithm on normal forms ends at a nonzero
     constant.  Over F_p the derivative of x^p - a is 0, so the gcd is mu
     itself."""
+    if mu.total_degree() <= 1:
+        return True  # x - c, or 1 when R/J is the zero ring
     (xm,) = x.terms
     shift = x.ring.codec.deg_shift
     canonical = x.ring.field.canonical

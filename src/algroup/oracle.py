@@ -14,7 +14,9 @@ from itertools import product
 from .fields import PrimeField
 from .parsing import ProblemSpec
 
-DEFAULT_POINT_LIMIT = 10**8
+# About 100,000 candidates a second: n=2 over F_31 (923,521) takes about
+# 9 s, and every kept point is a tuple in memory.
+DEFAULT_POINT_LIMIT = 10**6
 
 
 class EnumerationBudgetError(RuntimeError):

@@ -6,8 +6,8 @@ from math import lcm
 import pytest
 
 from algroup import (QQ, ParseError, Polynomial, PrimeField, ProblemSpec,
-                     VarRing, change_ring, det_poly, load_problem,
-                     radical_membership)
+                     VarRing, buchberger, change_ring, det_poly,
+                     load_problem, radical_membership)
 from algroup.groebner import _divided, _prepare, _spair_terms
 from algroup.matrices import CofactorTable, build_f0, eval_at_formal_inverse
 from algroup.poly import MAX_ENGINE_DEGREE, _degree_error
@@ -69,11 +69,11 @@ def padded_inverse_reference(spec):
     f, with h the numerator of f at the formal inverse, I the ideal of
     the raw generators, and det and h expanded.  By the Nullstellensatz
     it holds exactly when h vanishes on V*(I)."""
-    gens = [f for f in spec.generators if f]
+    gb = buchberger(spec.generators, ring=spec.ring)
     det, table = det_poly(spec.ring), CofactorTable(spec.ring)
     for idx, f in enumerate(spec.generators, start=1):
         if f and not radical_membership(
-                det * eval_at_formal_inverse(f, table), gens):
+                det * eval_at_formal_inverse(f, table), gb):
             return False, idx
     return True, None
 

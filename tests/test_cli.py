@@ -103,8 +103,10 @@ def test_alt_mode(problems_dir, capsys):
 
 
 def test_undecided_exit_code(problems_dir, capsys):
+    # The hat route: I is positive-dimensional.  (fourth-roots.alg is
+    # decided modulo I within one pair.)
     code, out, _ = run_cli(capsys, "decide",
-                           str(problems_dir / "fourth-roots.alg"),
+                           str(problems_dir / "diag-antidiag.alg"),
                            "--pair-cap", "1")
     assert code == 2
     assert "undecided" in out
@@ -252,7 +254,23 @@ def test_oracle_over_its_enumeration_limit_decides_nothing(tmp_path, capsys,
                              "--oracle")
     assert code == 1 and not out
     assert err == ("algroup: error: enumeration needs 45949729863572161 "
-                   "evaluations, over the limit 100000000\n")
+                   "evaluations, over the limit 1000000\n")
+
+
+def test_oracle_over_f37_at_n2_decides_nothing(tmp_path, capsys,
+                                               monkeypatch):
+    # 37^4 = 1,874,161 candidate matrices, about 19 s of enumeration: over
+    # the limit, so the oracle refuses before any check runs.
+    def fail(*args, **kwargs):
+        raise AssertionError("run_checks called")
+
+    monkeypatch.setattr(decide, "run_checks", fail)
+    prob = tmp_path / "x2f37.alg"
+    prob.write_text("n 2\nfield F 37\nx2\n")
+    code, out, err = run_cli(capsys, "decide", str(prob), "--oracle")
+    assert code == 1 and not out
+    assert err == ("algroup: error: enumeration needs 1874161 "
+                   "evaluations, over the limit 1000000\n")
 
 
 def test_json_report_includes_mode_flags(problems_dir, capsys):

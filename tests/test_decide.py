@@ -19,7 +19,7 @@ from algroup.poly import MAX_ENGINE_DEGREE
 from algroup.decide import _Run, check_inversion_alt
 from algroup.matrices import (CofactorTable, build_f0,
                               eval_at_formal_inverse, subst_product,
-                              subst_x_times_inverse_y)
+                              subst_x_times_adj_y, subst_x_times_inverse_y)
 
 SUITE = ["sl2.alg", "gl2.alg", "torus2.alg", "diag-antidiag.alg",
          "cubic-roots.alg", "fourth-roots.alg", "linear-forms-3x3.alg",
@@ -198,8 +198,10 @@ def test_add_field_equations_validation():
 
 
 def test_undecided_budget_propagates(problem):
+    # The hat route: I is positive-dimensional.  (fourth-roots.alg is
+    # decided modulo I within one pair.)
     tiny = Budget(pair_cap=1)
-    report = is_group(problem("fourth-roots.alg"), budget=tiny)
+    report = is_group(problem("diag-antidiag.alg"), budget=tiny)
     assert report.group is None
     undecided = [r for r in report.checks.values() if r.verdict is None]
     assert undecided and all("budget" in r.undecided_reason for r in undecided)
@@ -274,28 +276,31 @@ def test_engine_matches_bruteforce_oracle(seed):
         assert report.group == brute.group, spec.generators
 
 
-def _doubled_basis_reference(spec):
-    """Buchberger on the doubled hat generators, built on the product
-    ring."""
-    ring = VarRing.matrix_ring(spec.n, spec.field, x0=True, y=True, y0=True)
+def _doubled_basis_reference(spec, block):
+    """Buchberger on the doubled generators of the block's ideal, the hat
+    ideal or I, built on the product ring."""
+    hat = block == "hat"
+    ring = VarRing.matrix_ring(spec.n, spec.field, x0=hat, y=True, y0=hat)
     gens = [change_ring(f, ring) for f in spec.generators if f]
     gens.extend(to_y_block_reference(f, ring) for f in spec.generators if f)
-    gens.append(build_f0(ring, "x"))
-    gens.append(build_f0(ring, "y"))
+    if hat:
+        gens.append(build_f0(ring, "x"))
+        gens.append(build_f0(ring, "y"))
     return ring, buchberger(gens, ring=ring).basis
 
 
 def _assert_product_base_matches_reference(spec):
-    gb = _Run(spec, Budget()).product_base(GBStats())
-    ring, ref = _doubled_basis_reference(spec)
-    assert gb.ring == ring
-    assert set(gb.basis) == set(ref), spec.generators
-    # Same order as well, so the membership tests see the same input.
-    assert gb.basis == ref, spec.generators
-    # The reducers shifted from the hat basis's are those prepared from
-    # the doubled basis, element by element: lead, lead coefficient and
-    # tail in the same order.
-    assert gb.reducers == groebner._prepare_reducers(gb.basis, ring)
+    for block in ("hat", "I"):
+        gb = _Run(spec, Budget()).product_base(block, GBStats())
+        ring, ref = _doubled_basis_reference(spec, block)
+        assert gb.ring == ring
+        assert set(gb.basis) == set(ref), (spec.generators, block)
+        # Same order as well, so the membership tests see the same input.
+        assert gb.basis == ref, (spec.generators, block)
+        # The reducers shifted from the block basis's are those prepared
+        # from the doubled basis, element by element: lead, lead
+        # coefficient and tail in the same order.
+        assert gb.reducers == groebner._prepare_reducers(gb.basis, ring)
 
 
 def test_product_base_matches_doubled_buchberger_on_q_fixtures(problems_dir):
@@ -346,8 +351,13 @@ def test_decisions_build_no_basis_as_polynomials(problems_dir,
 def test_product_base_of_a_trivial_block():
     # det(x) = 0 leaves no invertible point: the hat ideal is (1).
     spec = parse_problem("n 2\nfield Q\nx1*x4 - x2*x3\n")
-    gb = _Run(spec, Budget()).product_base(GBStats())
+    gb = _Run(spec, Budget()).product_base("hat", GBStats())
     assert gb.basis == [gb.ring.one()]
+    _assert_product_base_matches_reference(spec)
+    # x1 = 1 and x1 = 2 leave no point: I is (1).
+    spec = parse_problem("n 2\nfield Q\nx1 - 1\nx1 - 2\n")
+    gb = _Run(spec, Budget()).product_base("I", GBStats())
+    assert gb.basis == [gb.ring.one()] and not gb.ring.has("y0")
     _assert_product_base_matches_reference(spec)
 
 
@@ -415,6 +425,13 @@ def no_certificate(monkeypatch):
                         lambda *args: False)
 
 
+@pytest.fixture
+def hat_route_only(monkeypatch):
+    """Switches the route modulo I off: every closure check takes the hat
+    route."""
+    monkeypatch.setattr(_Run, "modulo_i", lambda self, stats: False)
+
+
 def _closure_outcomes(report):
     return {name: (res.verdict, res.witness_index)
             for name, res in report.checks.items()}
@@ -429,11 +446,12 @@ def _field_equation_fixtures(problems_dir):
                 yield add_field_equations(spec, q)
 
 
-def test_field_equation_bases_are_certified_by_the_engine(problems_dir,
-                                                          t_runs, request):
+def test_field_equation_bases_are_certified_by_the_engine(
+        problems_dir, hat_route_only, t_runs, request):
     # x^q - x is squarefree, so criterion (b) of `groebner` proves every
     # base ideal under field equations radical: no t*f - 1 run occurs,
-    # and the verdicts are those of the t*f - 1 route.
+    # and the verdicts are those of the t*f - 1 route.  The route modulo
+    # I is switched off, so that the hat bases are the ones tested.
     cases = list(_field_equation_corpus(101))
     fixtures = list(_field_equation_fixtures(problems_dir))
     assert len(fixtures) == 4
@@ -566,7 +584,8 @@ def test_field_equations_mark_the_hat_basis_radical(problems_dir,
             hat = run.ideal("hat", GBStats())
         except groebner.BudgetExhausted:
             continue
-        assert hat.radical is True, spec.generators
+        assert hat.radical is True and run.bases["I"].radical is True, \
+            spec.generators
         run_checks(spec, CLOSURE_CHECKS, budget=budget)
         assert minimal == [], spec.generators
         assert groebner._certify_radical(hat, budget.degree_cap), \
@@ -580,7 +599,7 @@ def _field_equation_places(text):
     return _Run(parse_problem(text), Budget()).field_equations
 
 
-def test_the_field_equation_guard_reads_the_generators():
+def test_the_field_equation_guard_reads_the_generators(request):
     # Taken: the equations of one q covering every entry, found by their
     # terms whether or not the problem records q, and in any place.
     # x1^9 - x1 alone covers no entry set of its own, so it is tested.
@@ -604,10 +623,13 @@ def test_the_field_equation_guard_reads_the_generators():
         "x1^2*x2 - x1\n" + others,
         "x1^3 - x1\nx2^3 - x2\nx3^9 - x3\nx4^9 - x4\n",
     ]
+    assert _field_equation_places("n 1\nfield Q\nx1^3 - x1\n") == set()
+    # On the hat route every tested generator needs the hat basis.  (On
+    # the route modulo I, I's basis may take no pair.)
+    request.getfixturevalue("hat_route_only")
     for gens in untested:
         assert _field_equation_places(f3 + gens) == set(), gens
         assert check_inversion(parse_problem(f3 + gens)).gb_pairs > 0, gens
-    assert _field_equation_places("n 1\nfield Q\nx1^3 - x1\n") == set()
 
 
 @pytest.mark.parametrize("p, q", [(3, 3), (2, 4)])
@@ -689,13 +711,16 @@ def test_field_equation_run_starts_no_process_pool():
     assert check_multiplication(restricted).verdict is True
 
 
-# The construction of each closure check's image, which builds the
-# expanded image on a table with no basis.
+# The construction of each closure check's image on the hat route and on
+# the route modulo I, which builds the expanded image on a table with no
+# basis; on the route modulo I it is padded by the determinants of the
+# blocks of PADS.
 EXPANDED_IMAGES = {
-    "inversion": eval_at_formal_inverse,
-    "multiplication": subst_product,
-    "division": subst_x_times_inverse_y,
+    "inversion": (eval_at_formal_inverse, eval_at_formal_inverse),
+    "multiplication": (subst_product, subst_product),
+    "division": (subst_x_times_inverse_y, subst_x_times_adj_y),
 }
+PADS = {"hat": (), "doubled hat": (), "I": ("x",), "doubled I": ("x", "y")}
 
 
 def _over_q(spec):
@@ -720,17 +745,28 @@ def test_reduced_images_equal_the_normal_forms_of_the_expanded_ones(
     for spec in specs:
         run = _Run(spec, Budget())
         gens = [f for f in spec.generators if f]
-        for name, (ideal, image) in decide._CLOSURE_CHECKS.items():
-            base = run.ideal(ideal, GBStats())
-            # One table per check: every generator's image reuses its
-            # pieces, as in a decision.
-            table = CofactorTable(base.ring, base)
-            expanded = CofactorTable(base.ring)
-            for f in gens:
-                want = normal_form(EXPANDED_IMAGES[name](f, expanded), base)
-                assert image(f, table) == want, (spec.generators, name, f)
-                compared[name] += 1
-    assert len(compared) == 3 and min(compared.values()) >= 200
+        for name, routes in decide._CLOSURE_CHECKS.items():
+            for (ideal, image), expand in zip(routes, EXPANDED_IMAGES[name]):
+                if PADS[ideal] and spec.n == 5:
+                    # x2 at n=5: I is positive-dimensional, so no decision
+                    # builds its padded images, and the doubled one takes
+                    # seconds.
+                    continue
+                base = run.ideal(ideal, GBStats())
+                # One table per check: every generator's image reuses its
+                # pieces, as in a decision.
+                table = CofactorTable(base.ring, base)
+                expanded = CofactorTable(base.ring)
+                for f in gens:
+                    # NF(det*g) = NF(det*NF(g)): the padding is reduced
+                    # one block at a time, so it stays small.
+                    want = normal_form(expand(f, expanded), base)
+                    for block in PADS[ideal]:
+                        want = normal_form(expanded.det(block) * want, base)
+                    assert image(f, table) == want, (spec.generators, name,
+                                                     ideal, f)
+                    compared[name, ideal] += 1
+    assert len(compared) == 6 and min(compared.values()) >= 200
 
 
 def test_x2_division_builds_at_most_n_cofactors():
@@ -740,7 +776,7 @@ def test_x2_division_builds_at_most_n_cofactors():
     n = 5
     run = _Run(parse_problem(f"n {n}\nfield Q\nx2\n"), Budget())
     assert run.check("division").verdict is False
-    table = run.tables["doubled"]
+    table = run.tables["doubled hat"]
     cofactors = [key for key in table.minors
                  if key[0] == "y" and len(key[1]) == n - 1]
     assert len(cofactors) == n - 1
@@ -998,9 +1034,16 @@ def test_base_bases_built_on_i_match_the_raw_generators(problems_dir,
 
 def test_the_doubled_basis_asks_the_hat_basis_whether_it_is_radical(
         problems_dir, monkeypatch):
-    # The doubled ideal is radical exactly when the hat ideal is, so its
-    # first certificate is decided on the hat basis, over half the
-    # variables, even on a group-alt run that never tests inversion.
+    # The doubled ideal is radical exactly when its block's ideal is, so
+    # its first certificate is decided on the block's basis, over half
+    # the variables, even on a group-alt run that never tests inversion.
+    # The block is the hat ideal on the hat route, and I on the route
+    # modulo I, where the route itself asks I's basis first.  The three
+    # problems added to the fixtures take the hat route.
+    specs = [load_problem(path) for path in sorted(problems_dir.glob("*.alg"))]
+    specs += [parse_problem(text) for text in (
+        "n 3\nfield Q\nx2\n", "n 2\nfield Q\nx2 - x3\n",
+        "n 2\nfield F 3\nx2 - x3\n")]
     calls = []
     real = groebner._certify_radical
 
@@ -1009,16 +1052,17 @@ def test_the_doubled_basis_asks_the_hat_basis_whether_it_is_radical(
         return real(gb, degree_cap)
 
     monkeypatch.setattr(groebner, "_certify_radical", counting)
-    false = 0
-    for path in sorted(problems_dir.glob("*.alg")):
-        spec = load_problem(path)
+    false = Counter()
+    for spec in specs:
+        on_i = _Run(spec, Budget()).modulo_i(GBStats())
+        block = spec.n ** 2 + (not on_i)  # I's variables, or with x0
         calls.clear()
         checks = run_checks(spec, ["group-alt"]).checks
-        assert 2 * spec.n ** 2 + 2 not in calls, path.name
+        assert 2 * block not in calls, spec.source
         if checks["identity"].verdict and checks["division"].verdict is False:
-            assert calls == [spec.n ** 2 + 1], path.name
-            false += 1
-    assert false >= 3
+            assert calls == [block], spec.source
+            false[on_i] += 1
+    assert false[False] >= 3 and false[True] >= 3, false
 
 
 def test_det_is_built_once_for_the_hat_ideal_and_i_plus_det(problem,
@@ -1031,13 +1075,23 @@ def test_det_is_built_once_for_the_hat_ideal_and_i_plus_det(problem,
         return real(*args, **kwargs)
 
     monkeypatch.setattr(decide, "det_poly", counting)
-    spec = add_field_equations(problem("diag-antidiag-f3.alg"), 3)
+    # The hat route: I is positive-dimensional.
+    spec = problem("diag-antidiag-f3.alg")
     run_checks(spec, ["group", "vstar-eq"])
     assert len(calls) == 1
     # A run that builds one of the two keeps no det once it is built.
     run = _Run(spec, Budget(), {"hat"})
     run.ideal("hat", GBStats())
     assert run._det is None
+    # On the route modulo I, under field equations, det is read from I's
+    # CofactorTable, which the inversion images share, and I + (det)
+    # reads it there too.
+    calls.clear()
+    run = _Run(add_field_equations(spec, 3), Budget(), {"hat", "I+det"})
+    assert run.check("inversion").verdict is not None
+    assert run.check("variety_equals_vstar").verdict is not None
+    assert calls == [] and run._det is None
+    assert "hat" not in run.bases and run.tables["I"].minors
 
 
 def test_seed_101_problem_13_decides_division_in_few_pairs():
@@ -1096,3 +1150,82 @@ def test_inert_generators_change_no_basis_or_pair_count(problems_dir,
     assert sum(1 for count in fired if count) >= 10
     monkeypatch.setattr(groebner, "_inert_generators", lambda *args: set())
     assert [bases(spec) for spec in specs] == want
+
+
+def _scaled(spec, rng):
+    """The problem with each generator scaled by a random nonzero integer
+    of at most 9, as the benchmark's large-n families are."""
+    ring = spec.ring
+    return respec(spec, generators=[
+        f * ring.const(rng.choice((-1, 1)) * rng.randint(1, 9))
+        for f in spec.generators])
+
+
+def _route_corpus(problems_dir):
+    """Problems whose I takes the route modulo I: the F_p corpora of
+    seeds 101, 202 and 303 with field equations, and without them where
+    I is zero-dimensional and proven radical; three fixtures; and the
+    diagonal families of the benchmark at n=4, scaled."""
+    specs = []
+    for seed in (101, 202, 303):
+        for spec, p in _random_corpus(seed):
+            specs.append(add_field_equations(spec, p))
+            if _Run(spec, Budget()).modulo_i(GBStats()):
+                specs.append(spec)
+    specs += [load_problem(problems_dir / name) for name in
+              ("cubic-roots.alg", "fourth-roots.alg", "cubic-roots-f5.alg")]
+    rng = random.Random(4)
+    specs += [_scaled(_diagonal_family(4, quadratic), rng)
+              for quadratic in ("{d}^2 - 1", "({d} - 1)*({d} - 2)")
+              for _ in range(2)]
+    return specs
+
+
+def test_the_route_modulo_i_matches_the_hat_route(problems_dir, request):
+    specs = _route_corpus(problems_dir)
+    assert all(_Run(spec, Budget()).modulo_i(GBStats()) for spec in specs)
+    assert sum(not spec.field_equations_q and spec.field.characteristic
+               for spec in specs) >= 10
+    got = [run_checks(spec, CLOSURE_CHECKS) for spec in specs]
+    # Over F_p with field equations V(I) is its F_p points: the oracle
+    # decides inversion and multiplication by exhaustion.
+    oracle = 0
+    for spec, report in zip(specs, got):
+        if spec.field_equations_q:
+            brute = is_group_bruteforce(enumerate_variety(spec))
+            checks = report.checks
+            assert (checks["inversion"].verdict,
+                    checks["multiplication"].verdict) == \
+                (brute.inversion, brute.multiplication), spec.generators
+            oracle += 1
+    assert oracle == 60
+    request.getfixturevalue("hat_route_only")
+    false = 0
+    for spec, report in zip(specs, got):
+        want = _closure_outcomes(run_checks(spec, CLOSURE_CHECKS))
+        assert _closure_outcomes(report) == want, (spec.source,
+                                                   spec.generators)
+        false += sum(verdict is False for verdict, _ in want.values())
+    assert false >= 60, false
+
+
+@pytest.mark.parametrize("text, bases", [
+    # Radical, positive-dimensional: inversion is false.
+    ("n 7\nfield Q\nx2\n", {"I", "hat"}),
+    # Zero-dimensional, not radical: (x1 - 1)^3 is a factor.
+    ("n 1\nfield F 3\n(x1 - 1)^3*(x1^2 + 1)\n", {"I", "hat", "doubled hat"}),
+    # Zero-dimensional and radical.
+    ("n 2\nfield Q\nx2\nx3\nx1^2 - 1\nx4^2 - 1\n", {"I", "doubled I"}),
+    ("n 2\nfield Q\nx2\nx3\n(x1 - 1)*(x1 - 2)\nx4^2 - 1\n", {"I"}),
+    # Under field equations, which no closure check tests.
+    ("n 1\nfield F 3\nx1^3 - x1\n", set()),
+    ("n 1\nfield F 3\nx1 - 1\nx1^3 - x1\n", {"I", "doubled I"})])
+def test_the_route_modulo_i_builds_no_hat_basis(text, bases):
+    # `group` stops at the first check that is not true; every field
+    # equation is left untested, and with nothing else to test no basis
+    # is built.
+    run = _Run(parse_problem(text), Budget())
+    for name in ("identity", "inversion", "multiplication"):
+        if run.check(name).verdict is not True:
+            break
+    assert set(run.bases) == bases

@@ -195,7 +195,7 @@ def test_membership_soundness_random():
                         coeff_terms[tuple(exps)] = c
                 combo = combo + Polynomial(r, coeff_terms) * g
             assert normal_form(combo, gb.basis) == r.zero()
-            assert radical_membership(combo, gens)
+            assert radical_membership(combo, gb)
 
 
 def test_contains_one_examples():
@@ -220,11 +220,11 @@ def test_contains_one_examples():
 def test_radical_membership_examples():
     r = ring2()
     x1, x2 = r.var("x1"), r.var("x2")
-    assert radical_membership(x1, [x1 * x1])
-    assert not radical_membership(x1, [x2])
-    assert radical_membership(x1 + x2, [(x1 + x2) ** 3])
-    assert radical_membership(r.zero(), [])
-    assert not radical_membership(x1, [])
+    assert radical_membership(x1, buchberger([x1 * x1]))
+    assert not radical_membership(x1, buchberger([x2]))
+    assert radical_membership(x1 + x2, buchberger([(x1 + x2) ** 3]))
+    assert radical_membership(r.zero(), buchberger([], ring=r))
+    assert not radical_membership(x1, buchberger([], ring=r))
 
 
 def plane(field=QQ):
@@ -287,9 +287,12 @@ def test_uncertified_ideals_still_run_t_times_f_minus_one(monkeypatch):
     for f in (x1, x1 - 2):
         assert not radical_membership(f, certified)
     assert certified.radical is True and len(calls) == 1
-    # Without a basis there is no answer to keep: t*f - 1 runs.
-    assert not radical_membership(x1, certified.basis)
-    assert len(calls) == 2
+    # Another basis of the same ideal decides its certificate anew and
+    # keeps its own answer; no t*f - 1 runs.
+    fresh = buchberger(certified.basis)
+    assert fresh.radical is None
+    assert not radical_membership(x1, fresh)
+    assert fresh.radical is True and len(calls) == 1
 
 
 def test_a_power_bound_that_is_hit_proves_nothing():
@@ -374,7 +377,7 @@ def test_minimal_polynomials_over_prime_fields(field, roots):
 def test_radical_membership_rejects_ring_with_t():
     ring = VarRing(("t", "u"), QQ)
     with pytest.raises(ValueError, match="t"):
-        radical_membership(ring.var("u"), [ring.var("t")])
+        radical_membership(ring.var("u"), buchberger([ring.var("t")]))
 
 
 def test_a_basis_refuses_polynomials_of_another_ring():
@@ -409,7 +412,7 @@ def test_ideal_membership_implies_radical_membership():
                 terms[tuple(exps)] = c
         f = Polynomial(r, terms)
         if normal_form(f, gb.basis) == r.zero():
-            assert radical_membership(f, gens)
+            assert radical_membership(f, gb)
 
 
 def test_pair_budget_exhaustion():
