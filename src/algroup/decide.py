@@ -3,8 +3,9 @@ variety forms a group under multiplication.
 
 The standard route runs three checks: the identity matrix satisfies
 every generator; closure under inversion; and closure under
-multiplication.  The alternative route fuses the last two into a single
-closure-under-division check.  All verdicts are exact and hold over the
+multiplication.  The alternative route runs the identity check and
+closure under division, which is decided as closure under
+multiplication (below).  All verdicts are exact and hold over the
 algebraic closure of the coefficient field; computing over the base
 field is sound because triviality of an ideal does not change under
 field extension.
@@ -21,9 +22,7 @@ problem:
   vanishes on V*(I) over the closure, that is, by the Nullstellensatz,
   exactly when det*h lies in rad(I);
 - `multiplication`: the doubled hat ideal on the x and y blocks; the
-  generator at the product X*Y;
-- `division`: the doubled hat ideal; the generator at X*Y^-1, with y0
-  for 1/det(Y).
+  generator at the product X*Y.
 
 The route modulo I serves the problems whose I has a reduced basis G
 that is zero-dimensional (every entry variable has a pure power among
@@ -34,9 +33,7 @@ V(I):
 
 - `inversion`: r*h modulo G;
 - `multiplication`: r(x)*r(y)*f(X*Y) modulo G(x) + G(y), the doubled
-  basis of I on the x and y blocks, in a ring without x0 and y0;
-- `division`: r(x)*r(y)*det(Y)^L*f(X*adj(Y)/det(Y)) modulo the same
-  basis.
+  basis of I on the x and y blocks, in a ring without x0 and y0.
 
 A padded image vanishes on V(I), or on V(I) x V(I), exactly where the
 hat route's image vanishes on V*(I), or on V*(I) x V*(I): so by the
@@ -51,6 +48,20 @@ there the padded images grow without that bound (when every inversion
 check used them, `x2` at n=7 took 25.9 s and 891 MB).  So does a
 zero-dimensional I that is not proven radical, whose false tests would
 each need a `t*f - 1` run.
+
+`division` runs the multiplication row on both routes: the same base,
+image and tests, reported under its own name.  V*(I) is closed in GL_n,
+and a nonempty closed subsemigroup M of GL_n is a group (Putcha, Linear
+Algebraic Monoids, 1988): for x in M the closed sets M, xM, x^2*M, ...
+descend, so they stop by Noetherianity, x^k*M = x^(k+1)*M, and
+multiplying by x^-k gives M = xM; from x = x*s with s in M, 1 = s lies
+in M, and from 1 = x*m, x^-1 = m does.  So V*(I) closed under
+multiplication is a group, hence closed under division; closed under
+division, it holds x*x^-1 = 1, then 1*y^-1 and x*(y^-1)^-1 = x*y.  When
+V*(I) is empty both hold vacuously.  The two checks therefore give one
+verdict on every problem, over every field, and no quotient X*Y^-1 is
+built.  A report that holds both shares one result: the second reuses
+the first's, and runs no test again.
 
 A reduced basis already computed moves into a larger ring one way: it
 seeds the run there (`groebner.buchberger`'s `seed`), its prepared
@@ -73,7 +84,7 @@ and the normal form modulo a Groebner basis of J is a ring map onto
 R/J: NF(a*b) = NF(NF(a)*NF(b)) (Cox, Little and O'Shea, Ideals,
 Varieties, and Algorithms, ch. 2 section 6).  So the pieces of an image
 (the adjugate and the determinants with their powers, or the entries
-of X*Y, X*adj(Y) or y0*X*adj(Y)) are reduced modulo the base basis as
+of X*Y) are reduced modulo the base basis as
 they are built, and the image is their normal form.  The pieces depend
 on the base basis only, so a run keeps them in one
 `matrices.CofactorTable` per base, for every generator of every check
@@ -130,8 +141,8 @@ its basis exactly when they hold for J's.
 Field equations need no closure test.  When one q, a power of the
 characteristic p > 0, has the generator x_k^q - x_k for every entry
 k = 1..n*n, every point of V(I) has its entries in F_q.  F_q is a
-field, so the inverse of an invertible point, and the product and the
-quotient of two, have their entries in F_q too: the image of each of
+field, so the inverse of an invertible point, and the product of two,
+have their entries in F_q too: the image of each of
 these generators vanishes on V*(I), or on V*(I) x V*(I), and by the
 Nullstellensatz lies in the radical of the check's base ideal.  A
 closure check therefore tests only the other generators, reporting them
@@ -145,7 +156,8 @@ equations, or the equations without it.
 `run_checks` is the one entry point, for the library and the CLI alike:
 it runs a list of check names against one `_Run` into one report.  A
 `_Run` holds the problem, its budget, and the one Groebner computation
-of each base ideal; the report's checks are the only memo of results.
+of each base ideal; `run_checks` keeps one result per check it runs,
+which every report name that check decides shares.
 The single-check functions and `is_group`/`is_group_alt` are one-line
 calls to `run_checks`.
 """
@@ -160,8 +172,7 @@ from .groebner import (Budget, BudgetExhausted, GBStats, GroebnerBasis,
                        buchberger, contains_one, moved_reducers,
                        radical_membership)
 from .matrices import (CofactorTable, build_f0, det_poly,
-                       eval_at_formal_inverse, subst_product,
-                       subst_x_times_adj_y, subst_x_times_inverse_y)
+                       eval_at_formal_inverse, subst_product)
 from .parsing import ProblemSpec
 from .poly import MAX_ENGINE_DEGREE, Polynomial, VarRing, change_ring
 
@@ -313,11 +324,11 @@ _CLOSURE_CHECKS = {
         ("doubled hat", lambda f, t: subst_product(f, t)),
         ("doubled I",
          lambda f, t: _padded(subst_product(f, t), t, "x", "y"))),
-    "division": (
-        ("doubled hat", lambda f, t: subst_x_times_inverse_y(f, t)),
-        ("doubled I",
-         lambda f, t: _padded(subst_x_times_adj_y(f, t), t, "x", "y"))),
 }
+
+# Report names decided by another closure check: closure under division
+# and under multiplication give one verdict (see the module docstring).
+_DECIDED_AS = {"division": "multiplication"}
 
 
 def _is_power_of(q: int, p: int) -> bool:
@@ -390,8 +401,9 @@ class _Run:
 
     A computation's pairs count in the check that runs it.  `seeded`
     holds the ideals seeded with I's basis, "hat" and "I+det", that the
-    run's checks may still build; det(x) reduced modulo I is kept for
-    the second of them only, unless I's CofactorTable keeps it.
+    run's checks may still build.  det(x) reduced modulo I is kept on
+    I's CofactorTable when I is zero-dimensional, and otherwise in
+    `_det`, for the second of them only.
     """
 
     def __init__(self, problem: ProblemSpec, budget: Budget,
@@ -436,16 +448,18 @@ class _Run:
                                                        Polynomial]:
         """(seed, det) for building the ideal `name` of `seeded`, which
         leaves `seeded`: I's reduced basis, computed on first use, and
-        det(x) reduced modulo it.  On the route modulo I, det is read
-        from I's CofactorTable, which the run keeps.  Otherwise it is
+        det(x) reduced modulo it.  When I is zero-dimensional, det is
+        read from I's CofactorTable, which the run keeps: the route
+        modulo I pads its images by it, whichever check comes first, and
+        its pieces have at most dim R/I terms each.  Otherwise it is
         built on a CofactorTable that is not kept, since I is then the
         base of no check, and det is kept only while another ideal of
         `seeded` is still to be built: at n = 9 it can hold most of the
         run's memory."""
         self.seeded.discard(name)
         gb = self.ideal("I", stats)
-        if "I" in self.tables:
-            return gb, self.tables["I"].det("x")
+        if gb.is_zero_dimensional:
+            return gb, self.table("I").det("x")
         det = self._det
         if det is None:
             det = det_poly(gb.ring, "x", gb)
@@ -500,7 +514,7 @@ class _Run:
                                start, stats)
             except BudgetExhausted as exc:
                 return _result(None, start, stats, undecided_reason=str(exc))
-        return self.closure_check(name)
+        return self.closure_check(_DECIDED_AS.get(name, name))
 
     def closure_check(self, name: str) -> CheckResult:
         """Run the closure check `name` of `_CLOSURE_CHECKS`, on the route
@@ -558,7 +572,7 @@ _GROUP_CHECKS = {
 _REPORT_NAMES = {"vstar-eq": "variety_equals_vstar"}
 
 # Every check name `run_checks` accepts.
-_CHECK_NAMES = ("identity", *_CLOSURE_CHECKS, *_GROUP_CHECKS,
+_CHECK_NAMES = ("identity", *_CLOSURE_CHECKS, *_DECIDED_AS, *_GROUP_CHECKS,
                 *_REPORT_NAMES, *_REPORT_NAMES.values())
 
 
@@ -568,8 +582,9 @@ def run_checks(problem: ProblemSpec, checks, *,
 
     A check is a command-line name (`identity`, `inversion`, `multiplication`,
     `group`, `group-alt`, `vstar-eq`) or the report name of a single check
-    (`division`, `variety_equals_vstar`).  Each report check runs once, and
-    each base ideal's basis is computed once for all of them.  The report is
+    (`division`, `variety_equals_vstar`).  Each report check runs once,
+    `division` and `multiplication` share one result, and each base
+    ideal's basis is computed once for all of them.  The report is
     in "alt" mode exactly when `group-alt` is the only check.  An unknown
     name raises ValueError before any check runs.
     """
@@ -581,17 +596,22 @@ def run_checks(problem: ProblemSpec, checks, *,
     names = [step for check in checks
              for step in (_GROUP_CHECKS[check][1] if check in _GROUP_CHECKS
                           else (_REPORT_NAMES.get(check, check),))]
-    seeded = {"hat" for name in names if name in _CLOSURE_CHECKS}
+    seeded = {"hat" for name in names
+              if _DECIDED_AS.get(name, name) in _CLOSURE_CHECKS}
     if "variety_equals_vstar" in names:
         seeded.add("I+det")
     run = _Run(problem, budget or Budget(), seeded)
     report = new_report(problem, "alt" if checks == ["group-alt"]
                         else "standard")
 
+    decided: dict = {}  # check run -> its result, for every name it decides
+
     def result(name: str) -> CheckResult:
-        if name not in report.checks:
-            report.checks[name] = run.check(name)
-        return report.checks[name]
+        step = _DECIDED_AS.get(name, name)
+        if step not in decided:
+            decided[step] = run.check(step)
+        report.checks[name] = decided[step]
+        return decided[step]
 
     for check in checks:
         if check not in _GROUP_CHECKS:
@@ -643,11 +663,12 @@ def check_multiplication(problem: ProblemSpec, *,
 
 def check_division(problem: ProblemSpec, *,
                    budget: Budget | None = None) -> CheckResult:
-    """Closure under right division: each generator at x times the formal
-    inverse of y must lie in the radical of the doubled witness ideal,
-    or, on the route modulo I, homogenized by det(y) and times
-    det(x)*det(y), in I doubled.  Together with the identity check this
-    already decides the group property."""
+    """Closure under right division, decided as closure under
+    multiplication: V*(I) is closed in GL_n, and a nonempty closed
+    subsemigroup of GL_n is a group, so the two give one verdict (see
+    the module docstring).  The witness is a generator at X*Y, and the
+    pairs are those of the product tests.  Together with the identity
+    check this decides the group property."""
     return run_checks(problem, ["division"], budget=budget).checks["division"]
 
 
@@ -662,7 +683,7 @@ def is_group(problem: ProblemSpec, *,
 
 def is_group_alt(problem: ProblemSpec, *,
                  budget: Budget | None = None) -> DecisionReport:
-    """Identity, then the fused closure-under-division check."""
+    """Identity, then closure under division."""
     return run_checks(problem, ["group-alt"], budget=budget)
 
 

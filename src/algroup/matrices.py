@@ -4,10 +4,16 @@ The x block identifies the variable x_{(i-1)n+j} with matrix entry
 (i, j), row major; the y block does the same with y variables.  This
 module provides the determinant and the adjugate entries of a block
 (`CofactorTable`), the invertibility witness x0*det(x) - 1, the
-matrix-product substitution, and the numerators of a polynomial at the
-formal inverse X^-1 and at X*Y^-1: the second either with the witness
-variable y0 for det(Y)^-1 or homogenized by det(Y) as the first is by
-det(X) (`_homogenized`).
+matrix-product substitution, and the numerator of a polynomial at the
+formal inverse X^-1, homogenized by det(X).
+
+No construction builds a quotient X*Y^-1.  V*(I) is closed in GL_n, and
+a nonempty closed subsemigroup M of GL_n is a group (Putcha, Linear
+Algebraic Monoids, 1988): for x in M the closed sets M, xM, x^2*M, ...
+descend, so they stop, and then M = xM; from x = x*s in xM, 1 = s lies
+in M, and from 1 = x*m, x^-1 = m does.  So closure under division and
+closure under multiplication give one verdict, and `decide` decides
+both through the product image.
 
 Each closure-check construction takes one argument besides the
 polynomial: a CofactorTable, whose ring is the target ring and whose
@@ -16,7 +22,7 @@ pieces that do not depend on the polynomial being mapped, for every
 construction on that base: the block entries, each entry variable
 replaced by its normal form when that has at most one term; the minors,
 which the determinant and every adjugate entry share; the determinant
-powers; and the entry images of the two substitutions.  Each piece is
+powers; and the entry images of the product.  Each piece is
 built on first use, so an image builds only the entry images, adjugate
 entries and cofactors of the variables its polynomial mentions, and a
 zero entry drops out of every product it meets.
@@ -62,7 +68,7 @@ class CofactorTable:
     """The pieces of the closure-check images in one ring modulo one
     basis, each built on first use and kept: the entries of a block,
     its minors, determinant and determinant powers, the adjugate
-    entries, and the entry images of the substitutions.  Every piece
+    entries, and the entry images of the product.  Every piece
     but an entry is reduced modulo `modulo` as it is built.
 
     An entry variable is replaced by its normal form when that form has
@@ -88,7 +94,7 @@ class CofactorTable:
         self.modulo = modulo
         self.reduce = _reduction(modulo)
         self.minors: dict = {}  # (block, rows, cols) -> reduced minor
-        self.images: dict = {}  # (kind, i, j) -> reduced image
+        self.images: dict = {}  # (i, j) -> reduced entry (i, j) of X*Y
         self._forms: dict | None = None
         self._entries: dict = {}
         self._floors: dict = {}
@@ -232,82 +238,32 @@ def _position(name: str, n: int) -> tuple[int, int]:
     return divmod(int(name[1:]) - 1, n)
 
 
-def _entry_images(f: Polynomial, table: CofactorTable, kind: str,
-                  entry) -> dict:
-    """Variable name -> entry(i - 1, j - 1) of the table's ring, reduced,
-    for each x_{(i-1)n+j} that f mentions.  The reduced entry images are
-    kept in table.images under (kind, i - 1, j - 1), and only the ones f
-    mentions are built."""
-    n = f.ring.n
-    images = {}
-    for name in _x_block_names(f):
-        key = (kind, *_position(name, n))
-        img = table.images.get(key)
-        if img is None:
-            img = table.images[key] = table.reduce(entry(*key[1:]))
-        images[name] = img
-    return images
-
-
-def _substitute(f: Polynomial, table: CofactorTable, kind: str,
-                entry) -> Polynomial:
-    """f with each x_{(i-1)n+j} it mentions replaced by entry(i - 1,
-    j - 1) of the table's ring, reduced (`_entry_images`).  A linear
-    combination of reduced polynomials is reduced, so the image of a
-    linear form is not reduced again."""
-    out = f.substitute(_entry_images(f, table, kind, entry), table.ring)
-    linear_form = f.total_degree() == 1 and 0 not in f.terms
-    return out if linear_form else table.reduce(out)
-
-
-def _homogenized(f: Polynomial, table: CofactorTable, block: str,
-                 images: dict) -> Polynomial:
-    """det(block)^L * f(E/det(block)) in the table's ring, for the entry
-    images E of `images` (variable name -> reduced polynomial) and L the
-    total degree of f: a term of degree m contributes its coefficient
-    times its product of entry images times det^(L-m).  Modulo the
-    table's basis the result is a normal form; the determinant powers
-    its terms need are kept in the table."""
-    ring = table.ring
-    f = change_ring(f, ring)
-    if not f:
-        return ring.zero()
-    images = {ring.index(name): img for name, img in images.items()}
-    degree = f.total_degree()
-    codec = ring.codec
-    power_cache: dict = {}
-    acc = ring.zero()
-    for m, c in f.terms.items():
-        term = ring.const(c) * table.det_power(block, degree - codec.degree(m))
-        for key in codec.factors(m):
-            p = power_cache.get(key)
-            if p is None:
-                p = power_cache[key] = images[key[0]] ** key[1]
-            term = term * p
-        acc = acc + term
-    if degree != 1:  # else a linear combination of entry images and det
-        acc = table.reduce(acc)
-    return acc
-
-
 def subst_product(f: Polynomial, table: CofactorTable) -> Polynomial:
     """f with each entry variable replaced by the matrix-product entry:
     x_{(i-1)n+j} maps to the (i, j) entry of X*Y in the table's ring.
 
     Modulo the table's basis, the entries of X*Y and the result are
-    normal forms, and the table keeps the entry images for every call.
+    normal forms.  Only the entries f mentions are built, and the table
+    keeps them under their 0-based (i, j) for every call.  A linear
+    combination of reduced polynomials is reduced, so the image of a
+    linear form is not reduced again.
     """
-    target = table.ring
+    target, n = table.ring, table.ring.n
     x, y = table.entries("x"), table.entries("y")
-
-    def entry(i: int, j: int) -> Polynomial:
-        acc = target.zero()
-        for k in range(target.n):
-            if x[i][k] and y[k][j]:
-                acc = acc + x[i][k] * y[k][j]
-        return acc
-
-    return _substitute(f, table, "product", entry)
+    images = {}
+    for name in _x_block_names(f):
+        i, j = key = _position(name, n)
+        img = table.images.get(key)
+        if img is None:
+            acc = target.zero()
+            for k in range(n):
+                if x[i][k] and y[k][j]:
+                    acc = acc + x[i][k] * y[k][j]
+            img = table.images[key] = table.reduce(acc)
+        images[name] = img
+    out = f.substitute(images, target)
+    linear_form = f.total_degree() == 1 and 0 not in f.terms
+    return out if linear_form else table.reduce(out)
 
 
 def eval_at_formal_inverse(f: Polynomial,
@@ -324,57 +280,24 @@ def eval_at_formal_inverse(f: Polynomial,
     entries of the variables f mentions, and the determinant powers its
     terms need, are built, and the table keeps them for every f.
     """
-    n = table.ring.n
-    return _homogenized(f, table, "x", {
-        name: table.adj("x", *_position(name, n))
-        for name in _x_block_names(f)})
-
-
-def _x_times_adj_y(table: CofactorTable):
-    """The entry (i, j) of X*adj(Y) in the table's ring, as a function of
-    the 0-based (i, j): the sum over the nonzero entries x_ik of X of
-    x_ik times the cofactor of Y that makes adj(Y)_kj."""
-    target = table.ring
-    x = table.entries("x")
-
-    def entry(i: int, j: int) -> Polynomial:
-        acc = target.zero()
-        for k in range(target.n):
-            if x[i][k]:
-                acc = acc + x[i][k] * table.adj("y", k, j)
-        return acc
-
-    return entry
-
-
-def subst_x_times_inverse_y(f: Polynomial,
-                            table: CofactorTable) -> Polynomial:
-    """f with entry (i, j) replaced by y0 times the (i, j) entry of
-    X*adj(Y) in the table's ring; modulo the y-block witness relation,
-    y0 stands for det(y)^-1, so this represents f at x times the formal
-    inverse of y.
-
-    Modulo the table's basis, the cofactors of Y, the entry images and
-    the result are normal forms.  An entry image takes only the
-    cofactors of Y that meet a nonzero entry of X, and only the entries
-    f mentions are built; the table keeps the cofactors and entry images
-    for every call.
-    """
-    y0, x_adj_y = table.ring.var("y0"), _x_times_adj_y(table)
-    return _substitute(f, table, "quotient",
-                       lambda i, j: y0 * x_adj_y(i, j))
-
-
-def subst_x_times_adj_y(f: Polynomial, table: CofactorTable) -> Polynomial:
-    """det(Y)^L * f(X*adj(Y)/det(Y)) in the table's ring, L the total
-    degree of f: f at x times the formal inverse of y, homogenized by
-    det(Y) as `eval_at_formal_inverse` homogenizes f at X^-1 by det(X).
-    It needs no witness variable y0.
-
-    Modulo the table's basis it is a normal form.  The entries of
-    X*adj(Y) that f mentions are built as for `subst_x_times_inverse_y`,
-    without y0, and the table keeps them, the cofactors of Y and the
-    powers of det(Y) for every call.
-    """
-    images = _entry_images(f, table, "x adj y", _x_times_adj_y(table))
-    return _homogenized(f, table, "y", images)
+    ring = table.ring
+    adj = {ring.index(name): table.adj("x", *_position(name, ring.n))
+           for name in _x_block_names(f)}
+    f = change_ring(f, ring)
+    if not f:
+        return ring.zero()
+    degree = f.total_degree()
+    codec = ring.codec
+    power_cache: dict = {}
+    acc = ring.zero()
+    for m, c in f.terms.items():
+        term = ring.const(c) * table.det_power("x", degree - codec.degree(m))
+        for key in codec.factors(m):
+            p = power_cache.get(key)
+            if p is None:
+                p = power_cache[key] = adj[key[0]] ** key[1]
+            term = term * p
+        acc = acc + term
+    if degree != 1:  # else a linear combination of adjugate entries and det
+        acc = table.reduce(acc)
+    return acc

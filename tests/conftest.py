@@ -9,7 +9,8 @@ from algroup import (QQ, ParseError, Polynomial, PrimeField, ProblemSpec,
                      VarRing, buchberger, change_ring, det_poly,
                      load_problem, radical_membership)
 from algroup.groebner import _divided, _prepare, _spair_terms
-from algroup.matrices import CofactorTable, build_f0, eval_at_formal_inverse
+from algroup.matrices import (CofactorTable, _position, _x_block_names,
+                              build_f0, eval_at_formal_inverse)
 from algroup.poly import MAX_ENGINE_DEGREE, _degree_error
 
 PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "problems"
@@ -76,6 +77,73 @@ def padded_inverse_reference(spec):
                 det * eval_at_formal_inverse(f, table), gb):
             return False, idx
     return True, None
+
+
+# The reference quotient image: f at X*Y^-1, as y0 times the entries of
+# X*adj(Y), the construction of the division check before it was decided
+# through the product image.
+
+def _entry_images(f: Polynomial, table: CofactorTable, kind: str,
+                  entry) -> dict:
+    """Variable name -> entry(i - 1, j - 1) of the table's ring, reduced,
+    for each x_{(i-1)n+j} that f mentions.  The reduced entry images are
+    kept in table.images under (kind, i - 1, j - 1), and only the ones f
+    mentions are built."""
+    n = f.ring.n
+    images = {}
+    for name in _x_block_names(f):
+        key = (kind, *_position(name, n))
+        img = table.images.get(key)
+        if img is None:
+            img = table.images[key] = table.reduce(entry(*key[1:]))
+        images[name] = img
+    return images
+
+
+def _substitute(f: Polynomial, table: CofactorTable, kind: str,
+                entry) -> Polynomial:
+    """f with each x_{(i-1)n+j} it mentions replaced by entry(i - 1,
+    j - 1) of the table's ring, reduced (`_entry_images`).  A linear
+    combination of reduced polynomials is reduced, so the image of a
+    linear form is not reduced again."""
+    out = f.substitute(_entry_images(f, table, kind, entry), table.ring)
+    linear_form = f.total_degree() == 1 and 0 not in f.terms
+    return out if linear_form else table.reduce(out)
+
+
+def _x_times_adj_y(table: CofactorTable):
+    """The entry (i, j) of X*adj(Y) in the table's ring, as a function of
+    the 0-based (i, j): the sum over the nonzero entries x_ik of X of
+    x_ik times the cofactor of Y that makes adj(Y)_kj."""
+    target = table.ring
+    x = table.entries("x")
+
+    def entry(i: int, j: int) -> Polynomial:
+        acc = target.zero()
+        for k in range(target.n):
+            if x[i][k]:
+                acc = acc + x[i][k] * table.adj("y", k, j)
+        return acc
+
+    return entry
+
+
+def subst_x_times_inverse_y(f: Polynomial,
+                            table: CofactorTable) -> Polynomial:
+    """f with entry (i, j) replaced by y0 times the (i, j) entry of
+    X*adj(Y) in the table's ring; modulo the y-block witness relation,
+    y0 stands for det(y)^-1, so this represents f at x times the formal
+    inverse of y.
+
+    Modulo the table's basis, the cofactors of Y, the entry images and
+    the result are normal forms.  An entry image takes only the
+    cofactors of Y that meet a nonzero entry of X, and only the entries
+    f mentions are built; the table keeps the cofactors and entry images
+    for every call.
+    """
+    y0, x_adj_y = table.ring.var("y0"), _x_times_adj_y(table)
+    return _substitute(f, table, "quotient",
+                       lambda i, j: y0 * x_adj_y(i, j))
 
 
 def hat_ideal_reference(problem):

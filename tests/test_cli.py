@@ -176,9 +176,9 @@ def test_oversized_coefficient_is_an_input_error(tmp_path):
 
 
 def test_x2_division_at_n8_ends_with_a_report_in_1_gb(tmp_path):
-    # The image of x2 under X -> X*Y^-1 is one entry of y0*X*adj(Y), and
-    # that entry takes seven cofactors of Y (x2 is zero): only those are
-    # built, not all 64 entries of about 40,000 terms each.
+    # division is decided through the product image: the image of x2 is
+    # entry (1, 2) of X*Y, six terms modulo the doubled hat basis, with
+    # no cofactor of Y.
     prob = tmp_path / "x2n8.alg"
     prob.write_text("n 8\nfield Q\nx2\n")
     run = run_python("-m", "algroup.cli", "decide", str(prob), "--check",
@@ -318,7 +318,8 @@ def test_group_checks_share_the_run_cache(problems_dir, capsys, monkeypatch):
     assert data["group"] is True and data["group_alt"] is True
     assert set(data["checks"]) == {"identity", "inversion", "multiplication",
                                    "division"}
-    # The hat ideal's basis serves multiplication and division alike.
+    # division reuses multiplication's result, and the hat ideal's basis
+    # serves both checks.
     assert rings == [plain, hat]
 
     rings.clear()

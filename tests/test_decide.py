@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 from conftest import (hat_ideal_reference, padded_inverse_reference, respec,
-                      to_y_block_reference)
+                      subst_x_times_inverse_y, to_y_block_reference)
 
 from algroup import (QQ, Budget, DecisionReport, GBStats, Polynomial,
                      ProblemSpec, VarRing, add_field_equations, buchberger,
@@ -12,14 +12,13 @@ from algroup import (QQ, Budget, DecisionReport, GBStats, Polynomial,
                      check_identity, check_inversion, check_multiplication,
                      contains_one, decide, det_poly, enumerate_variety,
                      is_group, is_group_alt, is_group_bruteforce,
-                     load_problem, normal_form, parse_problem, run_checks,
-                     variety_equals_vstar)
+                     load_problem, normal_form, parse_problem,
+                     radical_membership, run_checks, variety_equals_vstar)
 from algroup import groebner, matrices
 from algroup.poly import MAX_ENGINE_DEGREE
 from algroup.decide import _Run, check_inversion_alt
 from algroup.matrices import (CofactorTable, build_f0,
-                              eval_at_formal_inverse, subst_product,
-                              subst_x_times_adj_y, subst_x_times_inverse_y)
+                              eval_at_formal_inverse, subst_product)
 
 SUITE = ["sl2.alg", "gl2.alg", "torus2.alg", "diag-antidiag.alg",
          "cubic-roots.alg", "fourth-roots.alg", "linear-forms-3x3.alg",
@@ -465,7 +464,9 @@ def test_field_equation_bases_are_certified_by_the_engine(
         t_runs.clear()
         general = run_checks(spec, CLOSURE_CHECKS)
         assert got == _closure_outcomes(general), spec.generators
-        falses = sum(res.verdict is False for res in general.checks.values())
+        # division shares multiplication's result and its t*f - 1 runs.
+        results = {id(res): res for res in general.checks.values()}
+        falses = sum(res.verdict is False for res in results.values())
         assert len(t_runs) >= falses, spec.generators
         false_checks += falses
     assert false_checks >= 16
@@ -492,9 +493,11 @@ def test_field_equation_flag_without_the_equations_takes_the_general_path(
         problem, t_runs, no_certificate, q):
     # The flag alone proves nothing: F_5 problem flagged q = 5 without
     # x_k^5 - x_k, and one flagged with q = 4, no power of 5.
+    # One t*f - 1 run for inversion, and one for multiplication, whose
+    # result division shares.
     spec = problem("cubic-roots-f5.alg")
     flagged = run_checks(respec(spec, field_equations_q=q), CLOSURE_CHECKS)
-    assert len(t_runs) == 3
+    assert len(t_runs) == 2
     cleared = run_checks(spec, CLOSURE_CHECKS)
     assert _closure_outcomes(flagged) == _closure_outcomes(cleared)
     assert all(res.verdict is False for res in flagged.checks.values())
@@ -718,7 +721,6 @@ def test_field_equation_run_starts_no_process_pool():
 EXPANDED_IMAGES = {
     "inversion": (eval_at_formal_inverse, eval_at_formal_inverse),
     "multiplication": (subst_product, subst_product),
-    "division": (subst_x_times_inverse_y, subst_x_times_adj_y),
 }
 PADS = {"hat": (), "doubled hat": (), "I": ("x",), "doubled I": ("x", "y")}
 
@@ -766,21 +768,17 @@ def test_reduced_images_equal_the_normal_forms_of_the_expanded_ones(
                     assert image(f, table) == want, (spec.generators, name,
                                                      ideal, f)
                     compared[name, ideal] += 1
-    assert len(compared) == 6 and min(compared.values()) >= 200
+    assert len(compared) == 4 and min(compared.values()) >= 200
 
 
-def test_x2_division_builds_at_most_n_cofactors():
-    # x2 at n=5: the image of x2 is y0 times entry (1, 2) of X*adj(Y),
-    # which takes the cofactors of Y that meet the nonzero entries of
-    # X's first row, four of them.
-    n = 5
-    run = _Run(parse_problem(f"n {n}\nfield Q\nx2\n"), Budget())
+def test_x2_division_builds_one_product_entry_and_no_cofactor():
+    # x2 at n=5: division is decided through the product image, entry
+    # (1, 2) of X*Y, which takes no cofactor of Y and no power of det(Y).
+    run = _Run(parse_problem("n 5\nfield Q\nx2\n"), Budget())
     assert run.check("division").verdict is False
     table = run.tables["doubled hat"]
-    cofactors = [key for key in table.minors
-                 if key[0] == "y" and len(key[1]) == n - 1]
-    assert len(cofactors) == n - 1
-    assert [key for key in table.images] == [("quotient", 0, 1)]
+    assert not table.minors and not table._powers
+    assert list(table.images) == [(0, 1)]
 
 
 def test_closure_checks_build_the_determinant_and_adjugate_once(problem,
@@ -808,14 +806,15 @@ def test_closure_checks_build_the_determinant_and_adjugate_once(problem,
     assert report.group is True and report.group_alt is True
     # Within a check, at most one table of each ring builds the minors of
     # a block: the inversion check builds det modulo I's basis, to seed
-    # the hat basis, and its images modulo the hat basis.
+    # the hat basis, and its images modulo the hat basis.  The product
+    # images take no minor, and division reuses multiplication's result.
+    assert checks == ["inversion", "multiplication"]
     tables = {}
     for check, table, block, _, _ in built:
         tables.setdefault((check, table.ring.has("x0"), block),
                           set()).add(id(table))
     assert tables.keys() == {("inversion", False, "x"),
-                             ("inversion", True, "x"),
-                             ("division", True, "y")}
+                             ("inversion", True, "x")}
     assert max(map(len, tables.values())) == 1, tables
     # No minor is built twice within a check on one ring.
     per_check = Counter((check, table.ring, block, rows, cols)
@@ -869,6 +868,31 @@ def _random_sl_z(rng, n):
     return g, ginv
 
 
+def _q_fixtures(problems_dir):
+    fixtures = [load_problem(path) for path in sorted(problems_dir.glob("*.alg"))]
+    fixtures = [spec for spec in fixtures if spec.field == QQ]
+    assert len(fixtures) == 9
+    return fixtures
+
+
+def _entry_map(spec, entry):
+    """Variable name -> entry(X, i, j) of each 0-based entry (i, j), X
+    the x block as a matrix of ring variables."""
+    n = spec.n
+    X = [[spec.ring.var(matrices.entry_name("x", i + 1, j + 1, n))
+          for j in range(n)] for i in range(n)]
+    return {matrices.entry_name("x", i + 1, j + 1, n): entry(X, i, j)
+            for i in range(n) for j in range(n)}
+
+
+def _conjugation(spec, g, ginv):
+    """Variable name -> its entry of g^-1*X*g."""
+    n, ring = spec.n, spec.ring
+    return _entry_map(spec, lambda X, i, j: sum(
+        (ring.const(ginv[i][k] * g[l][j]) * X[k][l]
+         for k in range(n) for l in range(n)), ring.zero()))
+
+
 def _q_metamorphic_cases(problems_dir):
     """(fixture, moved) pairs: each Q fixture conjugated by a random g in
     SL_n(Z), its generators scaled by random nonzero rationals.
@@ -876,21 +900,27 @@ def _q_metamorphic_cases(problems_dir):
     rng = random.Random(41)
     scalars = [QQ.from_ratio(a, b) for a, b in
                [(2, 1), (-3, 1), (1, 2), (-2, 3), (5, 4), (7, 9)]]
-    fixtures = [load_problem(path) for path in sorted(problems_dir.glob("*.alg"))]
-    fixtures = [spec for spec in fixtures if spec.field == QQ]
-    assert len(fixtures) == 9
-    for spec in fixtures:
-        n, ring = spec.n, spec.ring
-        X = [[ring.var(matrices.entry_name("x", i + 1, j + 1, n))
-              for j in range(n)] for i in range(n)]
-        g, ginv = _random_sl_z(rng, n)
-        images = {matrices.entry_name("x", i + 1, j + 1, n):
-                  sum((ring.const(ginv[i][k] * g[l][j]) * X[k][l]
-                       for k in range(n) for l in range(n)), ring.zero())
-                  for i in range(n) for j in range(n)}
+    for spec in _q_fixtures(problems_dir):
+        images = _conjugation(spec, *_random_sl_z(rng, spec.n))
         yield spec, respec(spec, generators=[
-            f.substitute(images) * ring.const(rng.choice(scalars))
+            f.substitute(images) * spec.ring.const(rng.choice(scalars))
             for f in spec.generators])
+
+
+def _q_transposed_and_det_minus_one_cases(problems_dir):
+    """(fixture, moved) pairs: each Q fixture at X^T, and at g^-1*X*g
+    for a random g in GL_n(Z) of det -1."""
+    rng = random.Random(43)
+    for spec in _q_fixtures(problems_dir):
+        g, ginv = _random_sl_z(rng, spec.n)
+        # g <- g*D and ginv <- D*ginv, with D = diag(-1, 1, ..., 1).
+        for row in g:
+            row[0] = -row[0]
+        ginv[0] = [-a for a in ginv[0]]
+        for images in (_entry_map(spec, lambda X, i, j: X[j][i]),
+                       _conjugation(spec, g, ginv)):
+            yield spec, respec(spec, generators=[
+                f.substitute(images) for f in spec.generators])
 
 
 def test_q_verdicts_are_invariant_under_scaling_and_conjugation(problems_dir):
@@ -904,6 +934,26 @@ def test_q_verdicts_are_invariant_under_scaling_and_conjugation(problems_dir):
         assert (got.group, got.group_alt) == (want.group, want.group_alt)
         assert _closure_outcomes(got) == _closure_outcomes(want), \
             spec.source
+
+
+def test_q_verdicts_are_invariant_under_transposition_and_det_minus_one(
+        problems_dir):
+    # X -> X^T is an anti-automorphism of GL_n: it fixes 1 and det, and
+    # maps inverses to inverses and x*y to y^T*x^T.  So the transposed
+    # variety passes each check exactly when the fixture does, generator
+    # by generator.  Conjugation by g of det -1 is an automorphism, as
+    # for g in SL_n(Z) above.
+    checks = ["identity", "inversion", "multiplication", "division",
+              "vstar-eq", "group", "group-alt"]
+    moved_cases = 0
+    for spec, moved in _q_transposed_and_det_minus_one_cases(problems_dir):
+        want = run_checks(spec, checks)
+        got = run_checks(moved, checks)
+        assert (got.group, got.group_alt) == (want.group, want.group_alt)
+        assert _closure_outcomes(got) == _closure_outcomes(want), \
+            (spec.source, moved.generators)
+        moved_cases += moved.generators != spec.generators
+    assert moved_cases >= 12
 
 
 def test_a_closed_submonoid_is_closed_under_inversion(problems_dir):
@@ -932,12 +982,27 @@ def test_a_closed_submonoid_is_closed_under_inversion(problems_dir):
     assert monoids[0] >= 10 and monoids[2] + monoids[3] >= 10, monoids
 
 
-def test_multiplication_and_division_agree(problems_dir):
-    # When V* is empty, both checks hold.  Otherwise, by the theorem of
-    # the test above, V* closed under multiplication is a group, hence
-    # closed under division; and closed under division it holds
-    # x*x^-1 = 1, then y^-1 and x*y.  So the two checks, run on the
-    # doubled basis by different constructions, give one verdict.
+def _reference_division(spec, budget):
+    """Closure under division by the reference quotient images: whether
+    the image at X*Y^-1 of every generator lies in the radical of the
+    doubled hat basis; None when the budget runs out."""
+    try:
+        base = _Run(spec, budget).ideal("doubled hat", GBStats())
+        table = CofactorTable(base.ring, base)
+        return all(radical_membership(subst_x_times_inverse_y(f, table),
+                                      base, budget)
+                   for f in spec.generators if f)
+    except groebner.BudgetExhausted:
+        return None
+
+
+def test_division_matches_the_reference_quotient_images(problems_dir):
+    # `division` is decided through the product image.  When V* is empty,
+    # both closures hold.  Otherwise, by the theorem of the test above,
+    # V* closed under multiplication is a group, hence closed under
+    # division; and closed under division it holds x*x^-1 = 1, then y^-1
+    # and x*y.  So the quotient images, tested as the division check
+    # tested them before, give its verdict.
     specs = [moved for _, moved in _q_metamorphic_cases(problems_dir)]
     for path in sorted(problems_dir.glob("*.alg")):
         spec = load_problem(path)
@@ -946,16 +1011,45 @@ def test_multiplication_and_division_agree(problems_dir):
     for seed in (101, 202):
         for spec, p in _random_corpus(seed):
             specs += [spec, add_field_equations(spec, p)]
+    budget = Budget(pair_cap=400)
     verdicts = Counter()
     for spec in specs:
-        checks = run_checks(spec, ["multiplication", "division"],
-                            budget=Budget(pair_cap=400)).checks
-        got = checks["multiplication"].verdict, checks["division"].verdict
-        if None in got:
+        got = run_checks(spec, ["division"],
+                         budget=budget).checks["division"].verdict
+        want = _reference_division(spec, budget)
+        if got is None or want is None:
             continue
-        assert got[0] == got[1], (spec.source, spec.generators)
-        verdicts[got[0]] += 1
+        assert got == want, (spec.source, spec.generators)
+        verdicts[got] += 1
     assert verdicts[True] >= 40 and verdicts[False] >= 40, verdicts
+
+
+@pytest.mark.parametrize("checks", [["multiplication", "division"],
+                                    ["division", "multiplication"],
+                                    ["group-alt", "multiplication"],
+                                    ["multiplication", "group-alt"]])
+def test_division_and_multiplication_share_one_result(monkeypatch, t_runs,
+                                                      checks):
+    # No certificate holds here, so the false multiplication check ends in
+    # t*f - 1 runs.  A report that holds both names runs the check once,
+    # and the second name reuses the first's result.
+    spec = parse_problem("n 1\nfield F 3\n(x1 - 1)^3*(x1^2 + 1)\n")
+    alone = run_checks(spec, ["multiplication"]).checks["multiplication"]
+    runs_alone = len(t_runs)
+    assert runs_alone and alone.verdict is False
+    t_runs.clear()
+    ran = []
+    real = _Run.closure_check
+    monkeypatch.setattr(_Run, "closure_check",
+                        lambda self, name: ran.append(name) or
+                        real(self, name))
+    report = run_checks(spec, checks)
+    assert ran == ["multiplication"] and len(t_runs) == runs_alone
+    assert report.checks["division"] is report.checks["multiplication"]
+    shared = report.checks["division"]
+    assert (shared.verdict, shared.witness_index, shared.witness,
+            shared.gb_pairs) == (alone.verdict, alone.witness_index,
+                                 alone.witness, alone.gb_pairs)
 
 
 def _unseed(monkeypatch):
@@ -1065,6 +1159,28 @@ def test_the_doubled_basis_asks_the_hat_basis_whether_it_is_radical(
     assert false[False] >= 3 and false[True] >= 3, false
 
 
+@pytest.mark.parametrize("name", ["fourth-roots.alg", "cubic-roots.alg"])
+def test_det_is_built_as_often_whichever_check_needs_it_first(
+        problem, monkeypatch, name):
+    # I is zero-dimensional: det(x) modulo I is built on I's kept
+    # CofactorTable, whether I + (det) or a closure check needs it first.
+    built = []
+    real = matrices.CofactorTable._build_minor
+
+    def counting(self, block, rows, cols):
+        if block == "x" and len(rows) == self.ring.n:
+            built.append(self.ring)
+        return real(self, block, rows, cols)
+
+    monkeypatch.setattr(matrices.CofactorTable, "_build_minor", counting)
+    counts = []
+    for checks in (["vstar-eq", "group"], ["group", "vstar-eq"]):
+        built.clear()
+        run_checks(problem(name), checks)
+        counts.append(len(built))
+    assert counts[0] == counts[1], counts
+
+
 def test_det_is_built_once_for_the_hat_ideal_and_i_plus_det(problem,
                                                             monkeypatch):
     calls = []
@@ -1096,8 +1212,9 @@ def test_det_is_built_once_for_the_hat_ideal_and_i_plus_det(problem,
 
 def test_seed_101_problem_13_decides_division_in_few_pairs():
     # Without field equations no certificate holds, so the false
-    # division runs t*f - 1 on the doubled hat ideal: 1,398 pairs under
-    # the normal strategy, 685 under sugar.
+    # division runs t*f - 1 on the doubled hat ideal.  On the quotient
+    # image that took 1,398 pairs under the normal strategy and 685 under
+    # sugar; on the product image it takes multiplication's 437.
     spec, _ = list(_random_corpus(101))[13]
     res = run_checks(spec, ["division"]).checks["division"]
     assert res.verdict is False and res.gb_pairs <= 800
@@ -1110,10 +1227,12 @@ def _t_route_cases():
     so that a change to that run's input shows."""
     spec, _ = list(_random_corpus(101))[13]  # over F_2
     line = parse_problem("n 2\nfield Q\nx2\nx1 - x2 + x3 - x4\nx1 + x4 - 2\n")
+    # division runs the product tests: multiplication's 12 pairs, where
+    # the quotient image took 17.
     return [(spec, ["inversion"], "inversion", (False, 38)),
             (spec, ["multiplication"], "multiplication", (False, 437)),
             (line, ["group"], "inversion", (False, 3)),
-            (line, ["group-alt"], "division", (False, 17))]
+            (line, ["group-alt"], "division", (False, 12))]
 
 
 @pytest.mark.parametrize("case", range(4))

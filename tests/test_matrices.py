@@ -2,13 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import hat_ideal_reference, to_y_block_reference
+from conftest import (hat_ideal_reference, subst_x_times_inverse_y,
+                      to_y_block_reference)
 
 from algroup import (QQ, VarRing, buchberger, change_ring, det_poly,
                      normal_form, parse_poly, parse_problem)
 from algroup.matrices import (CofactorTable, build_f0,
-                              eval_at_formal_inverse, subst_product,
-                              subst_x_times_inverse_y)
+                              eval_at_formal_inverse, subst_product)
 
 
 def xring(n):
