@@ -66,7 +66,8 @@ the first's, and runs no test again.
 A reduced basis already computed moves into a larger ring one way: it
 seeds the run there (`groebner.buchberger`'s `seed`), its prepared
 reducers shifted into that ring and the pairs among them skipped.  G
-seeds the hat ideal and I + (det(x)), which decides V(I) = V*(I).  det
+seeds the hat ideal and I + (det(x)), which decides V(I) = V*(I) when
+field equations do not (below).  det
 is reduced to r = NF_G(det): on the route modulo I on I's
 CofactorTable, which the run keeps for the padded inversion images, and
 otherwise on a CofactorTable of its own that the run does not keep.
@@ -152,6 +153,32 @@ themselves, terms {x_k^q: 1, x_k: -1} with q a power of p covering every
 entry, and not the q that `add_field_equations` records on the problem:
 that record proves nothing, as a problem may carry it without the
 equations, or the equations without it.
+
+Under field equations V(I) = V*(I) is one normal form modulo I, with
+no run on I + (det(x)).  Let q be the least such q, and G I's reduced
+basis.  Every point of V(I) has its entries in F_q, so det(x) takes its
+values in F_q there, and for a in F_q, a^(q-1) is 1 when a is nonzero
+and 0 when a = 0.  So det is nonzero on all of V(I) exactly when
+det^(q-1) - 1 vanishes on V(I), that is, by the Nullstellensatz,
+exactly when it lies in rad(I) = I: when NF_G(det^(q-1) - 1) = 0.  The
+normal form is a ring map onto R/I, so that is NF_G(r^(q-1) - 1) for
+r = NF_G(det), and r^(q-1) is built on I's CofactorTable by multiplying
+by r and reducing after each product (`CofactorTable.det_power`).  The
+test is against 0, not of NF_G(r^(q-1)) against 1: when G = (1), V(I)
+is empty, V(I) = V*(I) holds, and every normal form is 0.  Each x_k^q
+is a lead of I's initial ideal, so a reduced polynomial has degree
+below q in every entry, r has degree at most n under degrevlex, and a
+product has degree at most n^2*(q-1) + n.  The normal form decides when
+that is within the budget's degree cap (`_Run.vstar_by_normal_form`);
+otherwise I + (det) is built as below.
+
+A closure check whose base has the block basis (1), I on the route
+modulo I and the hat basis on the hat route, is true and builds nothing
+more: the base's zero set is empty, and so is that of its doubled
+ideal, so every image vanishes on it and lies in its radical, (1).  The
+check counts the pairs of the block basis, as a run of every test would
+(each image reduces to 0), and builds no doubled basis, no
+CofactorTable and no image.
 
 `run_checks` is the one entry point, for the library and the CLI alike:
 it runs a list of check names against one `_Run` into one report.  A
@@ -389,7 +416,9 @@ class _Run:
     docstring).  "hat" and "I+det" are seeded with I's reduced basis
     (`seed`).  "I+det" is I + (det(x)): the check "variety_equals_vstar"
     decides once whether it is the whole ring, that is, whether
-    V(I) = V*(I), and keeps no basis of it.  `tables` keeps one
+    V(I) = V*(I), and keeps no basis of it; when `vstar_by_normal_form`
+    holds, it decides that by one normal form modulo I instead, and
+    builds no "I+det".  `tables` keeps one
     CofactorTable per base of a closure check, made once per run: its
     minors serve the determinant and adjugate images, and its entry
     images serve every generator of every check on that base.
@@ -397,7 +426,8 @@ class _Run:
     `field_equations` holds the places of the generators that no
     closure check tests (`_field_equations`), found once per run; if
     there are any, every base is marked radical as it is built, and the
-    route is modulo I.
+    route is modulo I.  `field_q` is the least q among them, None when
+    there are none: every point of V(I) is then F_q-rational.
 
     A computation's pairs count in the check that runs it.  `seeded`
     holds the ideals seeded with I's basis, "hat" and "I+det", that the
@@ -415,6 +445,8 @@ class _Run:
         self.tables: dict = {}
         self._det: Polynomial | None = None
         self.field_equations = _field_equations(problem)
+        self.field_q = min((problem.generators[idx - 1].total_degree()
+                            for idx in self.field_equations), default=None)
 
     def ideal(self, name: str, stats: GBStats) -> GroebnerBasis:
         if name in self.bases:
@@ -443,6 +475,21 @@ class _Run:
         gb = self.ideal("I", stats)
         return gb.is_zero_dimensional and \
             gb.certified_radical(self.budget.degree_cap)
+
+    def vstar_by_normal_form(self) -> bool:
+        """Whether "variety_equals_vstar" is decided as
+        NF_I(det^(q-1) - 1) = 0: the field equations hold with q =
+        `field_q`, and every product r^k * r of the powers of
+        r = NF_I(det), of degree at most n^2*(q-1) + n, stays within the
+        degree cap (see the module docstring)."""
+        q, n = self.field_q, self.problem.n
+        return q is not None and n * n * (q - 1) + n <= self.budget.degree_cap
+
+    def empty_base(self, block: str, stats: GBStats) -> bool:
+        """Whether the block basis of a closure check's base, "I" or
+        "hat", computed on first use, is (1): the base's zero set is then
+        empty, and every image lies in its radical."""
+        return self.ideal(block, stats).is_trivial
 
     def seed(self, name: str, stats: GBStats) -> tuple[GroebnerBasis,
                                                        Polynomial]:
@@ -507,11 +554,18 @@ class _Run:
         if name == "variety_equals_vstar":
             start, stats = time.perf_counter(), GBStats()
             try:
-                seed, det = self.seed("I+det", stats)
-                return _result(contains_one([det], self.budget,
-                                            ring=self.problem.ring,
-                                            seed=seed, stats=stats),
-                               start, stats)
+                if self.vstar_by_normal_form():
+                    self.seeded.discard("I+det")
+                    self.ideal("I", stats)
+                    table = self.table("I")
+                    power = table.det_power("x", self.field_q - 1)
+                    verdict = not table.reduce(power - 1)
+                else:
+                    seed, det = self.seed("I+det", stats)
+                    verdict = contains_one([det], self.budget,
+                                           ring=self.problem.ring,
+                                           seed=seed, stats=stats)
+                return _result(verdict, start, stats)
             except BudgetExhausted as exc:
                 return _result(None, start, stats, undecided_reason=str(exc))
         return self.closure_check(_DECIDED_AS.get(name, name))
@@ -522,8 +576,9 @@ class _Run:
         one radical-membership test of each generator's image, in
         generator order, up to the first that fails or runs out of
         budget.  The field equations of `field_equations` are not
-        tested.  An image builds only the pieces its generator needs,
-        modulo the base basis, and the base's CofactorTable keeps them
+        tested, and on an empty base (`empty_base`) nothing is.  An
+        image builds only the pieces its generator needs, modulo the
+        base basis, and the base's CofactorTable keeps them
         for the later generators and checks on that base.  When the base
         ideal is proven radical, each test is one normal form.  Only the
         reported generator's image is rendered."""
@@ -538,6 +593,8 @@ class _Run:
         try:
             ideal, image = route_modulo_i if self.modulo_i(stats) \
                 else hat_route
+            if self.empty_base(ideal.removeprefix("doubled "), stats):
+                return _result(True, start, stats)
             base = self.ideal(ideal, stats)
         except BudgetExhausted as exc:
             return _result(None, start, stats, undecided_reason=str(exc))

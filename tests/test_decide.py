@@ -431,6 +431,20 @@ def hat_route_only(monkeypatch):
     monkeypatch.setattr(_Run, "modulo_i", lambda self, stats: False)
 
 
+@pytest.fixture
+def general_vstar(monkeypatch):
+    """Switches the normal form of det^(q-1) - 1 under field equations
+    off: "variety_equals_vstar" runs the seeded I + (det) test."""
+    monkeypatch.setattr(_Run, "vstar_by_normal_form", lambda self: False)
+
+
+@pytest.fixture
+def general_empty_base(monkeypatch):
+    """Switches the empty-base answer off: a closure check on a base of
+    (1) builds every image and tests it."""
+    monkeypatch.setattr(_Run, "empty_base", lambda self, block, stats: False)
+
+
 def _closure_outcomes(report):
     return {name: (res.verdict, res.witness_index)
             for name, res in report.checks.items()}
@@ -543,6 +557,8 @@ def test_field_equations_untested_agree_with_the_general_path(monkeypatch,
                 for spec, checks in runs]
     monkeypatch.setattr(decide, "_field_equations",
                         lambda problem: frozenset())
+    assert not any(_Run(spec, budget).vstar_by_normal_form()
+                   for spec in specs)
     compared = 0
     for (spec, checks), got in zip(runs, shortcut):
         general = run_checks(spec, checks, budget=budget)
@@ -558,6 +574,150 @@ def test_field_equations_untested_agree_with_the_general_path(monkeypatch,
             if getattr(general, verdict) is not None:
                 assert getattr(got, verdict) == getattr(general, verdict)
     assert compared >= len(runs)
+
+
+def _vstar_cases(p, q):
+    """Problems under the field equations of q: random ones at n = 1
+    and 2, GL_1(F_q) and GL_2(F_q), and one whose I is (1)."""
+    from conftest import random_matrix_problem
+    rng = random.Random(1000 * p + q)
+    specs = [random_matrix_problem(rng, p, n=n) for n in (1, 1, 1, 2, 2, 2)]
+    specs += [parse_problem(f"n {n}\nfield F {p}\n") for n in (1, 2)]
+    specs.append(parse_problem(f"n 2\nfield F {p}\nx1\nx1 - 1\n"))
+    return [add_field_equations(spec, q) for spec in specs]
+
+
+@pytest.mark.parametrize("p, q", FIELD_EQUATION_PAIRS)
+def test_vstar_under_field_equations_matches_the_seeded_run(
+        request, p, q):
+    # Under field equations V(I) = V*(I) is decided as
+    # NF_I(det^(q-1) - 1) = 0, with no run on I + (det) (see the module
+    # docstring of `decide`).  Wherever the seeded I + (det) run decides
+    # within the pair cap, the verdicts agree; for q = p the variety's
+    # points are the oracle's, and they are all invertible exactly when
+    # the verdict is true.
+    specs = _vstar_cases(p, q)
+    budget = Budget(pair_cap=300)
+    assert all(_Run(spec, budget).vstar_by_normal_form() for spec in specs)
+    shortcut = [variety_equals_vstar(spec, budget=budget) for spec in specs]
+    assert shortcut[-1].verdict is True  # V(I) is empty
+    request.getfixturevalue("general_vstar")
+    compared = 0
+    for spec, got in zip(specs, shortcut):
+        assert got.verdict is not None, spec.generators
+        want = variety_equals_vstar(spec, budget=budget)
+        if want.verdict is not None:
+            assert got.verdict == want.verdict, spec.generators
+            compared += 1
+        if q == p:
+            vs = enumerate_variety(spec)
+            assert got.verdict == (len(vs.points) == len(vs.invertible))
+    assert compared >= len(specs) - 2
+
+
+def test_vstar_normal_form_keeps_its_products_within_the_degree_cap():
+    # The powers of r = NF_I(det) are reduced, of degree below q in each
+    # entry, so a product r^k * r has degree at most n^2*(q-1) + n.  Under
+    # a lower degree cap the seeded I + (det) run decides, within that
+    # cap, and counts its pairs.
+    spec = add_field_equations(parse_problem("n 2\nfield F 3\n"), 3)
+    bound = 4 * 2 + 2
+    assert _Run(spec, Budget(degree_cap=bound)).vstar_by_normal_form()
+    assert not _Run(spec, Budget(degree_cap=bound - 1)).vstar_by_normal_form()
+    by_normal_form = variety_equals_vstar(spec, budget=Budget(degree_cap=bound))
+    seeded = variety_equals_vstar(spec, budget=Budget(degree_cap=bound - 1))
+    assert (by_normal_form.verdict, by_normal_form.gb_pairs) == (False, 0)
+    assert seeded.verdict is False and seeded.gb_pairs > 0
+
+
+def test_vstar_normal_form_reads_det_from_i_and_runs_no_buchberger(
+        monkeypatch):
+    # After an earlier check built I, "variety_equals_vstar" counts no
+    # pair, reads r^(q-1) from I's CofactorTable, and builds no I + (det).
+    spec = add_field_equations(
+        parse_problem("n 2\nfield F 3\nx2\nx3\n"), 3)
+    run = _Run(spec, Budget(), {"hat", "I+det"})
+    assert run.check("inversion").verdict is True
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Groebner run")
+
+    monkeypatch.setattr(decide, "buchberger", refuse)
+    monkeypatch.setattr(decide, "contains_one", refuse)
+    res = run.check("variety_equals_vstar")
+    # The diagonal matrices over F_3 include singular ones.
+    assert (res.verdict, res.gb_pairs, res.gb_zero_reductions) == (False, 0, 0)
+    assert "I+det" not in run.seeded and "I+det" not in run.bases
+
+
+def _closure_pairs(checks):
+    return {name: (res.verdict, res.gb_pairs, res.gb_zero_reductions)
+            for name, res in checks.items()}
+
+
+@pytest.mark.parametrize("text, q", [
+    ("n 2\nfield F 3\nx1\nx1 - 1\n", 3),  # I = (1), modulo I
+    ("n 2\nfield Q\nx1*x4 - x2*x3\n", None),  # the hat ideal is (1)
+])
+def test_a_closure_check_on_an_empty_base_builds_no_image(monkeypatch,
+                                                          request, text, q):
+    # The base's zero set is empty, so every image lies in (1): the
+    # closure checks are true with the pair counts of the run that tests
+    # every image, and no CofactorTable or image is built.
+    spec = parse_problem(text)
+    if q:
+        spec = add_field_equations(spec, q)
+    checks = ["inversion", "multiplication"]
+
+    def refuse(*args):
+        raise AssertionError("an image was built")
+
+    with monkeypatch.context() as m:
+        m.setattr(decide, "eval_at_formal_inverse", refuse)
+        m.setattr(decide, "subst_product", refuse)
+        run = _Run(spec, Budget(), {"hat"})
+        got = _closure_pairs({name: run.check(name) for name in checks})
+    assert run.tables == {}
+    assert run.modulo_i(GBStats()) is bool(q)
+    request.getfixturevalue("general_empty_base")
+    assert got == _closure_pairs(run_checks(spec, checks).checks)
+    assert all(verdict for verdict, _, _ in got.values())
+
+
+@pytest.mark.parametrize("seed", [101, 202, 303])
+def test_empty_bases_give_the_reports_of_the_general_path(monkeypatch,
+                                                          request, seed):
+    # On the random corpus, with and without field equations, skipping
+    # the images of an empty base changes no report, timings aside.  The
+    # pair cap keeps the t*f - 1 runs of the false checks without field
+    # equations short; undecided checks are compared too.
+    specs = [spec for pair in _random_corpus(seed)
+             for spec in (pair[0], add_field_equations(*pair))]
+    checks = ["group", "inversion", "multiplication", "division"]
+    budget = Budget(pair_cap=300)
+    empty = []
+    real = _Run.empty_base
+
+    def counted(self, block, stats):
+        found = real(self, block, stats)
+        empty.append(found)
+        return found
+
+    monkeypatch.setattr(_Run, "empty_base", counted)
+    shortcut = [_untimed(run_checks(spec, checks, budget=budget))
+                for spec in specs]
+    assert sum(empty) >= 6
+    request.getfixturevalue("general_empty_base")
+    for spec, got in zip(specs, shortcut):
+        assert got == _untimed(run_checks(spec, checks, budget=budget)), \
+            spec.generators
+
+
+def _untimed(report):
+    data = report.to_dict()
+    for check in data["checks"].values():
+        del check["seconds"]
+    return data
 
 
 def test_field_equations_mark_the_hat_basis_radical(problems_dir,
@@ -1086,10 +1246,13 @@ def _seeding_corpus(problems_dir):
 
 
 def test_base_bases_built_on_i_match_the_raw_generators(problems_dir,
-                                                         monkeypatch):
+                                                         monkeypatch,
+                                                         general_vstar):
     # The hat and I+det ideals are built on I's reduced basis and det
     # reduced modulo it; the ideals, hence the reduced bases and every
-    # verdict and witness, are those of the raw generators.
+    # verdict and witness, are those of the raw generators.  Under field
+    # equations I+det is built only with the normal form of
+    # det^(q-1) - 1 switched off, as here.
     checks = ["group", "group-alt", "vstar-eq"]
     specs = _seeding_corpus(problems_dir)
     assert len(specs) == 64
